@@ -37,7 +37,6 @@ from .closure import (
     classify_classical,
     classify_easy,
     classify_noncrossing,
-    closure_contains,
     generate_closure,
 )
 from .linmap import (
@@ -87,7 +86,6 @@ __all__ = [
     "classify_easy",
     "classify_noncrossing",
     "closed_form",
-    "closure_contains",
     "compose",
     "count_moments",
     "delta",

@@ -22,11 +22,6 @@ from .closure import (
 from .ops import enumerate_all
 from .partition import Partition
 
-# fusion_min=4 provably saturates every closure this suite runs (checked by
-# the set-equality assertions below); it keeps criterion 1 well inside its
-# time budget.
-FUSION_MIN = 4
-
 
 @dataclass
 class CriterionResult:
@@ -55,9 +50,7 @@ def _closure_equals_predicate(
     name: str, point_budget: int, intermediate_budget: int, orders: list[int]
 ) -> list[str]:
     entry = cat.catalog_entry(name)
-    closure = generate_closure(
-        entry.generators, point_budget, intermediate_budget, fusion_min=FUSION_MIN
-    )
+    closure = generate_closure(entry.generators, point_budget, intermediate_budget)
     failures = []
     if not closure.saturated:
         failures.append(f"{name}: closure did not saturate")
@@ -132,9 +125,7 @@ def criterion_2() -> CriterionResult:
             continue
         # early exit is sound only when every probe is confirmed; an absent
         # probe forces the run to saturation before it may be trusted
-        closure = generate_closure(
-            gens, 8, 16, fusion_min=FUSION_MIN, stop_when=list(probes.values())
-        )
+        closure = generate_closure(gens, 8, 16, stop_when=list(probes.values()))
         fp = tuple(
             closure.contains(probes[x]) is Containment.CONFIRMED
             for x in ("s", "ss", "fb", "pos")
@@ -168,9 +159,7 @@ def criterion_4() -> CriterionResult:
         pred = cat.category_predicate(name)
         if pred(cat.crossing()):
             failures.append(f"{name}: predicate wrongly accepts the crossing partition")
-        closure = generate_closure(
-            cat.catalog_entry(name).generators, 6, 12, fusion_min=FUSION_MIN
-        )
+        closure = generate_closure(cat.catalog_entry(name).generators, 6, 12)
         if closure.contains(cat.half_lib()) is not Containment.CONFIRMED:
             failures.append(f"{name}: half-liberating partition not confirmed in closure")
         if closure.contains(cat.crossing()) is Containment.CONFIRMED:

@@ -1,12 +1,22 @@
 """Bounded categorial hulls and classification against the catalog.
 
 The engine works on boundary words (see ``Partition.word``): every partition
-rotates to a one-row normal form, rotations become cyclic shifts of the word,
-involution becomes reversal, tensor products become concatenation (of shifted
-copies), and composition becomes concatenation followed by gluing matched
-points at the seam.  The stored element set is closed under shifts and
-reversal, so membership of an arbitrary two-row partition is a single word
-lookup.
+rotates to a one-row normal form, rotations become cyclic shifts of the word
+and involution becomes reversal.  Tensor product and composition both become
+one move, ``_glue(a, b, c)``: join the last ``c`` points of ``a`` to the
+first ``c`` points of ``b`` and drop them (``c = 0`` concatenates).  A cap
+contracts two cyclically adjacent points of one word.
+
+The worklist of :func:`generate_closure` keeps three invariants:
+
+* the stored word set is closed under shifts, reversal and cap contraction,
+  so membership of an arbitrary two-row partition is a single word lookup;
+* the queue holds one representative per orbit under shifts and reversal,
+  the least word of the orbit;
+* each pair of representatives is glued once per rotation pair, at the one
+  width whose result just fits the point budget.  Wider glues are cap
+  contractions of that result, and gluing in the other order gives a cyclic
+  shift of a glue already made.
 
 A bounded closure is a *lower bound* of the true category restricted to the
 point budget: every stored word is honestly derivable from the generators,
@@ -20,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import (
@@ -50,62 +61,60 @@ DEFAULT_POINT_BUDGET = 8
 DEFAULT_INTERMEDIATE_BUDGET = 16
 
 
-def _shift(w: Word) -> Word:
-    return normalize_word(w[1:] + w[:1])
+def _rotations(w: Word) -> list[Word]:
+    """The distinct cyclic shifts of w, sorted."""
+    return sorted({normalize_word(w[i:] + w[:i]) for i in range(max(1, len(w)))})
 
 
-def _orbit(w: Word) -> set[Word]:
-    """All cyclic shifts of w and of its reversal."""
-    out: set[Word] = set()
-    for seed in (w, normalize_word(w[::-1])):
-        cur = normalize_word(seed)
-        for _ in range(max(1, len(cur))):
-            out.add(cur)
-            cur = _shift(cur)
-    return out
+def _orbit(w: Word) -> tuple[list[Word], list[Word]]:
+    """The orbit of w under shifts and reversal, and the rotations of its
+    least word (the representative), both sorted."""
+    turns, mirrored = _rotations(w), _rotations(w[::-1])
+    orbit = sorted(set(turns) | set(mirrored))
+    return (turns if turns[0] <= mirrored[0] else mirrored), orbit
 
 
 def _contract(w: Word, i: int) -> Word:
-    """Glue points i and i+1 (a cap): drop both, merge their blocks."""
-    a, b = w[i], w[i + 1]
-    rest = w[:i] + w[i + 2 :]
+    """Glue cyclically adjacent points i and i+1 (a cap): drop both, merge
+    their blocks.  For i = len(w) - 1 the last point meets the first."""
+    j = (i + 1) % len(w)
+    a, b = w[i], w[j]
+    rest = w[:i] + w[i + 2 :] if j else w[1:i]
     if a != b:
         rest = tuple(a if x == b else x for x in rest)
     return normalize_word(rest)
 
 
-def _concat(a: Word, b: Word) -> Word:
-    if not a:
-        return b
-    off = max(a) + 1
-    return a + tuple(x + off for x in b)
-
-
-def _glue_range(a: Word, b: Word, c_min: int, c_max: int) -> Iterator[Word]:
-    """Glue the last c points of a to the first c points of b, c_min..c_max.
+def _glue(a: Word, b: Word, c: int) -> Word:
+    """Glue the last c points of a to the first c points of b, dropping them.
 
     Point a[-1] meets b[0], a[-2] meets b[1], and so on: exactly the gluing
     performed by vertical composition once both factors are rotated down.
+    With c = 0 this is concatenation, the tensor product.
     """
-    m, n = len(a), len(b)
-    na = (max(a) + 1) if a else 0
-    nb = (max(b) + 1) if b else 0
-    parent = list(range(na + nb))
-
-    def find(x: int) -> int:
+    m = len(a)
+    # union-find over block labels; a normalized word's labels are below its
+    # length, so b's labels are shifted by m
+    parent = list(range(m + len(b)))
+    for i in range(c):
+        x, y = a[m - 1 - i], m + b[i]
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
-
-    for c in range(1, c_max + 1):
-        ra, rb = find(a[m - c]), find(na + b[c - 1])
-        if ra != rb:
-            parent[rb] = ra
-        if c >= c_min:
-            survivors = [find(x) for x in a[: m - c]]
-            survivors.extend(find(na + b[j]) for j in range(c, n))
-            yield normalize_word(survivors)
+        while parent[y] != y:
+            y = parent[y]
+        parent[max(x, y)] = min(x, y)
+    first: dict[int, int] = {}  # relabel by first occurrence, as normalize_word
+    out = []
+    for x in a[: m - c]:
+        while parent[x] != x:
+            x = parent[x]
+        out.append(first.setdefault(x, len(first)))
+    for x in b[c:]:
+        x += m
+        while parent[x] != x:
+            x = parent[x]
+        out.append(first.setdefault(x, len(first)))
+    return tuple(out)
 
 
 class Containment(Enum):
@@ -157,10 +166,6 @@ class ClosureSet:
         out.sort(key=str)
         return out
 
-    @property
-    def elements(self) -> list[Partition]:
-        return self.element_partitions()
-
     def dump_lines(self) -> list[str]:
         return [canonical_text(p) for p in self.element_partitions()]
 
@@ -170,27 +175,36 @@ def generate_closure(
     point_budget: int = DEFAULT_POINT_BUDGET,
     intermediate_budget: int = DEFAULT_INTERMEDIATE_BUDGET,
     *,
-    fusion_min: int | None = None,
     stop_when: Iterable[Partition] | None = None,
     max_fusion_ops: int | None = None,
 ) -> ClosureSet:
     """Worklist fixed point of the category moves, bounded by the budgets.
 
     Seeds are the generators plus the pair partition (the unit partition has
-    the same boundary word).  Moves: cyclic shift, reversal, adjacent-cap
-    contraction, concatenation (stored when within the point budget), and
-    seam gluing of two elements, which realizes arbitrary composition through
-    transients up to the intermediate budget.
+    the same boundary word).  A new word is stored with its whole orbit under
+    shifts and reversal; the least word of the orbit, its representative, is
+    queued and at once contracted at every cyclic position, depth first,
+    before any pairing.  So the stored set stays closed under shifts,
+    reversal and contraction.
 
-    ``fusion_min``: when set, seam gluing of two stored elements is only
-    attempted if the smaller operand has at most this many points (generators
-    above the point budget always participate).  This is a performance
-    throttle; callers that rely on it must validate completeness separately,
-    as the acceptance suite does by comparing against predicate enumerations.
+    Each representative w, in queue order, is glued once against every
+    representative v queued up to and including it.  The first operand a
+    runs over the distinct rotations of w, the second b over the orbit of v
+    (over the rotations of v only, when w is its own mirror image), at the
+    single width ``c = max(0, ceil((|a| + |b| - point_budget) / 2))``
+    whenever ``c <= min(|a|, |b|)``.  That is the narrowest glue that fits
+    the point budget: wider ones are its contractions, and every other
+    pairing of the two orbits gives a shift or reversal of one of these.
+
+    Every glued word fits the point budget.  The oversized words are the
+    generators above it and their contractions; ``intermediate_budget`` only
+    bounds the generators, the ``stop_when`` targets and
+    :meth:`ClosureSet.contains` queries.
 
     ``stop_when``: stop as soon as all the given partitions are present.
-    ``max_fusion_ops``: stop after this many glue operations.  Either early
-    stop leaves ``saturated`` False.
+    ``max_fusion_ops``: cap on the glues, concatenations included; checked
+    before each glue, so ``fusion_ops`` never exceeds it.  Either early stop
+    leaves ``saturated`` False.
     """
     pb, ib = point_budget, intermediate_budget
     if pb < 2:
@@ -206,11 +220,11 @@ def generate_closure(
 
     stored: set[Word] = set()
     big: set[Word] = set()
-    queue: list[Word] = []
+    # per orbit: the rotations of its representative, and the orbit itself
+    queue: list[tuple[list[Word], list[Word]]] = []
 
-    targets: set[Word] | None = None
+    targets: set[Word] = set()
     if stop_when is not None:
-        targets = set()
         for p in stop_when:
             if p.n_points > ib:
                 raise BudgetError("stop_when partition exceeds the intermediate budget")
@@ -218,60 +232,50 @@ def generate_closure(
     found: set[Word] = set()
 
     def add(w: Word) -> None:
-        pool = stored if len(w) <= pb else big
-        if w in pool:
-            return
-        orb = _orbit(w)
-        pool.update(orb)
-        queue.extend(sorted(orb))
-        if targets is not None:
-            found.update(orb & targets)
+        # words still to add, contractions depth first; a stack, not recursion,
+        # since a self-referencing closure would keep the pools alive until
+        # the cycle collector runs
+        pending = [w]
+        while pending:
+            w = pending.pop()
+            pool = stored if len(w) <= pb else big
+            if w in pool:
+                continue
+            turns, orbit = _orbit(w)
+            pool.update(orbit)
+            found.update(targets.intersection(orbit))
+            queue.append((turns, orbit))
+            rep = orbit[0]
+            if len(rep) >= 2:
+                pending.extend(_contract(rep, i) for i in range(len(rep)))
 
     for g in gens:
         add(g.word)
     add((0, 0))  # pair partition; rotations give the unit partition
 
+    def glues() -> Iterator[tuple[Word, Word, int]]:
+        for qi, (firsts, orbit_w) in enumerate(queue):  # the queue grows meanwhile
+            m = len(orbit_w[0])
+            mirror_symmetric = len(firsts) == len(orbit_w)
+            for turns, orbit in islice(queue, qi + 1):
+                n = len(orbit[0])
+                c = max(0, (m + n - pb + 1) // 2)
+                if c <= min(m, n):
+                    for b in turns if mirror_symmetric else orbit:
+                        for a in firsts:
+                            yield a, b, c
+
     fusion_ops = 0
+    cap = math.inf if max_fusion_ops is None else max_fusion_ops
     stopped_early = False
-
-    def pair(a: Word, b: Word) -> None:
-        nonlocal fusion_ops
-        total = len(a) + len(b)
-        if 0 < total <= pb:
-            add(_concat(a, b))
-        c_max = min(len(a), len(b))
-        c_min = max(1, (total - pb + 1) // 2)
-        if c_min > c_max:
-            return
-        if (
-            fusion_min is not None
-            and min(len(a), len(b)) > fusion_min
-            and len(a) <= pb
-            and len(b) <= pb
-        ):
-            return
-        for w in _glue_range(a, b, c_min, c_max):
-            fusion_ops += 1
-            add(w)
-
-    qi = 0
-    while qi < len(queue):
-        if targets is not None and targets and targets <= found:
+    for a, b, c in glues():
+        if fusion_ops >= cap or (targets and targets <= found):
             stopped_early = True
             break
-        if max_fusion_ops is not None and fusion_ops >= max_fusion_ops:
-            stopped_early = True
-            break
-        w = queue[qi]
-        qi += 1
-        if len(w) >= 2:
-            for i in range(len(w) - 1):
-                add(_contract(w, i))
-        for j in range(qi):
-            v = queue[j]
-            pair(w, v)
-            if v is not w:
-                pair(v, w)
+        fusion_ops += 1
+        glued = _glue(a, b, c)
+        if glued not in stored:  # glued words fit the point budget
+            add(glued)
 
     return ClosureSet(
         generators=gens,
@@ -282,11 +286,6 @@ def generate_closure(
         saturated=not stopped_early,
         fusion_ops=fusion_ops,
     )
-
-
-def closure_contains(closure: ClosureSet, p: Partition) -> Containment:
-    """Semi-decision: CONFIRMED membership, or not found within budget."""
-    return closure.contains(p)
 
 
 # ---------------------------------------------------------------------------

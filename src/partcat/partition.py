@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CoverageError, OverlapError, ParseError, PointRangeError
@@ -25,6 +26,8 @@ LOWER = "l"
 
 PLUS = "+"
 MINUS = "-"
+
+_SHOWN_UNCOVERED = 8  # uncovered points named in a coverage error
 
 
 class Point(NamedTuple):
@@ -126,9 +129,13 @@ def make_partition(
                 raise OverlapError(f"point {pt} appears in two blocks")
             seen.add(pt)
         canon_blocks.append(tuple(sorted(block, key=Point.sort_key)))
-    if len(seen) != upper_count + lower_count:
-        missing = [pt for pt in Partition(upper_count, lower_count, ()).points() if pt not in seen]
-        raise CoverageError(f"points not covered: {', '.join(map(str, missing))}")
+    uncovered = upper_count + lower_count - len(seen)
+    if uncovered:
+        # name only the first few; the walk stops as soon as they are found
+        points = Partition(upper_count, lower_count, ()).points()
+        shown = list(islice((pt for pt in points if pt not in seen), _SHOWN_UNCOVERED))
+        more = f", ... ({uncovered} in all)" if uncovered > len(shown) else ""
+        raise CoverageError(f"points not covered: {', '.join(map(str, shown))}{more}")
     canon_blocks.sort(key=lambda b: b[0].sort_key())
     return Partition(upper_count, lower_count, tuple(canon_blocks))
 

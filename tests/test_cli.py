@@ -21,6 +21,13 @@ def test_parse_error_exits_nonzero(capsys):
     assert "error:" in err
 
 
+def test_parse_uncovered_points_error_is_short(capsys):
+    code, _, err = run(capsys, "parse", "P(100000,0):")
+    assert code == 2
+    assert err.startswith("error:")
+    assert len(err) < 120
+
+
 def test_op_compose_prints_result_and_loops(capsys):
     code, out, _ = run(capsys, "op", "compose", "P(0,2): l1,l2", "P(2,0): u1,u2")
     assert code == 0

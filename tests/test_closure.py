@@ -22,12 +22,16 @@ from partcat.closure import (
     classify_classical,
     classify_easy,
     classify_noncrossing,
-    closure_contains,
     generate_closure,
 )
 from partcat.errors import BudgetError, NotNoncrossingError
-from partcat.ops import enumerate_all, tensor
-from partcat.partition import is_noncrossing, parse_partition, partition_from_word
+from partcat.ops import enumerate_all, iter_words, tensor
+from partcat.partition import (
+    is_noncrossing,
+    normalize_word,
+    parse_partition,
+    partition_from_word,
+)
 
 CONFIRMED = Containment.CONFIRMED
 NOT_FOUND = Containment.NOT_FOUND_WITHIN_BUDGET
@@ -56,7 +60,7 @@ def test_closure_members_cover_two_row_shapes():
 
 def test_positioner_inside_singleton_closure():
     c = generate_closure([singleton()], 4, 8)
-    assert closure_contains(c, positioner()) is CONFIRMED
+    assert c.contains(positioner()) is CONFIRMED
 
 
 def test_double_singleton_from_positioner_with_tiny_budget():
@@ -76,7 +80,7 @@ def test_even_blocks_from_four_block():
 
 
 def test_three_block_generates_singleton_and_four_block():
-    c = generate_closure([block(3)], 8, 16, fusion_min=4)
+    c = generate_closure([block(3)], 8, 16, stop_when=[singleton(), four_block()])
     assert c.contains(singleton()) is CONFIRMED
     assert c.contains(four_block()) is CONFIRMED
 
@@ -122,8 +126,16 @@ def test_fusion_guard_stops_early_and_deterministically():
     b = generate_closure([singleton()], 8, 16, max_fusion_ops=200)
     assert not a.saturated
     assert a.words == b.words
-    full = generate_closure([singleton()], 8, 16, fusion_min=4)
+    full = generate_closure([singleton()], 8, 16)
     assert a.words <= full.words
+
+
+def test_fusion_cap_is_exact():
+    # the cap is checked before every glue, so no run overshoots it
+    for cap in (0, 1, 57, 1000, 20_000):
+        c = generate_closure([singleton()], 8, 16, max_fusion_ops=cap)
+        assert c.fusion_ops <= cap, cap
+        assert not c.saturated, cap
 
 
 def test_dump_lines_sorted():
@@ -183,22 +195,36 @@ def test_h_series_gcd_arithmetic():
 
 
 def test_glue_is_iterated_seam_contraction():
-    # gluing c pairs at the seam must equal contracting the concatenation
-    # one adjacent pair at a time
-    from partcat.closure import _concat, _contract, _glue_range
-    from partcat.ops import iter_words
+    # width 0 concatenates; gluing c pairs at the seam must equal contracting
+    # the concatenation one adjacent pair at a time
+    from partcat.closure import _contract, _glue
 
     small = [w for n in range(5) for w in iter_words(n)]
     for a in small:
         for b in small:
-            if not a or not b:
-                continue
-            c_max = min(len(a), len(b))
-            expected = _concat(a, b)
-            results = list(_glue_range(a, b, 1, c_max))
-            for c in range(1, c_max + 1):
+            expected = _glue(a, b, 0)
+            assert expected == normalize_word(a + tuple(len(a) + x for x in b))
+            for c in range(1, min(len(a), len(b)) + 1):
                 expected = _contract(expected, len(a) - c)
-                assert results[c - 1] == expected, (a, b, c)
+                assert _glue(a, b, c) == expected, (a, b, c)
+
+
+def test_glue_in_either_order_agrees_up_to_shift():
+    # glue(b, a, c) is a cyclic shift of glue(rotl(a, c), rotr(b, c), c), so
+    # the worklist glues each pair of orbits in one order only; and
+    # glue(rev b, rev a, c) is the reversal of glue(a, b, c)
+    from partcat.closure import _glue, _rotations
+
+    small = [w for n in range(5) for w in iter_words(n)]
+    for a in small:
+        for b in small:
+            for c in range(min(len(a), len(b)) + 1):
+                swapped = _glue(b, a, c)
+                a_left = normalize_word(a[c:] + a[:c])
+                b_right = normalize_word(b[len(b) - c :] + b[: len(b) - c])
+                assert swapped in _rotations(_glue(a_left, b_right, c)), (a, b, c)
+                mirrored = _glue(normalize_word(b[::-1]), normalize_word(a[::-1]), c)
+                assert mirrored == normalize_word(_glue(a, b, c)[::-1]), (a, b, c)
 
 
 def test_closure_elements_respect_every_covering_predicate():
@@ -258,19 +284,12 @@ def test_membership_is_rotation_and_involution_invariant():
                 assert c.contains(rotate(p, where)) is CONFIRMED
 
 
-def test_fusion_throttle_consistent_with_unrestricted():
-    for gens in ([double_singleton()], [four_block()], [positioner()]):
-        throttled = generate_closure(gens, 6, 12, fusion_min=4)
-        free_run = generate_closure(gens, 6, 12)
-        assert throttled.words == free_run.words
-
-
 def test_closure_equality_at_deeper_budget():
     # spot check beyond the default budget: planar pairings up to 10 points
     c = generate_closure([], 10, 20)
     assert c.saturated
     assert [len(c.members(0, 2 * k)) for k in range(1, 6)] == [1, 2, 5, 14, 42]
-    c = generate_closure([four_block()], 10, 20, fusion_min=4)
+    c = generate_closure([four_block()], 10, 20)
     assert c.saturated
     for k in (8, 10):
         want = {p.word for p in enumerate_category("H+", k, cap=10)}
@@ -278,11 +297,9 @@ def test_closure_equality_at_deeper_budget():
 
 
 def test_half_liberated_closures_match_predicates_at_budget_8():
-    # the half-liberating diagram has 6 points, so gluing 6-point elements
-    # must stay enabled to reach everything at 8 points
     for name in ("O*", "H*", "B#*"):
         entry = catalog_entry(name)
-        c = generate_closure(entry.generators, 8, 16, fusion_min=6)
+        c = generate_closure(entry.generators, 8, 16)
         assert c.saturated
         for k in range(1, 9):
             want = {p.word for p in enumerate_category(name, k)}
@@ -295,7 +312,7 @@ def test_block_extraction_lemma():
     for name in FREE_NAMES:
         entry = catalog_entry(name)
         pred = category_predicate(name)
-        c = generate_closure(entry.generators, 6, 12, fusion_min=4)
+        c = generate_closure(entry.generators, 6, 12)
         has_singleton = c.contains(singleton()) is CONFIRMED
         has_double = c.contains(double_singleton()) is CONFIRMED
         for p in c.element_partitions():
@@ -308,6 +325,122 @@ def test_block_extraction_lemma():
                 else:
                     assert has_double, (name, str(p))
                     assert pred(tensor(singleton(), standalone)), (name, str(p))
+
+
+# ---------------------------------------------------------------------------
+# the worklist against an all-rotations reference
+
+
+def _reference_orbit(w):
+    return {
+        normalize_word(v[i:] + v[:i]) for v in (w, w[::-1]) for i in range(max(1, len(w)))
+    }
+
+
+def _reference_contract(w, i):
+    keep, gone = w[i], w[i + 1]
+    return normalize_word([keep if x == gone else x for x in w[:i] + w[i + 2 :]])
+
+
+def _reference_closure(generators, point_budget):
+    """The plain worklist: every word of every orbit is queued, contracted at
+    each adjacent pair, and glued with every earlier word in both orders at
+    every width whose result fits the point budget.  Returns the stored and
+    the oversized words."""
+    stored, big, queue = set(), set(), []
+
+    def add(w):
+        pool = stored if len(w) <= point_budget else big
+        if w not in pool:
+            orbit = _reference_orbit(w)
+            pool.update(orbit)
+            queue.extend(sorted(orbit))
+
+    def pair(a, b):
+        # concatenate, then contract the seam one point pair at a time
+        m = len(a)
+        word = a + tuple(m + x for x in b)
+        for c in range(min(m, len(b)) + 1):
+            if c:
+                word = _reference_contract(word, m - c)
+            if len(word) <= point_budget:
+                add(normalize_word(word))
+
+    for g in generators:
+        add(g.word)
+    add((0, 0))
+    qi = 0
+    while qi < len(queue):
+        w = queue[qi]
+        qi += 1
+        for i in range(len(w) - 1):
+            add(_reference_contract(w, i))
+        for v in queue[:qi]:
+            pair(w, v)
+            pair(v, w)
+    return stored, big
+
+
+def _assert_matches_reference(generators, point_budget, intermediate_budget):
+    c = generate_closure(generators, point_budget, intermediate_budget)
+    assert c.saturated
+    stored, big = _reference_closure(generators, point_budget)
+    label = ([str(g) for g in generators], point_budget)
+    assert c.words == stored, label
+    assert c.oversized_words == big, label
+
+
+def test_worklist_matches_reference_on_predicate_categories():
+    from partcat.catalog import CLASSICAL_NAMES, HALF_LIBERATED_NAMES
+
+    for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES:
+        _assert_matches_reference(catalog_entry(name).generators, 6, 12)
+
+
+def test_worklist_matches_reference_on_test_generator_sets():
+    from partcat.catalog import k_series
+
+    generator_sets = [
+        [],
+        [singleton()],
+        [positioner()],
+        [double_singleton()],
+        [four_block()],
+        [double_singleton(), four_block()],
+        [block(3)],
+        [h_series(3)],
+        [h_series(5)],
+        [positioner(), block(3)],
+        [positioner(), h_series(3)],
+        [positioner(), parse_partition("P(0,6): l1,l4; l2,l6; l3,l5")],
+        [crossing(), double_singleton()],
+        [fat_crossing()],
+        [k_series(1)],
+        [half_lib(), h_series(4)],
+        [half_lib(), four_block(), h_series(6), h_series(9)],
+    ]
+    for gens in generator_sets:
+        _assert_matches_reference(gens, 6, max([12] + [g.n_points for g in gens]))
+    # oversized generators contract at every cyclic position, the last one too
+    for texts in (
+        ("P(0,7): l1; l2,l6; l3,l5,l7; l4", "P(0,1): l1"),
+        ("P(0,7): l1,l3; l2; l4; l5,l6,l7", "P(0,7): l1,l7; l2,l3,l4,l5; l6"),
+    ):
+        _assert_matches_reference([parse_partition(t) for t in texts], 4, 8)
+
+
+def test_worklist_matches_reference_on_random_generator_sets():
+    import random
+
+    rng = random.Random(20120123)
+    words = {n: list(iter_words(n)) for n in range(1, 7)}
+    for _ in range(40):
+        gens = [
+            partition_from_word(rng.choice(words[rng.randint(1, 6)]))
+            for _ in range(rng.randint(1, 2))
+        ]
+        point_budget = rng.randint(4, 6)
+        _assert_matches_reference(gens, point_budget, 2 * point_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,18 @@ def test_make_partition_errors():
         make_partition(1, 0, [[lower(1)]])
 
 
+def test_coverage_error_stays_short():
+    with pytest.raises(CoverageError) as small:
+        make_partition(0, 3, [[lower(2)]])
+    assert str(small.value) == "points not covered: l1, l3"
+    with pytest.raises(CoverageError) as large:
+        parse_partition("P(100000,0):")
+    message = str(large.value)
+    assert len(message) < 100
+    assert message.startswith("points not covered: u1, u2,")
+    assert message.endswith("(100000 in all)")
+
+
 def test_parse_examples():
     assert parse_partition("P(0,2): l1,l2") == pair_partition()
     assert parse_partition("P(2,2): u1,l2; u2,l1") == crossing()
