@@ -1,0 +1,108 @@
+"""Golden output of the CLI verbs: the full stdout, exit code and stderr.
+
+Short outputs are pinned verbatim; long ones by line count and the SHA-256
+of stdout.  Any change of representation inside the package must leave all
+of these byte-identical.
+"""
+
+import hashlib
+
+import pytest
+
+from partcat.cli import main
+
+TWO_ROW = "P(2,3): u1,l3; u2,l1; l2"
+ONE_ROW = "P(0,5): l1,l3; l2,l5; l4"
+HALF_LIB = "P(3,3): u1,l3; u2,l2; u3,l1"
+FOUR_BLOCK = "P(0,4): l1,l2,l3,l4"
+H3 = "P(0,6): l1,l3,l5; l2,l4,l6"
+
+CYCLE_ERROR = "error: cyclic rotation needs a one-row partition\n"
+
+VERBATIM = [
+    (
+        ("classify", "--gen", FOUR_BLOCK),
+        "world: Free7\n"
+        "name: H+\n"
+        "evidence: P(0,4): l1,l2,l3,l4 :: satisfies H+, S'+, S+\n",
+        0,
+        "",
+    ),
+    (
+        ("classify", "--gen", HALF_LIB, "--gen", FOUR_BLOCK, "--gen", H3),
+        "world: Series\n"
+        "name: H^(3)\n"
+        "series-parameter: 3\n"
+        "budgets: 8/16\n"
+        "evidence: P(2,2): u1,l2; u2,l1 :: NotFoundWithinBudget\n"
+        "evidence: P(3,3): u1,l3; u2,l2; u3,l1 :: Confirmed\n"
+        "evidence: P(0,4): l1,l2,l3,l4 :: Confirmed\n"
+        "evidence: P(0,6): l1,l3,l5; l2,l4,l6 :: Confirmed\n"
+        "evidence: P(0,8): l1,l3,l5,l7; l2,l4,l6,l8 :: NotFoundWithinBudget\n",
+        0,
+        "",
+    ),
+    (
+        ("op", "tensor", "P(2,1): u1,l1; u2", "P(1,2): u1,l2; l1"),
+        "P(3,3): u1,l1; u2; u3,l3; l2\n",
+        0,
+        "",
+    ),
+    (
+        ("op", "compose", "P(2,3): u1,l3; u2; l1,l2", "P(3,2): u1,u2; u3,l1; l2"),
+        "P(2,2): u1,l1; u2; l2\nloops=1\n",
+        0,
+        "",
+    ),
+    (("op", "involute", TWO_ROW), "P(3,2): u1,l2; u2; u3,l1\n", 0, ""),
+    (("op", "rotate", TWO_ROW, "down-left"), "P(1,4): u1,l2; l1,l4; l3\n", 0, ""),
+    (("op", "rotate", TWO_ROW, "up-left"), "P(3,2): u1,u3; u2,l2; l1\n", 0, ""),
+    (("op", "rotate", TWO_ROW, "down-right"), "P(1,4): u1,l3; l1,l4; l2\n", 0, ""),
+    (("op", "rotate", TWO_ROW, "up-right"), "P(3,2): u1,u3; u2,l1; l2\n", 0, ""),
+    (("op", "rotate", TWO_ROW, "cycle-left"), "", 2, CYCLE_ERROR),
+    (("op", "rotate", TWO_ROW, "cycle-right"), "", 2, CYCLE_ERROR),
+    (("op", "rotate", ONE_ROW, "cycle-left"), "P(0,5): l1,l4; l2,l5; l3\n", 0, ""),
+    (("op", "rotate", ONE_ROW, "cycle-right"), "P(0,5): l1,l3; l2,l4; l5\n", 0, ""),
+]
+
+DIGESTS = [
+    (
+        ("closure", "--gen", "P(0,1): l1", "--budget", "6", "--ibudget", "12"),
+        89,
+        "9c2e77984711080ae364f0a2ba7659f3a8f1820c0ed966d9a208ebc5ffa275ea",
+        "# elements=89 saturated=True\n",
+    ),
+    (
+        ("enumerate", "--category", "B'+", "--points", "6"),
+        51,
+        "888d4c8d90e0e3466a4fe736c7aa65aaa99b78b10fdf0d381c2d7a5a4675cdec",
+        "",
+    ),
+    (
+        ("verify-tp", "--rep", "hyperoctahedral", "--n", "3", "--points", "4"),
+        104,
+        "8eed3ed957b88bc16ecdf6bb36dbad409c09af7ff829b53218ff9c172b9daa90",
+        "",
+    ),
+]
+
+
+def _ids(cases):
+    return [f"{i}-{'-'.join(case[0][:2])}" for i, case in enumerate(cases)]
+
+
+@pytest.mark.parametrize("argv,stdout,code,stderr", VERBATIM, ids=_ids(VERBATIM))
+def test_cli_output_verbatim(capsys, argv, stdout, code, stderr):
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err == stderr
+
+
+@pytest.mark.parametrize("argv,lines,sha256,stderr", DIGESTS, ids=_ids(DIGESTS))
+def test_cli_output_digest(capsys, argv, lines, sha256, stderr):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == lines
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+    assert captured.err == stderr
