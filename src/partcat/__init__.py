@@ -2,10 +2,11 @@
 
 Submodules:
 
-* ``partition``: the partition data type, text grammar, boundary walk
+* ``partition``: the partition data type (shape + boundary word), text grammar
 * ``ops``      : tensor, composition with loop counting, involution, rotation
 * ``catalog``  : named partitions and category membership predicates
-* ``closure``  : bounded categorial hulls and classification
+* ``closure``  : bounded categorial hulls
+* ``classify`` : classification against the named categories
 * ``linmap``   : exact intertwiner matrices and concrete group checks
 * ``moments``  : character-law counts, closed forms, cumulant sums
 * ``cli``      : command-line entry point
@@ -30,14 +31,12 @@ from .catalog import (
     enumerate_category,
     named_partition,
 )
-from .closure import (
+from .closure import ClosureSet, Containment, generate_closure
+from .classify import (
     Classification,
-    ClosureSet,
-    Containment,
     classify_classical,
     classify_easy,
     classify_noncrossing,
-    generate_closure,
 )
 from .linmap import (
     GroupRep,

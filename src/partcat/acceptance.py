@@ -13,12 +13,8 @@ from dataclasses import dataclass, field
 from . import catalog as cat
 from . import linmap as lm
 from . import moments as mo
-from .closure import (
-    Containment,
-    classify_easy,
-    classify_noncrossing,
-    generate_closure,
-)
+from .classify import classify_easy, classify_noncrossing
+from .closure import Containment, generate_closure
 from .ops import enumerate_all
 from .partition import Partition
 

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import BadParamError, NoPredicateError
-from .ops import enumerate_all
+from .ops import ENUMERATION_CAP, check_enumeration_cap, iter_words
 from .partition import (
     Partition,
-    block_profile,
-    is_noncrossing,
+    Word,
     lower,
     make_partition,
     upper,
+    word_noncrossing,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,83 +134,102 @@ def named_partition(name: str, *params: int) -> Partition:
 # ---------------------------------------------------------------------------
 # membership predicates
 #
-# Block rules read off the block profile; the plus/minus rules use the
-# alternating marks along the boundary walk (see partition.linearize).
+# One rule table on boundary words: a named category asks for noncrossing
+# words or not, plus a block rule.  Block sizes are label counts; the mark of
+# walk position i is plus for even i and minus for odd i (see
+# partition.linearize).
 
 Predicate = Callable[[Partition], bool]
+WordRule = Callable[[Word], bool]
 
 
-def _sizes_at_most_two(p: Partition) -> bool:
-    return all(len(b) <= 2 for b in p.blocks)
+def _sizes(w: Word) -> list[int]:
+    return [w.count(x) for x in range(max(w, default=-1) + 1)]
 
 
-def _all_pairs(p: Partition) -> bool:
-    return all(len(b) == 2 for b in p.blocks)
-
-
-def _all_even(p: Partition) -> bool:
-    return all(len(b) % 2 == 0 for b in p.blocks)
-
-
-def _even_odd_blocks(p: Partition) -> bool:
-    return block_profile(p).odd_block_count % 2 == 0
-
-
-def _even_singletons(p: Partition) -> bool:
-    return block_profile(p).singleton_count % 2 == 0
-
-
-def _pairs_balanced(p: Partition) -> bool:
-    """Every block of size two carries one plus and one minus mark."""
-    for size, (plus, minus) in zip(
-        (len(b) for b in p.blocks), block_profile(p).signed_counts
-    ):
-        if size == 2 and not (plus == 1 and minus == 1):
-            return False
+def _any(w: Word) -> bool:
     return True
 
 
-def _blocks_balanced(p: Partition) -> bool:
+def _sizes_at_most_two(w: Word) -> bool:
+    return all(s <= 2 for s in _sizes(w))
+
+
+def _all_pairs(w: Word) -> bool:
+    return all(s == 2 for s in _sizes(w))
+
+
+def _all_even(w: Word) -> bool:
+    return all(s % 2 == 0 for s in _sizes(w))
+
+
+def _even_odd_blocks(w: Word) -> bool:
+    # the number of odd blocks has the parity of the number of points
+    return len(w) % 2 == 0
+
+
+def _even_singletons(w: Word) -> bool:
+    return _sizes(w).count(1) % 2 == 0
+
+
+def _pairs_balanced(w: Word) -> bool:
+    """Every block of size two carries one plus and one minus mark."""
+    plus = w[::2]
+    return all(plus.count(x) == 1 for x, s in enumerate(_sizes(w)) if s == 2)
+
+
+def _blocks_balanced(w: Word) -> bool:
     """Every block carries as many plus as minus marks."""
-    return all(plus == minus for plus, minus in block_profile(p).signed_counts)
+    plus, minus = w[::2], w[1::2]
+    return all(plus.count(x) == minus.count(x) for x in range(max(w, default=-1) + 1))
 
 
-_PREDICATES: dict[str, Predicate] = {
+def _b_prime(w: Word) -> bool:
+    return _sizes_at_most_two(w) and _even_singletons(w)
+
+
+def _b_sharp(w: Word) -> bool:
+    return _b_prime(w) and _pairs_balanced(w)
+
+
+# name -> (members are noncrossing, block rule)
+_RULES: dict[str, tuple[bool, WordRule]] = {
     # free world: noncrossing plus a block rule
-    "O+": lambda p: is_noncrossing(p) and _all_pairs(p),
-    "H+": lambda p: is_noncrossing(p) and _all_even(p),
-    "S'+": lambda p: is_noncrossing(p) and _even_odd_blocks(p),
-    "S+": is_noncrossing,
-    "B#+": lambda p: is_noncrossing(p)
-    and _sizes_at_most_two(p)
-    and _pairs_balanced(p)
-    and _even_singletons(p),
-    "B'+": lambda p: is_noncrossing(p) and _sizes_at_most_two(p) and _even_singletons(p),
-    "B+": lambda p: is_noncrossing(p) and _sizes_at_most_two(p),
+    "O+": (True, _all_pairs),
+    "H+": (True, _all_even),
+    "S'+": (True, _even_odd_blocks),
+    "S+": (True, _any),
+    "B#+": (True, _b_sharp),
+    "B'+": (True, _b_prime),
+    "B+": (True, _sizes_at_most_two),
     # classical world: the same block rules, crossings allowed, no mark rule
-    "O": _all_pairs,
-    "H": _all_even,
-    "S'": _even_odd_blocks,
-    "S": lambda p: True,
-    "B'": lambda p: _sizes_at_most_two(p) and _even_singletons(p),
-    "B": _sizes_at_most_two,
+    "O": (False, _all_pairs),
+    "H": (False, _all_even),
+    "S'": (False, _even_odd_blocks),
+    "S": (False, _any),
+    "B'": (False, _b_prime),
+    "B": (False, _sizes_at_most_two),
     # half-liberated world: crossings allowed, mark rules bite
-    "O*": lambda p: _all_pairs(p) and _blocks_balanced(p),
-    "H*": lambda p: _all_even(p) and _blocks_balanced(p),
-    "B#*": lambda p: _sizes_at_most_two(p) and _pairs_balanced(p) and _even_singletons(p),
+    "O*": (False, lambda w: _all_pairs(w) and _blocks_balanced(w)),
+    "H*": (False, lambda w: _all_even(w) and _blocks_balanced(w)),
+    "B#*": (False, _b_sharp),
 }
 
 
-def category_predicate(name: str) -> Predicate:
-    if name in _PREDICATES:
-        return _PREDICATES[name]
+def word_rule(name: str) -> tuple[bool, WordRule]:
+    """Whether the category's members are noncrossing, and its block rule."""
+    if name in _RULES:
+        return _RULES[name]
     if name in CATALOG or _series_param(name) is not None:
         raise NoPredicateError(f"category {name!r} has no membership predicate")
     raise BadParamError(f"unknown category {name!r}")
 
 
-def has_predicate(name: str) -> bool:
-    return name in _PREDICATES
+def category_predicate(name: str) -> Predicate:
+    noncrossing, rule = word_rule(name)
+    if noncrossing:
+        return lambda p: word_noncrossing(p.word) and rule(p.word)
+    return lambda p: rule(p.word)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +250,8 @@ class CatalogEntry:
 
 
 def _entry(name: str, world: str, generators: Iterable[Partition]) -> CatalogEntry:
-    return CatalogEntry(name, world, tuple(generators), _PREDICATES.get(name))
+    predicate = category_predicate(name) if name in _RULES else None
+    return CatalogEntry(name, world, tuple(generators), predicate)
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:
@@ -296,12 +316,19 @@ def catalog_entry(name: str) -> CatalogEntry:
     raise BadParamError(f"unknown category {name!r}")
 
 
-def enumerate_category(name: str, total_points: int, cap: int | None = None) -> list[Partition]:
+def enumerate_category(
+    name: str, total_points: int, cap: int = ENUMERATION_CAP
+) -> list[Partition]:
     """All members of the category in P(0, total_points), canonical order."""
-    pred = category_predicate(name)
-    kwargs = {} if cap is None else {"cap": cap}
-    noncrossing = name in FREE_NAMES
-    return [p for p in enumerate_all(0, total_points, noncrossing, **kwargs) if pred(p)]
+    noncrossing, rule = word_rule(name)
+    check_enumeration_cap(total_points, cap)
+    parts = [
+        Partition(0, total_points, w)
+        for w in iter_words(total_points, noncrossing)
+        if rule(w)
+    ]
+    parts.sort(key=str)
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,186 @@
+"""Classification of generator sets against the named categories.
+
+Noncrossing generator sets are classified exactly from the catalog's
+predicates.  Everything else is decided by a bounded closure (see
+:mod:`partcat.closure`), and each conclusion that rests on it carries its
+budgets and its evidence.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from .catalog import (
+    CLASSICAL_INCLUSIONS,
+    CLASSICAL_NAMES,
+    FREE_INCLUSIONS,
+    FREE_NAMES,
+    category_predicate,
+    crossing,
+    double_singleton,
+    four_block,
+    h_series,
+    half_lib,
+    included,
+)
+from .closure import DEFAULT_INTERMEDIATE_BUDGET, DEFAULT_POINT_BUDGET, generate_closure
+from .errors import NotNoncrossingError
+from .partition import Partition, canonical_text, is_noncrossing
+
+WORLD_FREE = "Free7"
+WORLD_CLASSICAL = "Classical6"
+WORLD_HALF_LIBERATED = "HalfLib"
+WORLD_SERIES = "Series"
+WORLD_UNDETERMINED = "Undetermined"
+
+
+@dataclass(frozen=True)
+class Classification:
+    world: str
+    category_name: str | None
+    series_parameter: int | None = None
+    evidence: tuple[tuple[str, str], ...] = ()
+    budgets: tuple[int, int] | None = None
+
+    def lines(self) -> list[str]:
+        out = [f"world: {self.world}", f"name: {self.category_name or '-'}"]
+        if self.series_parameter is not None:
+            out.append(f"series-parameter: {self.series_parameter}")
+        if self.budgets is not None:
+            out.append(f"budgets: {self.budgets[0]}/{self.budgets[1]}")
+        for witness, reason in self.evidence:
+            out.append(f"evidence: {witness} :: {reason}")
+        return out
+
+
+def _least_satisfied(
+    generators: Sequence[Partition],
+    names: Sequence[str],
+    order: set[tuple[str, str]],
+) -> tuple[str, list[str]]:
+    satisfied = [
+        name
+        for name in names
+        if all(category_predicate(name)(g) for g in generators)
+    ]
+    least = [a for a in satisfied if all(included(a, b, order) for b in satisfied)]
+    if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
+        raise AssertionError(f"no unique least category among {satisfied}")
+    return least[0], satisfied
+
+
+def classify_noncrossing(generators: Sequence[Partition]) -> Classification:
+    """Exact classification among the seven noncrossing categories.
+
+    The generated category is the intersection of the seven categories whose
+    predicate every generator satisfies; no closure bound is involved.
+    """
+    gens = tuple(generators)
+    for g in gens:
+        if not is_noncrossing(g):
+            raise NotNoncrossingError(f"generator {g} has a crossing")
+    name, satisfied = _least_satisfied(gens, FREE_NAMES, FREE_INCLUSIONS)
+    evidence = tuple(
+        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
+        for g in gens
+    )
+    return Classification(WORLD_FREE, name, evidence=evidence)
+
+
+def classify_classical(generators: Sequence[Partition]) -> Classification:
+    """Least of the six classical categories containing generators + crossing."""
+    gens = tuple(generators) + (crossing(),)
+    name, satisfied = _least_satisfied(gens, CLASSICAL_NAMES, CLASSICAL_INCLUSIONS)
+    evidence = tuple(
+        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
+        for g in gens
+    )
+    return Classification(WORLD_CLASSICAL, name, evidence=evidence)
+
+
+def classify_easy(
+    generators: Sequence[Partition],
+    point_budget: int = DEFAULT_POINT_BUDGET,
+    intermediate_budget: int = DEFAULT_INTERMEDIATE_BUDGET,
+    *,
+    max_fusion_ops: int = 2_000_000,
+) -> Classification:
+    """Decision cascade over all named worlds.
+
+    Noncrossing generator sets are classified exactly.  Otherwise a bounded
+    closure decides: crossing present -> classical; half-liberating diagram
+    present -> one of the half-liberated names or the h-series (parameter =
+    gcd of the visible series lengths).  Conclusions that rest on bounded
+    search are budget-qualified in the evidence; Undetermined is a value,
+    not an error.
+    """
+    gens = tuple(generators)
+    if all(is_noncrossing(g) for g in gens):
+        return classify_noncrossing(gens)
+
+    budgets = (point_budget, intermediate_budget)
+    closure = generate_closure(
+        gens,
+        point_budget,
+        intermediate_budget,
+        stop_when=[crossing()],
+        max_fusion_ops=max_fusion_ops,
+    )
+
+    def status(p: Partition) -> tuple[bool, str]:
+        ok = closure.contains_word(p.word)
+        if ok:
+            return True, "Confirmed"
+        return False, (
+            "NotFoundWithinBudget"
+            + ("" if closure.saturated else " (search stopped before saturation)")
+        )
+
+    evidence: list[tuple[str, str]] = []
+    cross_in, cross_note = status(crossing())
+    evidence.append((canonical_text(crossing()), cross_note))
+    if cross_in:
+        base = classify_classical(gens)
+        return Classification(
+            WORLD_CLASSICAL,
+            base.category_name,
+            evidence=tuple(evidence) + base.evidence,
+            budgets=budgets,
+        )
+
+    hl_in, hl_note = status(half_lib())
+    evidence.append((canonical_text(half_lib()), hl_note))
+    if hl_in:
+        fb_in, fb_note = status(four_block())
+        evidence.append((canonical_text(four_block()), fb_note))
+        if not fb_in:
+            ss_in, ss_note = status(double_singleton())
+            evidence.append((canonical_text(double_singleton()), ss_note))
+            name = "B#*" if ss_in else "O*"
+            return Classification(
+                WORLD_HALF_LIBERATED, name, evidence=tuple(evidence), budgets=budgets
+            )
+        found_ts = []
+        for t in range(3, point_budget // 2 + 1):
+            t_in, t_note = status(h_series(t))
+            evidence.append((canonical_text(h_series(t)), t_note))
+            if t_in:
+                found_ts.append(t)
+        if found_ts:
+            g = math.gcd(*found_ts)
+            return Classification(
+                WORLD_SERIES,
+                f"H^({g})",
+                series_parameter=g,
+                evidence=tuple(evidence),
+                budgets=budgets,
+            )
+        return Classification(
+            WORLD_HALF_LIBERATED, "H*", evidence=tuple(evidence), budgets=budgets
+        )
+
+    return Classification(
+        WORLD_UNDETERMINED, None, evidence=tuple(evidence), budgets=budgets
+    )

@@ -15,7 +15,8 @@ from . import acceptance
 from . import catalog as cat
 from . import linmap as lm
 from . import moments as mo
-from .closure import classify_easy, generate_closure
+from .classify import classify_easy
+from .closure import generate_closure
 from .errors import BudgetError, CapExceededError, MemoryCapError, PartcatError
 from .ops import Rotation, compose, enumerate_all, involute, rotate, tensor
 from .partition import canonical_text, parse_partition

@@ -1,11 +1,12 @@
-"""Bounded categorial hulls and classification against the catalog.
+"""Bounded categorial hulls of generator sets.
 
 The engine works on boundary words (see ``Partition.word``): every partition
 rotates to a one-row normal form, rotations become cyclic shifts of the word
 and involution becomes reversal.  Tensor product and composition both become
-one move, ``_glue(a, b, c)``: join the last ``c`` points of ``a`` to the
-first ``c`` points of ``b`` and drop them (``c = 0`` concatenates).  A cap
-contracts two cyclically adjacent points of one word.
+one move, ``glue(a, b, c)`` from :mod:`partcat.partition`: join the last
+``c`` points of ``a`` to the first ``c`` points of ``b`` and drop them
+(``c = 0`` concatenates).  A cap contracts two cyclically adjacent points of
+one word.
 
 The worklist of :func:`generate_closure` keeps three invariants:
 
@@ -33,29 +34,15 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .catalog import (
-    CLASSICAL_INCLUSIONS,
-    CLASSICAL_NAMES,
-    FREE_INCLUSIONS,
-    FREE_NAMES,
-    category_predicate,
-    crossing,
-    double_singleton,
-    four_block,
-    h_series,
-    half_lib,
-    included,
-)
-from .errors import BudgetError, NotNoncrossingError
+from .errors import BudgetError
 from .partition import (
     Partition,
+    Word,
     canonical_text,
-    is_noncrossing,
+    glue,
     normalize_word,
     partition_from_word,
 )
-
-Word = tuple[int, ...]
 
 DEFAULT_POINT_BUDGET = 8
 DEFAULT_INTERMEDIATE_BUDGET = 16
@@ -83,38 +70,6 @@ def _contract(w: Word, i: int) -> Word:
     if a != b:
         rest = tuple(a if x == b else x for x in rest)
     return normalize_word(rest)
-
-
-def _glue(a: Word, b: Word, c: int) -> Word:
-    """Glue the last c points of a to the first c points of b, dropping them.
-
-    Point a[-1] meets b[0], a[-2] meets b[1], and so on: exactly the gluing
-    performed by vertical composition once both factors are rotated down.
-    With c = 0 this is concatenation, the tensor product.
-    """
-    m = len(a)
-    # union-find over block labels; a normalized word's labels are below its
-    # length, so b's labels are shifted by m
-    parent = list(range(m + len(b)))
-    for i in range(c):
-        x, y = a[m - 1 - i], m + b[i]
-        while parent[x] != x:
-            x = parent[x]
-        while parent[y] != y:
-            y = parent[y]
-        parent[max(x, y)] = min(x, y)
-    first: dict[int, int] = {}  # relabel by first occurrence, as normalize_word
-    out = []
-    for x in a[: m - c]:
-        while parent[x] != x:
-            x = parent[x]
-        out.append(first.setdefault(x, len(first)))
-    for x in b[c:]:
-        x += m
-        while parent[x] != x:
-            x = parent[x]
-        out.append(first.setdefault(x, len(first)))
-    return tuple(out)
 
 
 class Containment(Enum):
@@ -273,7 +228,7 @@ def generate_closure(
             stopped_early = True
             break
         fusion_ops += 1
-        glued = _glue(a, b, c)
+        glued, _ = glue(a, b, c)
         if glued not in stored:  # glued words fit the point budget
             add(glued)
 
@@ -285,166 +240,4 @@ def generate_closure(
         oversized_words=frozenset(big),
         saturated=not stopped_early,
         fusion_ops=fusion_ops,
-    )
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-WORLD_FREE = "Free7"
-WORLD_CLASSICAL = "Classical6"
-WORLD_HALF_LIBERATED = "HalfLib"
-WORLD_SERIES = "Series"
-WORLD_UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class Classification:
-    world: str
-    category_name: str | None
-    series_parameter: int | None = None
-    evidence: tuple[tuple[str, str], ...] = ()
-    budgets: tuple[int, int] | None = None
-
-    def lines(self) -> list[str]:
-        out = [f"world: {self.world}", f"name: {self.category_name or '-'}"]
-        if self.series_parameter is not None:
-            out.append(f"series-parameter: {self.series_parameter}")
-        if self.budgets is not None:
-            out.append(f"budgets: {self.budgets[0]}/{self.budgets[1]}")
-        for witness, reason in self.evidence:
-            out.append(f"evidence: {witness} :: {reason}")
-        return out
-
-
-def _least_satisfied(
-    generators: Sequence[Partition],
-    names: Sequence[str],
-    order: set[tuple[str, str]],
-) -> tuple[str, list[str]]:
-    satisfied = [
-        name
-        for name in names
-        if all(category_predicate(name)(g) for g in generators)
-    ]
-    least = [a for a in satisfied if all(included(a, b, order) for b in satisfied)]
-    if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
-        raise AssertionError(f"no unique least category among {satisfied}")
-    return least[0], satisfied
-
-
-def classify_noncrossing(generators: Sequence[Partition]) -> Classification:
-    """Exact classification among the seven noncrossing categories.
-
-    The generated category is the intersection of the seven categories whose
-    predicate every generator satisfies; no closure bound is involved.
-    """
-    gens = tuple(generators)
-    for g in gens:
-        if not is_noncrossing(g):
-            raise NotNoncrossingError(f"generator {g} has a crossing")
-    name, satisfied = _least_satisfied(gens, FREE_NAMES, FREE_INCLUSIONS)
-    evidence = tuple(
-        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
-        for g in gens
-    )
-    return Classification(WORLD_FREE, name, evidence=evidence)
-
-
-def classify_classical(generators: Sequence[Partition]) -> Classification:
-    """Least of the six classical categories containing generators + crossing."""
-    gens = tuple(generators) + (crossing(),)
-    name, satisfied = _least_satisfied(gens, CLASSICAL_NAMES, CLASSICAL_INCLUSIONS)
-    evidence = tuple(
-        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
-        for g in gens
-    )
-    return Classification(WORLD_CLASSICAL, name, evidence=evidence)
-
-
-def classify_easy(
-    generators: Sequence[Partition],
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    intermediate_budget: int = DEFAULT_INTERMEDIATE_BUDGET,
-    *,
-    max_fusion_ops: int = 2_000_000,
-) -> Classification:
-    """Decision cascade over all named worlds.
-
-    Noncrossing generator sets are classified exactly.  Otherwise a bounded
-    closure decides: crossing present -> classical; half-liberating diagram
-    present -> one of the half-liberated names or the h-series (parameter =
-    gcd of the visible series lengths).  Conclusions that rest on bounded
-    search are budget-qualified in the evidence; Undetermined is a value,
-    not an error.
-    """
-    gens = tuple(generators)
-    if all(is_noncrossing(g) for g in gens):
-        base = classify_noncrossing(gens)
-        return base
-
-    budgets = (point_budget, intermediate_budget)
-    closure = generate_closure(
-        gens,
-        point_budget,
-        intermediate_budget,
-        stop_when=[crossing()],
-        max_fusion_ops=max_fusion_ops,
-    )
-
-    def status(p: Partition) -> tuple[bool, str]:
-        ok = closure.contains_word(p.word)
-        if ok:
-            return True, "Confirmed"
-        return False, (
-            "NotFoundWithinBudget"
-            + ("" if closure.saturated else " (search stopped before saturation)")
-        )
-
-    evidence: list[tuple[str, str]] = []
-    cross_in, cross_note = status(crossing())
-    evidence.append((canonical_text(crossing()), cross_note))
-    if cross_in:
-        base = classify_classical(gens)
-        return Classification(
-            WORLD_CLASSICAL,
-            base.category_name,
-            evidence=tuple(evidence) + base.evidence,
-            budgets=budgets,
-        )
-
-    hl_in, hl_note = status(half_lib())
-    evidence.append((canonical_text(half_lib()), hl_note))
-    if hl_in:
-        fb_in, fb_note = status(four_block())
-        evidence.append((canonical_text(four_block()), fb_note))
-        if not fb_in:
-            ss_in, ss_note = status(double_singleton())
-            evidence.append((canonical_text(double_singleton()), ss_note))
-            name = "B#*" if ss_in else "O*"
-            return Classification(
-                WORLD_HALF_LIBERATED, name, evidence=tuple(evidence), budgets=budgets
-            )
-        found_ts = []
-        for t in range(3, point_budget // 2 + 1):
-            t_in, t_note = status(h_series(t))
-            evidence.append((canonical_text(h_series(t)), t_note))
-            if t_in:
-                found_ts.append(t)
-        if found_ts:
-            g = math.gcd(*found_ts)
-            return Classification(
-                WORLD_SERIES,
-                f"H^({g})",
-                series_parameter=g,
-                evidence=tuple(evidence),
-                budgets=budgets,
-            )
-        return Classification(
-            WORLD_HALF_LIBERATED, "H*", evidence=tuple(evidence), budgets=budgets
-        )
-
-    return Classification(
-        WORLD_UNDETERMINED, None, evidence=tuple(evidence), budgets=budgets
     )

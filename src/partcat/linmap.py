@@ -28,7 +28,7 @@ from .errors import (
     MemoryCapError,
 )
 from .ops import compose, involute, tensor
-from .partition import LOWER, UPPER, Partition
+from .partition import Partition
 
 MATRIX_SIDE_CAP = 10_000
 
@@ -48,11 +48,10 @@ def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     for t in (*i, *j):
         if not 1 <= t <= n:
             raise IndexRangeError(f"index {t} outside 1..{n}")
-    for blk in p.blocks:
-        values = {
-            i[pt.index - 1] if pt.row == UPPER else j[pt.index - 1] for pt in blk
-        }
-        if len(values) > 1:
+    # the indices in boundary-walk order: u_k .. u_1, then l_1 .. l_l
+    value_of: dict[int, int] = {}
+    for x, t in zip(p.word, (*i[::-1], *j)):
+        if value_of.setdefault(x, t) != t:
             return 0
     return 1
 
@@ -79,14 +78,17 @@ def t_matrix(p: Partition, n: int) -> IntertwinerMatrix:
     if rows > MATRIX_SIDE_CAP or cols > MATRIX_SIDE_CAP:
         raise MemoryCapError(f"matrix side {max(rows, cols)} exceeds {MATRIX_SIDE_CAP}")
     mat = np.zeros((rows, cols), dtype=np.int64)
-    upper_weight = [n ** (k - a - 1) for a in range(k)]
-    lower_weight = [n ** (l - a - 1) for a in range(l)]
-    block_cols = []
-    block_rows = []
-    for blk in p.blocks:
-        block_cols.append(sum(upper_weight[pt.index - 1] for pt in blk if pt.row == UPPER))
-        block_rows.append(sum(lower_weight[pt.index - 1] for pt in blk if pt.row == LOWER))
-    for values in itertools.product(range(n), repeat=len(p.blocks)):
+    # walk position i < k is u_{k-i}, of column weight n^i; position i >= k
+    # is l_{i-k+1}, of row weight n^(k+l-1-i)
+    blocks = max(p.word, default=-1) + 1
+    block_cols = [0] * blocks
+    block_rows = [0] * blocks
+    for i, x in enumerate(p.word):
+        if i < k:
+            block_cols[x] += n**i
+        else:
+            block_rows[x] += n ** (k + l - 1 - i)
+    for values in itertools.product(range(n), repeat=blocks):
         col = sum(v * w for v, w in zip(values, block_cols))
         row = sum(v * w for v, w in zip(values, block_rows))
         mat[row, col] = 1

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .catalog import enumerate_category
+from .catalog import word_rule
 from .errors import BadParamError, UndefinedBlockValueError
-from .ops import iter_words
+from .ops import ENUMERATION_CAP, check_enumeration_cap, iter_words
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -41,10 +41,18 @@ class MomentSequence:
         return len(self.values)
 
 
-def count_moments(category_name: str, k_max: int, cap: int | None = None) -> MomentSequence:
-    """m_k = number of category members on k points, k = 1..k_max."""
+def count_moments(
+    category_name: str, k_max: int, cap: int = ENUMERATION_CAP
+) -> MomentSequence:
+    """m_k = number of category members on k points, k = 1..k_max.
+
+    Counts boundary words, builds no partition, and checks ``k_max`` against
+    ``cap`` before counting anything.
+    """
+    noncrossing, rule = word_rule(category_name)
+    check_enumeration_cap(k_max, cap)
     values = tuple(
-        len(enumerate_category(category_name, k, cap=cap)) for k in range(1, k_max + 1)
+        sum(1 for w in iter_words(k, noncrossing) if rule(w)) for k in range(1, k_max + 1)
     )
     return MomentSequence(values)
 
@@ -217,10 +225,12 @@ def moments_from_cumulants(
     ``word_unit`` is repeated k times to mark the points of the k-th moment:
     ("a",) gives the plain single-variable moments, ("d", "d*") the
     alternating starred moments.  Free specs sum over noncrossing partitions,
-    classical specs over all partitions.
+    classical specs over all partitions.  The largest moment's point count,
+    ``len(word_unit) * k_max``, must stay within the enumeration cap.
     """
     if not word_unit:
         raise BadParamError("the mark word must not be empty")
+    check_enumeration_cap(len(word_unit) * k_max)
     noncrossing = spec.kind == FREE
     values = []
     for k in range(1, k_max + 1):

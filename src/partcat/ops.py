@@ -29,10 +29,9 @@ from .errors import (
     EmptyRowError,
 )
 from .partition import (
-    LOWER,
-    UPPER,
     Partition,
-    Point,
+    Word,
+    glue,
     make_partition,
     partition_from_word,
     word_noncrossing,
@@ -42,18 +41,16 @@ EMPTY = make_partition(0, 0, ())
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
-    """Horizontal concatenation: q's points are shifted past p's."""
-    shifted = [
-        [
-            Point(pt.row, pt.index + (p.upper_count if pt.row == UPPER else p.lower_count))
-            for pt in block
-        ]
-        for block in q.blocks
-    ]
-    return make_partition(
+    """Horizontal concatenation: q's points are shifted past p's.
+
+    Along the boundary walk, q's upper row comes first and its lower row
+    last, around the whole of p.
+    """
+    k, shifted = q.upper_count, tuple(x + len(p.word) for x in q.word)
+    return partition_from_word(
+        shifted[:k] + p.word + shifted[k:],
         p.upper_count + q.upper_count,
         p.lower_count + q.lower_count,
-        list(p.blocks) + shifted,
     )
 
 
@@ -77,54 +74,18 @@ def compose(p: Partition, q: Partition) -> ComposeResult:
             f"cannot compose P({p.upper_count},{p.lower_count}) with "
             f"P({q.upper_count},{q.lower_count})"
         )
-    mid = p.lower_count
-    # node ids: p-upper 0..k-1, middle k..k+mid-1, q-lower k+mid..k+mid+m-1
-    k, m = p.upper_count, q.lower_count
-    parent = list(range(k + mid + m))
+    word, merges = glue(p.word, q.word, p.lower_count)
+    loops = _block_count(p.word) + _block_count(q.word) - merges - _block_count(word)
+    return ComposeResult(Partition(p.upper_count, q.lower_count, word), loops)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    def p_node(pt: Point) -> int:
-        return pt.index - 1 if pt.row == UPPER else k + pt.index - 1
-
-    def q_node(pt: Point) -> int:
-        return k + pt.index - 1 if pt.row == UPPER else k + mid + pt.index - 1
-
-    for block in p.blocks:
-        for pt in block[1:]:
-            union(p_node(block[0]), p_node(pt))
-    for block in q.blocks:
-        for pt in block[1:]:
-            union(q_node(block[0]), q_node(pt))
-
-    survivors: dict[int, list[Point]] = {}
-    for i in range(k):
-        survivors.setdefault(find(i), []).append(Point(UPPER, i + 1))
-    for j in range(m):
-        survivors.setdefault(find(k + mid + j), []).append(Point(LOWER, j + 1))
-    loop_roots = {find(k + i) for i in range(mid)} - set(survivors)
-    return ComposeResult(
-        result=make_partition(k, m, survivors.values()),
-        removed_loops=len(loop_roots),
-    )
+def _block_count(word: Word) -> int:
+    return max(word, default=-1) + 1
 
 
 def involute(p: Partition) -> Partition:
     """Turn the diagram upside down: rows swap, left-right order is kept."""
-    flipped = [
-        [Point(LOWER if pt.row == UPPER else UPPER, pt.index) for pt in block]
-        for block in p.blocks
-    ]
-    return make_partition(p.lower_count, p.upper_count, flipped)
+    return partition_from_word(p.word[::-1], p.lower_count, p.upper_count)
 
 
 class Rotation(Enum):
@@ -141,51 +102,29 @@ def rotate(p: Partition, where: Rotation) -> Partition:
 
     Connections between points never change; only names shift.  DOWN_* needs
     a nonempty upper row, UP_* a nonempty lower row, CYCLE_* needs
-    upper_count == 0 and a nonempty lower row.
+    upper_count == 0 and a nonempty lower row.  Along the boundary walk the
+    LEFT moves keep the word, DOWN_RIGHT and CYCLE_LEFT shift it left by one
+    point, UP_RIGHT and CYCLE_RIGHT shift it right by one.
     """
-    k, l = p.upper_count, p.lower_count
-
+    k, l, word = p.upper_count, p.lower_count, p.word
     if where in (Rotation.CYCLE_LEFT, Rotation.CYCLE_RIGHT):
         if k != 0:
             raise CycleOnTwoRowsError("cyclic rotation needs a one-row partition")
         if l == 0:
             raise EmptyRowError("nothing to rotate in P(0,0)")
-        if where is Rotation.CYCLE_LEFT:
-            move = {Point(LOWER, 1): Point(LOWER, l)}
-            move.update({Point(LOWER, j): Point(LOWER, j - 1) for j in range(2, l + 1)})
-        else:
-            move = {Point(LOWER, l): Point(LOWER, 1)}
-            move.update({Point(LOWER, j): Point(LOWER, j + 1) for j in range(1, l)})
-        new_k, new_l = 0, l
-    elif where is Rotation.DOWN_LEFT:
+    elif where in (Rotation.DOWN_LEFT, Rotation.DOWN_RIGHT):
         if k == 0:
             raise EmptyRowError("no upper point to move down")
-        move = {Point(UPPER, 1): Point(LOWER, 1)}
-        move.update({Point(UPPER, i): Point(UPPER, i - 1) for i in range(2, k + 1)})
-        move.update({Point(LOWER, j): Point(LOWER, j + 1) for j in range(1, l + 1)})
-        new_k, new_l = k - 1, l + 1
-    elif where is Rotation.UP_LEFT:
-        if l == 0:
-            raise EmptyRowError("no lower point to move up")
-        move = {Point(LOWER, 1): Point(UPPER, 1)}
-        move.update({Point(UPPER, i): Point(UPPER, i + 1) for i in range(1, k + 1)})
-        move.update({Point(LOWER, j): Point(LOWER, j - 1) for j in range(2, l + 1)})
-        new_k, new_l = k + 1, l - 1
-    elif where is Rotation.DOWN_RIGHT:
-        if k == 0:
-            raise EmptyRowError("no upper point to move down")
-        move = {Point(UPPER, k): Point(LOWER, l + 1)}
-        new_k, new_l = k - 1, l + 1
-    elif where is Rotation.UP_RIGHT:
-        if l == 0:
-            raise EmptyRowError("no lower point to move up")
-        move = {Point(LOWER, l): Point(UPPER, k + 1)}
-        new_k, new_l = k + 1, l - 1
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(where)
-
-    moved = [[move.get(pt, pt) for pt in block] for block in p.blocks]
-    return make_partition(new_k, new_l, moved)
+        k -= 1
+    elif l == 0:
+        raise EmptyRowError("no lower point to move up")
+    else:
+        k += 1
+    if where in (Rotation.DOWN_RIGHT, Rotation.CYCLE_LEFT):
+        word = word[1:] + word[:1]
+    elif where in (Rotation.UP_RIGHT, Rotation.CYCLE_RIGHT):
+        word = word[-1:] + word[:-1]
+    return partition_from_word(word, k)
 
 
 ROTATION_INVERSES = {
@@ -200,14 +139,20 @@ ROTATION_INVERSES = {
 ENUMERATION_CAP = 12
 
 
-def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[tuple[int, ...]]:
+def check_enumeration_cap(n_points: int, cap: int = ENUMERATION_CAP) -> None:
+    """Refuse an exhaustive enumeration over more than ``cap`` points."""
+    if n_points > cap:
+        raise CapExceededError(f"{n_points} points exceeds the enumeration cap {cap}")
+
+
+def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     """All partition words of n_points points (restricted growth strings)."""
     if n_points == 0:
         yield ()
         return
     labels = [0] * n_points
 
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, used: int) -> Iterator[Word]:
         if i == n_points:
             yield tuple(labels)
             return
@@ -231,11 +176,7 @@ def enumerate_all(
     The point total must stay within ``cap`` (default 12).
     """
     n = upper_count + lower_count
-    if n > cap:
-        raise CapExceededError(f"{n} points exceeds the enumeration cap {cap}")
-    parts = [
-        partition_from_word(w, upper_count, lower_count)
-        for w in iter_words(n, noncrossing_only)
-    ]
+    check_enumeration_cap(n, cap)
+    parts = [Partition(upper_count, lower_count, w) for w in iter_words(n, noncrossing_only)]
     parts.sort(key=str)
     return parts

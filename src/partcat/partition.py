@@ -1,12 +1,21 @@
-"""Two-row set partitions: construction, text format, boundary walk, crossings.
+"""Two-row set partitions: the shape plus the boundary word, and the text format.
 
 A partition in P(k, l) splits k upper and l lower points into disjoint
 nonempty blocks.  Upper points are written u1..uk from left to right, lower
 points l1..ll.  The *boundary walk* visits uk, ..., u1, l1, ..., ll, going
-counterclockwise around the rectangle from the top-right point, and is the
-reference order for everything order-sensitive: the alternating
-plus/minus point marks, the crossing test, and the one-row word that the
-closure engine works on.
+counterclockwise around the rectangle from the top-right point.
+
+A :class:`Partition` is stored as its shape (k, l) and its *word*: the block
+label of each point along the walk, relabeled by first occurrence.  Every
+layer of the package reads the word.  Walk position i carries the mark ``+``
+for even i and ``-`` for odd i; blocks interleave along the word iff their
+lines cross; a rotation is a cyclic shift of the word and an involution its
+reversal; composition and the tensor product are one gluing of words
+(:func:`glue`).
+
+:class:`Point` and the canonical block list are derived from the word.  They
+serve the text format (:func:`parse_partition`, :func:`canonical_text`) and
+the validation of user input in :func:`make_partition`.
 
 Partitions are immutable; all functions return fresh values.
 """
@@ -16,8 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, islice
+from typing import Iterable, NamedTuple
 
 from .errors import CoverageError, OverlapError, ParseError, PointRangeError
 
@@ -29,16 +38,14 @@ MINUS = "-"
 
 _SHOWN_UNCOVERED = 8  # uncovered points named in a coverage error
 
+Word = tuple[int, ...]
+
 
 class Point(NamedTuple):
     """One point of a two-row diagram: row is "u" or "l", index is 1-based."""
 
     row: str
     index: int
-
-    def sort_key(self) -> tuple[int, int]:
-        # upper points before lower points, then left to right
-        return (0 if self.row == UPPER else 1, self.index)
 
     def __str__(self) -> str:
         return f"{self.row}{self.index}"
@@ -52,48 +59,93 @@ def lower(index: int) -> Point:
     return Point(LOWER, index)
 
 
+def normalize_word(labels: Iterable[int]) -> Word:
+    """Relabel block ids by first occurrence: (2,7,2,1) -> (0,1,0,2)."""
+    mapping: dict[int, int] = {}
+    out: list[int] = []
+    for x in labels:
+        v = mapping.get(x)
+        if v is None:
+            v = mapping[x] = len(mapping)
+        out.append(v)
+    return tuple(out)
+
+
+def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
+    """Glue the last c points of a to the first c points of b, dropping them.
+
+    Point a[-1] meets b[0], a[-2] meets b[1], and so on: on the words of p
+    and q with c = p.lower_count this is the vertical composition of p over
+    q, and on one-row words with c = 0 it is concatenation, the tensor
+    product.  Both words must be normalized.  Returns the normalized word of
+    the surviving points and ``merges``, the number of gluings that joined
+    two different blocks.  A glued component that reaches no surviving point
+    is a removed loop, so there are
+    ``blocks(a) + blocks(b) - merges - blocks(result)`` of them.
+    """
+    m = len(a)
+    # union-find over block labels; a normalized word's labels are below its
+    # length, so b's labels are shifted by m
+    parent = list(range(m + len(b)))
+    merges = 0
+    for i in range(c):
+        x, y = a[m - 1 - i], m + b[i]
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+            merges += 1
+    first: dict[int, int] = {}  # relabel by first occurrence, as normalize_word
+    out = []
+    for x in a[: m - c]:
+        while parent[x] != x:
+            x = parent[x]
+        out.append(first.setdefault(x, len(first)))
+    for x in b[c:]:
+        x += m
+        while parent[x] != x:
+            x = parent[x]
+        out.append(first.setdefault(x, len(first)))
+    return tuple(out), merges
+
+
 @dataclass(frozen=True)
 class Partition:
-    """A set partition of k upper and l lower points, in canonical form.
+    """A set partition of k upper and l lower points: its shape and its word.
 
-    Canonical form: inside a block, points are sorted upper-before-lower and
-    left to right; blocks are sorted by their least point.  Build instances
+    ``word`` gives the block of each point along the boundary walk, labeled
+    by first occurrence, e.g. (0, 1, 0, 2).  Shape and word determine the
+    partition, so two partitions are equal iff both are equal; the word is
+    also the P(0, n) normal form used by the closure engine.  Build instances
     through :func:`make_partition` or :func:`parse_partition`, which validate
-    and canonicalize.
+    point lists, or through :func:`partition_from_word`.
     """
 
     upper_count: int
     lower_count: int
-    blocks: tuple[tuple[Point, ...], ...]
+    word: Word
 
     @property
     def n_points(self) -> int:
         return self.upper_count + self.lower_count
 
-    def points(self) -> Iterator[Point]:
-        for i in range(1, self.upper_count + 1):
-            yield Point(UPPER, i)
-        for j in range(1, self.lower_count + 1):
-            yield Point(LOWER, j)
-
     @cached_property
-    def block_index(self) -> dict[Point, int]:
-        """Map each point to the position of its block in ``blocks``."""
-        out: dict[Point, int] = {}
-        for b, block in enumerate(self.blocks):
-            for pt in block:
-                out[pt] = b
-        return out
+    def blocks(self) -> tuple[tuple[Point, ...], ...]:
+        """The blocks as points, in canonical form, for text output.
 
-    @cached_property
-    def word(self) -> tuple[int, ...]:
-        """Block labels along the boundary walk, relabeled by first occurrence.
-
-        Two partitions of the same shape are equal iff their words are equal;
-        the word is also the P(0, n) normal form used by the closure engine.
+        Inside a block, points are sorted upper-before-lower and left to
+        right; blocks are sorted by their least point.
         """
-        idx = self.block_index
-        return normalize_word([idx[pt] for pt in boundary_order(self)])
+        k, w = self.upper_count, self.word
+        # visit the points in canonical order; u_i sits at walk position k - i
+        groups: dict[int, list[Point]] = {}
+        for i in range(1, k + 1):
+            groups.setdefault(w[k - i], []).append(Point(UPPER, i))
+        for j in range(1, self.lower_count + 1):
+            groups.setdefault(w[k + j - 1], []).append(Point(LOWER, j))
+        return tuple(map(tuple, groups.values()))
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -107,7 +159,7 @@ def make_partition(
     lower_count: int,
     blocks: Iterable[Iterable[Point | tuple[str, int]]],
 ) -> Partition:
-    """Validate and canonicalize a partition of P(upper_count, lower_count).
+    """Validate a partition of P(upper_count, lower_count) given by its blocks.
 
     Raises OverlapError / CoverageError / PointRangeError when the blocks are
     not a partition of the declared point set.  Empty input blocks are
@@ -115,29 +167,25 @@ def make_partition(
     """
     if upper_count < 0 or lower_count < 0:
         raise PointRangeError("row sizes must be nonnegative")
-    seen: set[Point] = set()
-    canon_blocks: list[tuple[Point, ...]] = []
-    for raw_block in blocks:
-        block = [Point(*pt) for pt in raw_block]
-        if not block:
-            continue
-        for pt in block:
+    label: dict[Point, int] = {}
+    for b, raw_block in enumerate(blocks):
+        for raw in raw_block:
+            pt = Point(*raw)
             limit = upper_count if pt.row == UPPER else lower_count
             if pt.row not in (UPPER, LOWER) or not 1 <= pt.index <= limit:
                 raise PointRangeError(f"point {pt} outside P({upper_count},{lower_count})")
-            if pt in seen:
+            if pt in label:
                 raise OverlapError(f"point {pt} appears in two blocks")
-            seen.add(pt)
-        canon_blocks.append(tuple(sorted(block, key=Point.sort_key)))
-    uncovered = upper_count + lower_count - len(seen)
+            label[pt] = b
+    walk = boundary_order(upper_count, lower_count)
+    uncovered = len(walk) - len(label)
     if uncovered:
-        # name only the first few; the walk stops as soon as they are found
-        points = Partition(upper_count, lower_count, ()).points()
-        shown = list(islice((pt for pt in points if pt not in seen), _SHOWN_UNCOVERED))
+        # name only the first few, in the order u1..uk, l1..ll
+        points = chain(reversed(walk[:upper_count]), walk[upper_count:])
+        shown = list(islice((pt for pt in points if pt not in label), _SHOWN_UNCOVERED))
         more = f", ... ({uncovered} in all)" if uncovered > len(shown) else ""
         raise CoverageError(f"points not covered: {', '.join(map(str, shown))}{more}")
-    canon_blocks.sort(key=lambda b: b[0].sort_key())
-    return Partition(upper_count, lower_count, tuple(canon_blocks))
+    return Partition(upper_count, lower_count, normalize_word(label[pt] for pt in walk))
 
 
 _HEAD_RE = re.compile(r"\s*P\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*:(.*)", re.DOTALL)
@@ -180,10 +228,10 @@ def canonical_text(p: Partition) -> str:
     return f"{head} {body}"
 
 
-def boundary_order(p: Partition) -> list[Point]:
+def boundary_order(upper_count: int, lower_count: int) -> list[Point]:
     """The boundary walk u_k, ..., u_1, l_1, ..., l_l."""
-    walk = [Point(UPPER, i) for i in range(p.upper_count, 0, -1)]
-    walk += [Point(LOWER, j) for j in range(1, p.lower_count + 1)]
+    walk = [Point(UPPER, i) for i in range(upper_count, 0, -1)]
+    walk += [Point(LOWER, j) for j in range(1, lower_count + 1)]
     return walk
 
 
@@ -193,24 +241,12 @@ def linearize(p: Partition) -> tuple[tuple[Point, ...], tuple[str, ...]]:
     The walk starts at the top-right point (or l1 when there is no upper
     row); marks strictly alternate ``+ - + -`` along it.
     """
-    walk = boundary_order(p)
+    walk = boundary_order(p.upper_count, p.lower_count)
     marks = tuple(PLUS if i % 2 == 0 else MINUS for i in range(len(walk)))
     return tuple(walk), marks
 
 
-def normalize_word(labels: Iterable[int]) -> tuple[int, ...]:
-    """Relabel block ids by first occurrence: (2,7,2,1) -> (0,1,0,2)."""
-    mapping: dict[int, int] = {}
-    out: list[int] = []
-    for x in labels:
-        v = mapping.get(x)
-        if v is None:
-            v = mapping[x] = len(mapping)
-        out.append(v)
-    return tuple(out)
-
-
-def word_noncrossing(word: tuple[int, ...]) -> bool:
+def word_noncrossing(word: Word) -> bool:
     """Crossing test on a word: no two blocks interleave as a-b-a-b.
 
     Scans once, keeping a stack of blocks that will reoccur; a block may only
@@ -244,23 +280,29 @@ def is_noncrossing(p: Partition) -> bool:
 
 
 def partition_from_word(
-    word: tuple[int, ...], upper_count: int = 0, lower_count: int | None = None
+    word: Iterable[int], upper_count: int = 0, lower_count: int | None = None
 ) -> Partition:
-    """Rebuild the two-row partition of a given shape from a boundary word."""
+    """The partition of the given shape whose boundary word is ``word``.
+
+    Any labeling of the blocks is accepted; the labels are normalized.
+    """
+    word = normalize_word(word)
     if lower_count is None:
         lower_count = len(word) - upper_count
+    if upper_count < 0 or lower_count < 0:
+        raise PointRangeError("row sizes must be nonnegative")
     if upper_count + lower_count != len(word):
         raise PointRangeError("word length does not match the requested shape")
-    walk = boundary_order(Partition(upper_count, lower_count, ()))
-    groups: dict[int, list[Point]] = {}
-    for lab, pt in zip(word, walk):
-        groups.setdefault(lab, []).append(pt)
-    return make_partition(upper_count, lower_count, groups.values())
+    return Partition(upper_count, lower_count, word)
 
 
 @dataclass(frozen=True)
 class BlockProfile:
-    """Block statistics, with plus/minus counts taken from :func:`linearize`."""
+    """Block statistics, with plus/minus counts taken from :func:`linearize`.
+
+    ``signed_counts`` lists the blocks in label order, that is by their first
+    point along the boundary walk.
+    """
 
     sizes: tuple[int, ...]
     singleton_count: int
@@ -269,19 +311,15 @@ class BlockProfile:
 
 
 def block_profile(p: Partition) -> BlockProfile:
-    walk, marks = linearize(p)
-    mark_of = dict(zip(walk, marks))
-    sizes = tuple(sorted(len(b) for b in p.blocks))
-    signed = tuple(
-        (
-            sum(1 for pt in block if mark_of[pt] == PLUS),
-            sum(1 for pt in block if mark_of[pt] == MINUS),
-        )
-        for block in p.blocks
-    )
+    """One pass over the word; walk position i has mark ``+`` iff i is even."""
+    counts = [[0, 0] for _ in range(max(p.word, default=-1) + 1)]
+    for i, x in enumerate(p.word):
+        counts[x][i % 2] += 1
+    signed = tuple((plus, minus) for plus, minus in counts)
+    sizes = tuple(sorted(plus + minus for plus, minus in signed))
     return BlockProfile(
         sizes=sizes,
-        singleton_count=sum(1 for s in sizes if s == 1),
-        odd_block_count=sum(1 for s in sizes if s % 2 == 1),
+        singleton_count=sizes.count(1),
+        odd_block_count=sum(s % 2 for s in sizes),
         signed_counts=signed,
     )

@@ -1,0 +1,234 @@
+"""Block-and-point implementations of the category operations, the catalog
+predicates and the intertwiner matrix, kept only as a reference for tests.
+
+The package computes all of these on boundary words.  The versions here read
+``Partition.blocks`` and move ``Point``s, as the package did before the word
+became its one representation, and rebuild partitions through the validating
+``make_partition``.  The crossing test is an independent brute force over
+four walk positions.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from partcat.ops import ComposeResult, Rotation
+from partcat.partition import (
+    LOWER,
+    MINUS,
+    PLUS,
+    UPPER,
+    Partition,
+    Point,
+    linearize,
+    make_partition,
+)
+
+
+def tensor(p: Partition, q: Partition) -> Partition:
+    shifted = [
+        [
+            Point(pt.row, pt.index + (p.upper_count if pt.row == UPPER else p.lower_count))
+            for pt in block
+        ]
+        for block in q.blocks
+    ]
+    return make_partition(
+        p.upper_count + q.upper_count,
+        p.lower_count + q.lower_count,
+        list(p.blocks) + shifted,
+    )
+
+
+def compose(p: Partition, q: Partition) -> ComposeResult:
+    assert p.lower_count == q.upper_count
+    mid = p.lower_count
+    # node ids: p-upper 0..k-1, middle k..k+mid-1, q-lower k+mid..k+mid+m-1
+    k, m = p.upper_count, q.lower_count
+    parent = list(range(k + mid + m))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+
+    def p_node(pt: Point) -> int:
+        return pt.index - 1 if pt.row == UPPER else k + pt.index - 1
+
+    def q_node(pt: Point) -> int:
+        return k + pt.index - 1 if pt.row == UPPER else k + mid + pt.index - 1
+
+    for block in p.blocks:
+        for pt in block[1:]:
+            union(p_node(block[0]), p_node(pt))
+    for block in q.blocks:
+        for pt in block[1:]:
+            union(q_node(block[0]), q_node(pt))
+
+    survivors: dict[int, list[Point]] = {}
+    for i in range(k):
+        survivors.setdefault(find(i), []).append(Point(UPPER, i + 1))
+    for j in range(m):
+        survivors.setdefault(find(k + mid + j), []).append(Point(LOWER, j + 1))
+    loop_roots = {find(k + i) for i in range(mid)} - set(survivors)
+    return ComposeResult(
+        result=make_partition(k, m, survivors.values()),
+        removed_loops=len(loop_roots),
+    )
+
+
+def involute(p: Partition) -> Partition:
+    flipped = [
+        [Point(LOWER if pt.row == UPPER else UPPER, pt.index) for pt in block]
+        for block in p.blocks
+    ]
+    return make_partition(p.lower_count, p.upper_count, flipped)
+
+
+def applicable(p: Partition, where: Rotation) -> bool:
+    if where in (Rotation.CYCLE_LEFT, Rotation.CYCLE_RIGHT):
+        return p.upper_count == 0 and p.lower_count > 0
+    if where in (Rotation.DOWN_LEFT, Rotation.DOWN_RIGHT):
+        return p.upper_count > 0
+    return p.lower_count > 0
+
+
+def rotate(p: Partition, where: Rotation) -> Partition:
+    assert applicable(p, where)
+    k, l = p.upper_count, p.lower_count
+    if where is Rotation.CYCLE_LEFT:
+        move = {Point(LOWER, 1): Point(LOWER, l)}
+        move.update({Point(LOWER, j): Point(LOWER, j - 1) for j in range(2, l + 1)})
+        new_k, new_l = 0, l
+    elif where is Rotation.CYCLE_RIGHT:
+        move = {Point(LOWER, l): Point(LOWER, 1)}
+        move.update({Point(LOWER, j): Point(LOWER, j + 1) for j in range(1, l)})
+        new_k, new_l = 0, l
+    elif where is Rotation.DOWN_LEFT:
+        move = {Point(UPPER, 1): Point(LOWER, 1)}
+        move.update({Point(UPPER, i): Point(UPPER, i - 1) for i in range(2, k + 1)})
+        move.update({Point(LOWER, j): Point(LOWER, j + 1) for j in range(1, l + 1)})
+        new_k, new_l = k - 1, l + 1
+    elif where is Rotation.UP_LEFT:
+        move = {Point(LOWER, 1): Point(UPPER, 1)}
+        move.update({Point(UPPER, i): Point(UPPER, i + 1) for i in range(1, k + 1)})
+        move.update({Point(LOWER, j): Point(LOWER, j - 1) for j in range(2, l + 1)})
+        new_k, new_l = k + 1, l - 1
+    elif where is Rotation.DOWN_RIGHT:
+        move = {Point(UPPER, k): Point(LOWER, l + 1)}
+        new_k, new_l = k - 1, l + 1
+    else:
+        move = {Point(LOWER, l): Point(UPPER, k + 1)}
+        new_k, new_l = k + 1, l - 1
+    moved = [[move.get(pt, pt) for pt in block] for block in p.blocks]
+    return make_partition(new_k, new_l, moved)
+
+
+# ---------------------------------------------------------------------------
+# predicates
+
+
+def noncrossing(p: Partition) -> bool:
+    """No walk positions a < b < c < d with a, c in one block, b, d in another."""
+    walk, _ = linearize(p)
+    block_of = {pt: i for i, blk in enumerate(p.blocks) for pt in blk}
+    labels = [block_of[pt] for pt in walk]
+    for a, b, c, d in itertools.combinations(range(len(labels)), 4):
+        if labels[a] == labels[c] != labels[b] == labels[d]:
+            return False
+    return True
+
+
+def signed_counts(p: Partition) -> list[tuple[int, int]]:
+    walk, marks = linearize(p)
+    mark_of = dict(zip(walk, marks))
+    return [
+        (
+            sum(1 for pt in block if mark_of[pt] == PLUS),
+            sum(1 for pt in block if mark_of[pt] == MINUS),
+        )
+        for block in p.blocks
+    ]
+
+
+def _sizes_at_most_two(p: Partition) -> bool:
+    return all(len(b) <= 2 for b in p.blocks)
+
+
+def _all_pairs(p: Partition) -> bool:
+    return all(len(b) == 2 for b in p.blocks)
+
+
+def _all_even(p: Partition) -> bool:
+    return all(len(b) % 2 == 0 for b in p.blocks)
+
+
+def _even_odd_blocks(p: Partition) -> bool:
+    return sum(1 for b in p.blocks if len(b) % 2) % 2 == 0
+
+
+def _even_singletons(p: Partition) -> bool:
+    return sum(1 for b in p.blocks if len(b) == 1) % 2 == 0
+
+
+def _pairs_balanced(p: Partition) -> bool:
+    for block, (plus, minus) in zip(p.blocks, signed_counts(p)):
+        if len(block) == 2 and not (plus == 1 and minus == 1):
+            return False
+    return True
+
+
+def _blocks_balanced(p: Partition) -> bool:
+    return all(plus == minus for plus, minus in signed_counts(p))
+
+
+PREDICATES = {
+    "O+": lambda p: noncrossing(p) and _all_pairs(p),
+    "H+": lambda p: noncrossing(p) and _all_even(p),
+    "S'+": lambda p: noncrossing(p) and _even_odd_blocks(p),
+    "S+": noncrossing,
+    "B#+": lambda p: noncrossing(p)
+    and _sizes_at_most_two(p)
+    and _pairs_balanced(p)
+    and _even_singletons(p),
+    "B'+": lambda p: noncrossing(p) and _sizes_at_most_two(p) and _even_singletons(p),
+    "B+": lambda p: noncrossing(p) and _sizes_at_most_two(p),
+    "O": _all_pairs,
+    "H": _all_even,
+    "S'": _even_odd_blocks,
+    "S": lambda p: True,
+    "B'": lambda p: _sizes_at_most_two(p) and _even_singletons(p),
+    "B": _sizes_at_most_two,
+    "O*": lambda p: _all_pairs(p) and _blocks_balanced(p),
+    "H*": lambda p: _all_even(p) and _blocks_balanced(p),
+    "B#*": lambda p: _sizes_at_most_two(p) and _pairs_balanced(p) and _even_singletons(p),
+}
+
+
+# ---------------------------------------------------------------------------
+# intertwiner matrix
+
+
+def t_matrix(p: Partition, n: int) -> np.ndarray:
+    k, l = p.upper_count, p.lower_count
+    mat = np.zeros((n**l, n**k), dtype=np.int64)
+    upper_weight = [n ** (k - a - 1) for a in range(k)]
+    lower_weight = [n ** (l - a - 1) for a in range(l)]
+    block_cols = []
+    block_rows = []
+    for blk in p.blocks:
+        block_cols.append(sum(upper_weight[pt.index - 1] for pt in blk if pt.row == UPPER))
+        block_rows.append(sum(lower_weight[pt.index - 1] for pt in blk if pt.row == LOWER))
+    for values in itertools.product(range(n), repeat=len(p.blocks)):
+        col = sum(v * w for v, w in zip(values, block_cols))
+        row = sum(v * w for v, w in zip(values, block_rows))
+        mat[row, col] = 1
+    return mat

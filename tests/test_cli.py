@@ -91,6 +91,18 @@ def test_count_emits_csv(capsys):
     assert out[8] == "B#+,8,143"
 
 
+def test_count_over_the_cap_exits_before_enumerating(capsys):
+    code, out, err = run(capsys, "count", "--category", "S", "--kmax", "13")
+    assert (code, out) == (2, [])
+    assert err == "budget: 13 points exceeds the enumeration cap 12\n"
+
+
+def test_moments_over_the_cap_is_a_budget_error(capsys):
+    code, out, err = run(capsys, "moments", "--law", "shifted-circle", "--kmax", "7")
+    assert (code, out) == (2, [])
+    assert err == "budget: 14 points exceeds the enumeration cap 12\n"
+
+
 def test_moments_law(capsys):
     code, out, _ = run(capsys, "moments", "--law", "shifted-circle", "--kmax", "3")
     assert code == 0

@@ -17,16 +17,12 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
-from partcat.closure import (
-    Containment,
-    classify_classical,
-    classify_easy,
-    classify_noncrossing,
-    generate_closure,
-)
+from partcat.classify import classify_classical, classify_easy, classify_noncrossing
+from partcat.closure import Containment, generate_closure
 from partcat.errors import BudgetError, NotNoncrossingError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
+    glue,
     is_noncrossing,
     normalize_word,
     parse_partition,
@@ -197,34 +193,34 @@ def test_h_series_gcd_arithmetic():
 def test_glue_is_iterated_seam_contraction():
     # width 0 concatenates; gluing c pairs at the seam must equal contracting
     # the concatenation one adjacent pair at a time
-    from partcat.closure import _contract, _glue
+    from partcat.closure import _contract
 
     small = [w for n in range(5) for w in iter_words(n)]
     for a in small:
         for b in small:
-            expected = _glue(a, b, 0)
+            expected = glue(a, b, 0)[0]
             assert expected == normalize_word(a + tuple(len(a) + x for x in b))
             for c in range(1, min(len(a), len(b)) + 1):
                 expected = _contract(expected, len(a) - c)
-                assert _glue(a, b, c) == expected, (a, b, c)
+                assert glue(a, b, c)[0] == expected, (a, b, c)
 
 
 def test_glue_in_either_order_agrees_up_to_shift():
     # glue(b, a, c) is a cyclic shift of glue(rotl(a, c), rotr(b, c), c), so
     # the worklist glues each pair of orbits in one order only; and
     # glue(rev b, rev a, c) is the reversal of glue(a, b, c)
-    from partcat.closure import _glue, _rotations
+    from partcat.closure import _rotations
 
     small = [w for n in range(5) for w in iter_words(n)]
     for a in small:
         for b in small:
             for c in range(min(len(a), len(b)) + 1):
-                swapped = _glue(b, a, c)
+                swapped = glue(b, a, c)[0]
                 a_left = normalize_word(a[c:] + a[:c])
                 b_right = normalize_word(b[len(b) - c :] + b[: len(b) - c])
-                assert swapped in _rotations(_glue(a_left, b_right, c)), (a, b, c)
-                mirrored = _glue(normalize_word(b[::-1]), normalize_word(a[::-1]), c)
-                assert mirrored == normalize_word(_glue(a, b, c)[::-1]), (a, b, c)
+                assert swapped in _rotations(glue(a_left, b_right, c)[0]), (a, b, c)
+                mirrored = glue(normalize_word(b[::-1]), normalize_word(a[::-1]), c)[0]
+                assert mirrored == normalize_word(glue(a, b, c)[0][::-1]), (a, b, c)
 
 
 def test_closure_elements_respect_every_covering_predicate():

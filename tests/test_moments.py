@@ -11,7 +11,6 @@ from partcat.errors import (
     UndefinedBlockValueError,
 )
 from partcat.ops import enumerate_all
-from partcat.partition import lower
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +30,31 @@ def test_count_moments_errors():
         mo.count_moments("H^(3)", 4)
     with pytest.raises(CapExceededError):
         mo.count_moments("S", 5, cap=4)
+
+
+def _no_words(*args, **kwargs):
+    raise AssertionError("words enumerated before the cap check")
+
+
+def test_count_moments_checks_the_cap_before_counting(monkeypatch):
+    monkeypatch.setattr(mo, "iter_words", _no_words)
+    with pytest.raises(CapExceededError, match="^11 points exceeds the enumeration cap 9$"):
+        mo.count_moments("S", 11, cap=9)
+    with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):
+        mo.count_moments("S", 13)
+
+
+def test_cumulant_sums_are_bounded_before_summing(monkeypatch):
+    monkeypatch.setattr(mo, "iter_words", _no_words)
+    spec = mo.shifted_circular_spec()
+    # the seventh moment of a two-letter mark word has 14 points
+    with pytest.raises(CapExceededError, match="^14 points exceeds the enumeration cap 12$"):
+        mo.moments_from_cumulants(spec, ("d", "d*"), 7)
+    with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):
+        mo.moments_from_cumulants(mo.semicircular_spec(), ("a",), 13)
+    # twelve points stay allowed
+    monkeypatch.setattr(mo, "iter_words", lambda n, noncrossing_only=False: iter(()))
+    assert list(mo.moments_from_cumulants(spec, ("d", "d*"), 6)) == [0] * 6
 
 
 def test_moment_sequence_accessors():
@@ -98,7 +122,7 @@ def test_balanced_pair_count_bijection():
         for p in enumerate_all(0, 2 * k + 2, noncrossing_only=True):
             if any(len(b) % 2 for b in p.blocks):
                 continue
-            if p.block_index[lower(1)] == p.block_index[lower(2 * k + 2)]:
+            if p.word[0] == p.word[-1]:  # l1 and the last point
                 rhs += 1
         assert lhs == rhs, k
 
