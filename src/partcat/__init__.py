@@ -42,7 +42,6 @@ from .linmap import (
     GroupRep,
     IntertwinerMatrix,
     check_functor,
-    check_intertwiner,
     classical_rep,
     delta,
     t_matrix,
@@ -79,7 +78,6 @@ __all__ = [
     "canonical_text",
     "category_predicate",
     "check_functor",
-    "check_intertwiner",
     "classical_rep",
     "classify_classical",
     "classify_easy",

@@ -127,6 +127,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify_tp(args: argparse.Namespace, seed: int) -> int:
     rep = lm.classical_rep(args.rep, args.n, sample_count=args.samples, seed=seed)
+    lm.check_tensor_cap(args.n, args.points)
     partitions = []
     for total in range(args.points + 1):
         for k in range(total + 1):

@@ -50,7 +50,7 @@ class NotNoncrossingError(PartcatError):
 
 
 class BadParamError(PartcatError):
-    """Invalid parameter for a named partition constructor."""
+    """Invalid parameter for a named constructor, a sequence or a representation."""
 
 
 class IndexRangeError(PartcatError):
@@ -58,7 +58,7 @@ class IndexRangeError(PartcatError):
 
 
 class MemoryCapError(PartcatError):
-    """A requested matrix would exceed the dense-size cap."""
+    """A requested vector or matrix would exceed the byte cap."""
 
 
 class EnumerationTooLargeError(PartcatError):

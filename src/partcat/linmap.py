@@ -6,6 +6,13 @@ i and lower indices j are constant along every block of p.  Index tuples are
 flattened big-endian: tuple (t_1, .., t_k) with entries in 1..n maps to
 sum (t_a - 1) * n^(k - a).
 
+Both start from xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary
+word w (legs u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant
+along every block; ``t_matrix`` regroups its legs.  By Frobenius reciprocity,
+for orthogonal u, T_p u^{tensor k} = u^{tensor l} T_p exactly when
+u^{tensor m} xi_w = xi_w (Banica-Speicher, arXiv:0808.2628): one test per
+word, shared by every rotation of p, with u applied to one leg at a time.
+
 Four concrete orthogonal representations are provided to exercise the
 partition <-> relation dictionary: all permutation matrices, all signed
 permutation matrices, row/column-stochastic conjugates of orthogonal
@@ -23,6 +30,7 @@ import numpy as np
 
 from .errors import (
     ArityMismatchError,
+    BadParamError,
     EnumerationTooLargeError,
     IndexRangeError,
     MemoryCapError,
@@ -30,7 +38,8 @@ from .errors import (
 from .ops import compose, involute, tensor
 from .partition import Partition
 
-MATRIX_SIDE_CAP = 10_000
+# bytes of one xi_w or T_p (8 * n^points), of one chunk of xi_w's, of the samples
+T_BYTES_CAP = 1 << 26
 
 KIND_SYMMETRIC = "symmetric-group"
 KIND_HYPEROCTAHEDRAL = "hyperoctahedral"
@@ -39,6 +48,15 @@ KIND_ORTHOGONAL = "orthogonal-sample"
 
 _SYMMETRIC_MAX_N = 6
 _HYPEROCTAHEDRAL_MAX_N = 4
+
+
+def check_tensor_cap(n: int, points: int) -> None:
+    """Refuse a vector of n^points 8-byte entries larger than ``T_BYTES_CAP``."""
+    # for n >= 2, 26 points already exceed the cap: no huge power is formed
+    if (n > 1 and points > 26) or 8 * n**points > T_BYTES_CAP:
+        raise MemoryCapError(
+            f"a tensor of {n}^{points} 8-byte entries exceeds the {T_BYTES_CAP}-byte cap"
+        )
 
 
 def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
@@ -56,6 +74,22 @@ def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     return 1
 
 
+def _support(word: tuple[int, ...], n: int) -> np.ndarray:
+    """Flat indices of the 1 entries of xi_w, legs in word order, big-endian.
+
+    One entry per assignment of a value in 0..n-1 to each block.
+    """
+    m = len(word)
+    weights = [0] * (max(word, default=-1) + 1)
+    for a, x in enumerate(word):
+        weights[x] += n ** (m - 1 - a)
+    flat = np.zeros(1, dtype=np.int64)
+    values = np.arange(n, dtype=np.int64)
+    for w in weights:
+        flat = (flat[:, None] + values * w).ravel()
+    return flat
+
+
 @dataclass(frozen=True)
 class IntertwinerMatrix:
     """Dense 0/1 matrix of the map induced by ``partition`` at dimension n."""
@@ -66,51 +100,16 @@ class IntertwinerMatrix:
 
 
 def t_matrix(p: Partition, n: int) -> IntertwinerMatrix:
-    """Populate the 0/1 matrix of p at dimension n.
-
-    Nonzero entries are walked directly: one per assignment of a value in
-    1..n to each block.
-    """
+    """The 0/1 matrix of p at dimension n: xi_w with its legs regrouped."""
     if n < 1:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     k, l = p.upper_count, p.lower_count
-    rows, cols = n**l, n**k
-    if rows > MATRIX_SIDE_CAP or cols > MATRIX_SIDE_CAP:
-        raise MemoryCapError(f"matrix side {max(rows, cols)} exceeds {MATRIX_SIDE_CAP}")
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    # walk position i < k is u_{k-i}, of column weight n^i; position i >= k
-    # is l_{i-k+1}, of row weight n^(k+l-1-i)
-    blocks = max(p.word, default=-1) + 1
-    block_cols = [0] * blocks
-    block_rows = [0] * blocks
-    for i, x in enumerate(p.word):
-        if i < k:
-            block_cols[x] += n**i
-        else:
-            block_rows[x] += n ** (k + l - 1 - i)
-    for values in itertools.product(range(n), repeat=blocks):
-        col = sum(v * w for v, w in zip(values, block_cols))
-        row = sum(v * w for v, w in zip(values, block_rows))
-        mat[row, col] = 1
-    return IntertwinerMatrix(n=n, partition=p, matrix=mat)
-
-
-_T_CACHE: dict[tuple[Partition, int], IntertwinerMatrix] = {}
-
-
-def t_matrix_cached(p: Partition, n: int) -> IntertwinerMatrix:
-    key = (p, n)
-    out = _T_CACHE.get(key)
-    if out is None:
-        out = _T_CACHE[key] = t_matrix(p, n)
-    return out
-
-
-def kron_power(u: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([[1]], dtype=u.dtype)
-    for _ in range(k):
-        out = np.kron(out, u)
-    return out
+    check_tensor_cap(n, k + l)
+    xi = np.zeros(n ** (k + l), dtype=np.int64)
+    xi[_support(p.word, n)] = 1
+    # legs u_k .. u_1, l_1 .. l_l -> rows l_1 .. l_l, columns u_1 .. u_k
+    legs = xi.reshape((n,) * (k + l)).transpose(*range(k, k + l), *reversed(range(k)))
+    return IntertwinerMatrix(n=n, partition=p, matrix=legs.reshape(n**l, n**k))
 
 
 def check_functor(p: Partition, q: Partition, n: int) -> bool:
@@ -121,16 +120,16 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
-    tp = t_matrix_cached(p, n).matrix
-    tq = t_matrix_cached(q, n).matrix
+    tp = t_matrix(p, n).matrix
+    tq = t_matrix(q, n).matrix
     comp = compose(p, q)
-    t_comp = t_matrix_cached(comp.result, n).matrix
+    t_comp = t_matrix(comp.result, n).matrix
     ok_compose = np.array_equal(tq @ tp, n**comp.removed_loops * t_comp)
-    t_tens = t_matrix_cached(tensor(p, q), n).matrix
+    t_tens = t_matrix(tensor(p, q), n).matrix
     ok_tensor = np.array_equal(t_tens, np.kron(tp, tq))
-    ok_invol = np.array_equal(
-        t_matrix_cached(involute(p), n).matrix, tp.T
-    ) and np.array_equal(t_matrix_cached(involute(q), n).matrix, tq.T)
+    ok_invol = np.array_equal(t_matrix(involute(p), n).matrix, tp.T) and np.array_equal(
+        t_matrix(involute(q), n).matrix, tq.T
+    )
     return bool(ok_compose and ok_tensor and ok_invol)
 
 
@@ -194,6 +193,13 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
             for signs in itertools.product((1, -1), repeat=n):
                 elements.append(perm_matrix * np.array(signs)[None, :])
         return GroupRep(kind, n, tuple(elements), 0.0)
+    if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
+        if sample_count < 1:
+            raise BadParamError(f"sample count must be >= 1, got {sample_count}")
+        if 8 * n * n * sample_count > T_BYTES_CAP:
+            raise MemoryCapError(
+                f"{sample_count} samples of {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap"
+            )
     if kind == KIND_ORTHOGONAL:
         rng = np.random.default_rng(seed)
         elements = []
@@ -202,14 +208,13 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
             elements.append(q * np.sign(np.diag(r)))
         return GroupRep(kind, n, tuple(elements), 1e-9)
     if kind == KIND_BISTOCHASTIC:
-        inner = classical_rep(KIND_ORTHOGONAL, n - 1, sample_count, seed) if n >= 3 else None
-        t = _bistochastic_conjugator(n)
-        elements = []
         if n == 2:
             # O(1) = {1, -1}
-            small = [np.array([[1.0]]), np.array([[-1.0]])][: max(1, sample_count)]
+            small = [np.array([[1.0]]), np.array([[-1.0]])][:sample_count]
         else:
-            small = [u for u in inner.elements]
+            small = classical_rep(KIND_ORTHOGONAL, n - 1, sample_count, seed).elements
+        t = _bistochastic_conjugator(n)
+        elements = []
         for u_small in small:
             embedded = np.eye(n)
             embedded[1:, 1:] = u_small
@@ -218,52 +223,47 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
     raise EnumerationTooLargeError(f"unknown representation kind {kind!r}")
 
 
-def check_intertwiner(rep: GroupRep, p: Partition) -> bool:
-    """True iff T_p u^{tensor k} = u^{tensor l} T_p for every element u."""
-    k, l = p.upper_count, p.lower_count
-    if rep.n**k > MATRIX_SIDE_CAP or rep.n**l > MATRIX_SIDE_CAP:
-        raise MemoryCapError("tensor powers exceed the dense-size cap")
-    tp = t_matrix_cached(p, rep.n).matrix
-    for u in rep.elements:
-        uk = kron_power(u, k)
-        ul = kron_power(u, l)
-        lhs = tp @ uk
-        rhs = ul @ tp
-        if rep.exact:
-            if not np.array_equal(lhs, rhs):
-                return False
-        elif np.max(np.abs(lhs - rhs)) > rep.tolerance:
-            return False
-    return True
-
-
 def intertwiner_table(rep: GroupRep, partitions: list[Partition]) -> dict[Partition, bool]:
-    """check_intertwiner for many partitions, sharing tensor powers per shape."""
-    out: dict[Partition, bool] = {}
-    by_shape: dict[tuple[int, int], list[Partition]] = {}
-    for p in partitions:
-        by_shape.setdefault((p.upper_count, p.lower_count), []).append(p)
-    for (k, l), group in by_shape.items():
-        if rep.n**k > MATRIX_SIDE_CAP or rep.n**l > MATRIX_SIDE_CAP:
-            raise MemoryCapError("tensor powers exceed the dense-size cap")
-        stack_dtype = np.int64 if rep.exact else np.float64
-        stack = np.stack(
-            [t_matrix_cached(p, rep.n).matrix.astype(stack_dtype) for p in group]
-        )
-        alive = np.ones(len(group), dtype=bool)
-        for u in rep.elements:
-            if not alive.any():
-                break
-            uk = kron_power(u, k)
-            ul = kron_power(u, l)
-            lhs = stack[alive] @ uk
-            rhs = ul @ stack[alive]
-            if rep.exact:
-                good = (lhs == rhs).all(axis=(1, 2))
-            else:
-                good = np.abs(lhs - rhs).max(axis=(1, 2)) <= rep.tolerance
-            idx = np.flatnonzero(alive)
-            alive[idx[~good]] = False
-        for p, ok in zip(group, alive):
-            out[p] = bool(ok)
-    return out
+    """Whether T_p u^{tensor k} = u^{tensor l} T_p for every element u, per p.
+
+    Tested as u^{tensor m} xi_w = xi_w, once per distinct word w; exactly for
+    the exact kinds, within ``rep.tolerance`` entrywise for the sampled ones.
+    """
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for word in dict.fromkeys(p.word for p in partitions):
+        by_length.setdefault(len(word), []).append(word)
+    for m in by_length:
+        check_tensor_cap(rep.n, m)
+    fixed: dict[tuple[int, ...], bool] = {}
+    for m, words in by_length.items():
+        per_chunk = T_BYTES_CAP // (8 * rep.n**m)
+        for start in range(0, len(words), per_chunk):
+            chunk = words[start : start + per_chunk]
+            fixed.update(zip(chunk, _fixed_by_all(rep, chunk).tolist()))
+    return {p: fixed[p.word] for p in partitions}
+
+
+def _fixed_by_all(rep: GroupRep, words: list[tuple[int, ...]]) -> np.ndarray:
+    """For words of one length m: is xi_w fixed by u^{tensor m} for every u."""
+    n, m = rep.n, len(words[0])
+    xi = np.zeros((len(words), n**m))
+    for row, word in zip(xi, words):
+        row[_support(word, n)] = 1.0
+    alive = np.ones(len(words), dtype=bool)
+    for u in rep.elements:
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        before = xi[idx]
+        after = before
+        for _ in range(m):
+            # u on the last leg, then that leg moved to the front: after m
+            # steps every leg has met u once and the legs are back in order
+            after = (after.reshape(-1, n) @ u.T).reshape(len(idx), -1, n)
+            after = after.transpose(0, 2, 1).reshape(len(idx), -1)
+        if rep.exact:
+            good = (after == before).all(axis=1)
+        else:
+            good = np.abs(after - before).max(axis=1) <= rep.tolerance
+        alive[idx[~good]] = False
+    return alive

@@ -1,5 +1,6 @@
 """Block-and-point implementations of the category operations, the catalog
-predicates and the intertwiner matrix, kept only as a reference for tests.
+predicates, the intertwiner matrix and the dense intertwiner check, kept only
+as a reference for tests.
 
 The package computes all of these on boundary words.  The versions here read
 ``Partition.blocks`` and move ``Point``s, as the package did before the word
@@ -232,3 +233,30 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
         row = sum(v * w for v, w in zip(values, block_rows))
         mat[row, col] = 1
     return mat
+
+
+def kron_power(u: np.ndarray, k: int) -> np.ndarray:
+    out = np.array([[1]], dtype=u.dtype)
+    for _ in range(k):
+        out = np.kron(out, u)
+    return out
+
+
+def check_intertwiner(rep, p: Partition) -> bool:
+    """True iff T_p u^{tensor k} = u^{tensor l} T_p for every element u.
+
+    The two sides are dense products with the Kronecker powers of u, compared
+    exactly for the exact kinds and entrywise within ``rep.tolerance`` for
+    the sampled ones.
+    """
+    k, l = p.upper_count, p.lower_count
+    tp = t_matrix(p, rep.n)
+    for u in rep.elements:
+        lhs = tp @ kron_power(u, k)
+        rhs = kron_power(u, l) @ tp
+        if rep.exact:
+            if not np.array_equal(lhs, rhs):
+                return False
+        elif np.max(np.abs(lhs - rhs)) > rep.tolerance:
+            return False
+    return True

@@ -1,5 +1,6 @@
 import pytest
 
+import partcat.cli as cli
 from partcat.cli import main
 
 
@@ -132,3 +133,27 @@ def test_verify_tp_deterministic_under_seed(capsys):
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_verify_tp_refuses_no_samples(capsys):
+    for count in ("0", "-3"):
+        code, out, err = run(
+            capsys, "verify-tp", "--rep", "orthogonal-sample", "--n", "3", "--points", "1",
+            "--samples", count,
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith("error:")
+
+
+def test_verify_tp_over_the_byte_cap_exits_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before checking the cap")
+
+    monkeypatch.setattr(cli, "enumerate_all", no_enumeration)
+    for argv in (
+        ("--n", "10", "--points", "8"),  # one vector of 8 * 10^8 bytes
+        ("--n", "50000", "--points", "1"),  # 20 samples of 50000 x 50000
+    ):
+        code, out, err = run(capsys, "verify-tp", "--rep", "orthogonal-sample", *argv)
+        assert (code, out) == (2, [])
+        assert err.startswith("budget:")

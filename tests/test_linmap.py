@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import block_reference as ref
 import partcat.linmap as lm
 from partcat.catalog import (
     block,
@@ -14,11 +15,12 @@ from partcat.catalog import (
 )
 from partcat.errors import (
     ArityMismatchError,
+    BadParamError,
     EnumerationTooLargeError,
     IndexRangeError,
     MemoryCapError,
 )
-from partcat.ops import EMPTY, Rotation, enumerate_all, involute, rotate
+from partcat.ops import Rotation, enumerate_all, involute, rotate
 from partcat.partition import parse_partition
 
 
@@ -62,7 +64,9 @@ def test_t_matrix_agrees_with_delta():
 
 def test_t_matrix_memory_cap():
     with pytest.raises(MemoryCapError):
-        lm.t_matrix(block(5), 10)  # 10^5 rows
+        lm.t_matrix(block(8), 10)  # 8 * 10^8 bytes
+    with pytest.raises(MemoryCapError):
+        lm.t_matrix(block(30), 2)
 
 
 def test_rotation_is_a_reshaping():
@@ -162,39 +166,81 @@ def test_orthogonal_samples_seeded():
 # intertwiner checks
 
 
+def holds(rep, p):
+    return lm.intertwiner_table(rep, [p])[p]
+
+
 def test_symmetric_group_intertwines_every_partition():
     rep = lm.classical_rep(lm.KIND_SYMMETRIC, 3)
-    assert all(lm.check_intertwiner(rep, p) for p in enumerate_all(0, 4))
+    assert all(holds(rep, p) for p in enumerate_all(0, 4))
 
 
 def test_hyperoctahedral_requires_even_blocks():
     rep = lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, 3)
-    assert lm.check_intertwiner(rep, four_block())
-    assert not lm.check_intertwiner(rep, block(3))
+    assert holds(rep, four_block())
+    assert not holds(rep, block(3))
 
 
 def test_orthogonal_sample_pair_yes_singleton_no():
     rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 3, sample_count=20, seed=0)
-    assert lm.check_intertwiner(rep, pair_partition())
-    assert not lm.check_intertwiner(rep, singleton())
+    assert holds(rep, pair_partition())
+    assert not holds(rep, singleton())
 
 
 def test_bistochastic_fixes_singleton():
     rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, 3, sample_count=20, seed=0)
-    assert lm.check_intertwiner(rep, singleton())
-    assert lm.check_intertwiner(rep, pair_partition())
-    assert not lm.check_intertwiner(rep, four_block())
+    assert holds(rep, singleton())
+    assert holds(rep, pair_partition())
+    assert not holds(rep, four_block())
 
 
 def test_intertwiner_table_matches_single_checks():
+    # the one-row table against the dense two-row check, partition by partition
+    parts = [p for t in range(6) for k in range(t + 1) for p in enumerate_all(k, t - k)]
+    for n in (2, 3):
+        reps = [lm.classical_rep(lm.KIND_SYMMETRIC, n), lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, n)]
+        for kind in (lm.KIND_BISTOCHASTIC, lm.KIND_ORTHOGONAL):
+            reps += [lm.classical_rep(kind, n, sample_count=20, seed=seed) for seed in (0, 1, 2)]
+        for rep in reps:
+            table = lm.intertwiner_table(rep, parts)
+            assert list(table) == parts
+            for p in parts:
+                assert table[p] == ref.check_intertwiner(rep, p), (rep.kind, n, str(p))
+
+
+def test_intertwiner_table_is_the_same_in_small_chunks(monkeypatch):
     rep = lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, 3)
-    parts = enumerate_all(1, 3) + enumerate_all(0, 2) + [EMPTY]
-    table = lm.intertwiner_table(rep, parts)
-    for p in parts:
-        assert table[p] == lm.check_intertwiner(rep, p)
+    parts = [p for t in range(5) for k in range(t + 1) for p in enumerate_all(k, t - k)]
+    whole = lm.intertwiner_table(rep, parts)
+    # three words of 4 points per chunk
+    monkeypatch.setattr(lm, "T_BYTES_CAP", 3 * 8 * 3**4)
+    assert lm.intertwiner_table(rep, parts) == whole
+    with pytest.raises(MemoryCapError):
+        lm.intertwiner_table(rep, [block(6)])
 
 
 def test_check_intertwiner_memory_cap():
-    rep = lm.classical_rep(lm.KIND_SYMMETRIC, 5)
+    # 8 * 10^8 bytes for one vector: refused before any vector is built
+    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 10, sample_count=2)
     with pytest.raises(MemoryCapError):
-        lm.check_intertwiner(rep, parse_partition("P(0,6): l1,l2,l3,l4,l5,l6"))
+        lm.intertwiner_table(rep, [singleton(), block(8)])
+
+
+def test_sample_count_must_be_positive():
+    for kind in (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC):
+        for n in (2, 3):
+            for count in (0, -1):
+                with pytest.raises(BadParamError):
+                    lm.classical_rep(kind, n, sample_count=count)
+
+
+def test_sampled_matrices_are_bounded_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew matrices before checking the cap")
+
+    monkeypatch.setattr(lm.np.random, "default_rng", no_draw)
+    for kind in (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC):
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 50_000)
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 3, sample_count=10**7)
