@@ -425,7 +425,8 @@ def test_worklist_matches_reference_on_test_generator_sets():
         _assert_matches_reference([parse_partition(t) for t in texts], 4, 8)
 
 
-def test_worklist_matches_reference_on_random_generator_sets():
+def _random_generator_sets():
+    """40 seeded sets of 1-2 words of up to 6 points, with a budget of 4-6."""
     import random
 
     rng = random.Random(20120123)
@@ -435,8 +436,69 @@ def test_worklist_matches_reference_on_random_generator_sets():
             partition_from_word(rng.choice(words[rng.randint(1, 6)]))
             for _ in range(rng.randint(1, 2))
         ]
-        point_budget = rng.randint(4, 6)
+        yield gens, rng.randint(4, 6)
+
+
+def test_worklist_matches_reference_on_random_generator_sets():
+    for gens, point_budget in _random_generator_sets():
         _assert_matches_reference(gens, point_budget, 2 * point_budget)
+
+
+# ---------------------------------------------------------------------------
+# the engine against the sequential glue-by-glue reference
+
+
+def _assert_same_run(generators, point_budget, intermediate_budget, **options):
+    import closure_reference
+
+    got = generate_closure(generators, point_budget, intermediate_budget, **options)
+    want = closure_reference.generate_closure(
+        generators, point_budget, intermediate_budget, **options
+    )
+    label = ([str(g) for g in generators], point_budget, options)
+    assert got.words == want.words, label
+    assert got.oversized_words == want.oversized_words, label
+    assert got.saturated == want.saturated, label
+    assert got.fusion_ops == want.fusion_ops, label
+
+
+def _catalog_generator_sets():
+    from partcat.catalog import CLASSICAL_NAMES, HALF_LIBERATED_NAMES
+
+    return [
+        catalog_entry(name).generators
+        for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES
+    ]
+
+
+def test_engine_matches_sequential_reference_on_catalog_sets():
+    for gens in _catalog_generator_sets():
+        _assert_same_run(gens, 6, 12)
+
+
+def test_engine_matches_sequential_reference_under_every_small_cap():
+    # a saturated run takes 3661 glues; caps up to 400 stop it at many
+    # different places inside one representative's pairings
+    for cap in range(401):
+        _assert_same_run([singleton()], 6, 12, max_fusion_ops=cap)
+
+
+def test_engine_matches_sequential_reference_on_target_stops():
+    # the cap keeps the unreachable targets cheap; the found ones stop after
+    # 0 to a few thousand glues
+    for gens in _catalog_generator_sets():
+        for target in (crossing(), half_lib(), four_block()):
+            _assert_same_run(gens, 8, 16, stop_when=[target], max_fusion_ops=20_000)
+
+
+def test_engine_matches_sequential_reference_on_random_generator_sets():
+    for gens, point_budget in _random_generator_sets():
+        _assert_same_run(gens, point_budget, 2 * point_budget)
+
+
+def test_engine_matches_sequential_reference_above_twenty_points():
+    _assert_same_run([singleton()], 22, 44, max_fusion_ops=2000)
+    _assert_same_run([h_series(11)], 22, 44, max_fusion_ops=2000)
 
 
 # ---------------------------------------------------------------------------
