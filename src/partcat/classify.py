@@ -25,7 +25,12 @@ from .catalog import (
     half_lib,
     included,
 )
-from .closure import DEFAULT_INTERMEDIATE_BUDGET, DEFAULT_POINT_BUDGET, generate_closure
+from .closure import (
+    DEFAULT_INTERMEDIATE_BUDGET,
+    DEFAULT_POINT_BUDGET,
+    check_fusion_cap,
+    generate_closure,
+)
 from .errors import NotNoncrossingError
 from .partition import Partition, canonical_text, is_noncrossing
 
@@ -114,8 +119,9 @@ def classify_easy(
     present -> one of the half-liberated names or the h-series (parameter =
     gcd of the visible series lengths).  Conclusions that rest on bounded
     search are budget-qualified in the evidence; Undetermined is a value,
-    not an error.
+    not an error.  A negative ``max_fusion_ops`` is refused up front.
     """
+    check_fusion_cap(max_fusion_ops)
     gens = tuple(generators)
     if all(is_noncrossing(g) for g in gens):
         return classify_noncrossing(gens)

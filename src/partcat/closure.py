@@ -19,27 +19,38 @@ The worklist of :func:`generate_closure` keeps three invariants:
   contractions of that result, and gluing in the other order gives a cyclic
   shift of a glue already made.
 
+The pairings of one representative run as one batch (``glue_rows`` from
+:mod:`partcat.partition`, one call per second-operand length), and the
+batch gives the same run, glue for glue, as a loop of single glues.  Its
+operands are fixed when the representative w is dequeued: the second
+operands come from the orbits queued up to w, and new orbits only join the
+queue after it.  The stored set only grows, so a result already stored when
+the batch starts would be skipped by the loop as well; the others are
+replayed in the loop's glue order, with the cap and the target stop
+checked before each glue as the loop checks them.
+
 A bounded closure is a *lower bound* of the true category restricted to the
 point budget: every stored word is honestly derivable from the generators,
-but absence only means "not found within budget".  ``saturated`` reports
-whether the engine reached a fixed point of its move set before any early
-stop.
+but absence only means "not found within budget".  ``stop_reason`` says
+why the engine stopped: it reached a fixed point of its move set
+(``saturated``), found every ``stop_when`` target, or hit the fusion cap.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Literal, Sequence
 
-from .errors import BudgetError
+import numpy as np
+
+from .errors import BadParamError, BudgetError
 from .partition import (
     Partition,
     Word,
     canonical_text,
-    glue,
+    glue_rows,
     normalize_word,
     partition_from_word,
 )
@@ -72,6 +83,109 @@ def _contract(w: Word, i: int) -> Word:
     return normalize_word(rest)
 
 
+class _Rows:
+    """Words of one length as the rows of one growing small-int buffer, added
+    in groups; group g is ``buffer[ends[g]:ends[g + 1]]``."""
+
+    def __init__(self, length: int) -> None:
+        self.buffer = np.empty((8, length), np.min_scalar_type(max(length - 1, 0)))
+        self.ends = [0]
+
+    def add_group(self, words: list[Word]) -> None:
+        size, end = self.ends[-1], self.ends[-1] + len(words)
+        if end > len(self.buffer):
+            grown = np.empty((max(end, 2 * size), self.buffer.shape[1]), self.buffer.dtype)
+            grown[:size] = self.buffer[:size]
+            self.buffer = grown
+        self.buffer[size:end] = words
+        self.ends.append(end)
+
+    def group(self, g: int) -> np.ndarray:
+        return self.buffer[self.ends[g] : self.ends[g + 1]]
+
+
+class _Orbits:
+    """The queued orbits of one word length, in queue order: the queue index
+    of each, the rotations of its representative and its whole orbit."""
+
+    def __init__(self, length: int) -> None:
+        self.queue_index: list[int] = []
+        self.turns, self.orbits = _Rows(length), _Rows(length)
+
+    def push(self, queue_index: int, turns: list[Word], orbit: list[Word]) -> int:
+        """Record one orbit; return its slot."""
+        self.queue_index.append(queue_index)
+        self.turns.add_group(turns)
+        self.orbits.add_group(orbit)
+        return len(self.queue_index) - 1
+
+
+def _new_rows(rows: np.ndarray, stored: set[Word]) -> list[tuple[int, Word]]:
+    """The first occurrence of each row that is not a stored word, as (row
+    index, word).  Rows are told apart by their bytes; only one row per
+    distinct value becomes a tuple."""
+    width = rows.itemsize * rows.shape[1]
+    keys = rows.view((np.void, width)).ravel().tolist() if width else [b""] * len(rows)
+    # the last write of a key wins, so walk backwards to keep the least index
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    index = list(first.values())
+    words = map(tuple, rows[index].tolist())
+    return [(i, w) for i, w in zip(index, words) if w not in stored]
+
+
+def _pair_batch(
+    queue: list[tuple[int, int]],
+    by_length: dict[int, _Orbits],
+    qi: int,
+    point_budget: int,
+    stored: set[Word],
+) -> tuple[int, list[tuple[int, Word]]]:
+    """All glues of representative w = ``queue[qi]`` at once.
+
+    Glue j is the j-th of the loop: v over ``queue[:qi + 1]``, then the
+    second operand b over v's orbit (over the rotations of v's
+    representative when w is its own mirror image), then the first operand
+    a over the rotations of w's representative, at the width c fixed by the
+    two lengths.  Returns the number of glues and, sorted by j, (j, word)
+    for the first glue of each word that is not in ``stored``.
+    """
+    m, slot = queue[qi]
+    firsts = by_length[m].turns.group(slot)
+    symmetric = len(firsts) == len(by_length[m].orbits.group(slot))
+    r_count = len(firsts)
+    # per length with a fitting width: its second operands up to queue[qi]
+    parts = []
+    for n, group in by_length.items():
+        c = max(0, (m + n - point_budget + 1) // 2)
+        count = bisect_right(group.queue_index, qi)
+        if c <= min(m, n) and count:
+            rows = group.turns if symmetric else group.orbits
+            parts.append((group, rows, rows.buffer[: rows.ends[count]], c))
+
+    def position(group: _Orbits, rows: _Rows, s: int) -> int:
+        """The place of second operand ``rows.buffer[s]`` in the loop over b."""
+        g = bisect_right(rows.ends, s) - 1
+        v = group.queue_index[g]
+        # the second operands of every orbit queued before v come first
+        earlier = sum(
+            other_rows.ends[bisect_left(other.queue_index, v)] for other, other_rows, _, _ in parts
+        )
+        return earlier + s - rows.ends[g]
+
+    total = 0
+    candidates = []
+    for group, rows, seconds, c in parts:
+        total += r_count * len(seconds)
+        for i, word in _new_rows(glue_rows(firsts, seconds, c), stored):
+            s, r = divmod(i, r_count)
+            candidates.append((r_count * position(group, rows, s) + r, word))
+    candidates.sort()
+    return total, candidates
+
+
+StopReason = Literal["saturated", "targets_found", "fusion_cap"]
+
+
 class Containment(Enum):
     CONFIRMED = "Confirmed"
     NOT_FOUND_WITHIN_BUDGET = "NotFoundWithinBudget"
@@ -86,8 +200,13 @@ class ClosureSet:
     intermediate_budget: int
     words: frozenset[Word]
     oversized_words: frozenset[Word]
-    saturated: bool
+    stop_reason: StopReason
     fusion_ops: int
+
+    @property
+    def saturated(self) -> bool:
+        """True iff the run reached a fixed point of its moves."""
+        return self.stop_reason == "saturated"
 
     def contains_word(self, w: Word) -> bool:
         return w in self.words or w in self.oversized_words
@@ -122,7 +241,14 @@ class ClosureSet:
         return out
 
     def dump_lines(self) -> list[str]:
-        return [canonical_text(p) for p in self.element_partitions()]
+        """The texts of :meth:`element_partitions`, each rendered once."""
+        return sorted(canonical_text(partition_from_word(w)) for w in self.words)
+
+
+def check_fusion_cap(max_fusion_ops: int | None) -> None:
+    """Refuse a negative fusion cap, which no run could keep."""
+    if max_fusion_ops is not None and max_fusion_ops < 0:
+        raise BadParamError(f"max_fusion_ops must be at least 0, not {max_fusion_ops}")
 
 
 def generate_closure(
@@ -156,12 +282,16 @@ def generate_closure(
     bounds the generators, the ``stop_when`` targets and
     :meth:`ClosureSet.contains` queries.
 
-    ``stop_when``: stop as soon as all the given partitions are present.
-    ``max_fusion_ops``: cap on the glues, concatenations included; checked
-    before each glue, so ``fusion_ops`` never exceeds it.  Either early stop
-    leaves ``saturated`` False.
+    ``stop_when``: stop as soon as all the given partitions are present
+    (``stop_reason`` "targets_found").  ``max_fusion_ops``: cap on the glues,
+    concatenations included, at least 0; checked before each glue, so
+    ``fusion_ops`` never exceeds it (``stop_reason`` "fusion_cap", which wins
+    when both stops fall on the same glue).  Either early stop leaves
+    ``saturated`` False.  A run whose last glue completes the targets or
+    reaches the cap has nothing left to stop and is saturated.
     """
     pb, ib = point_budget, intermediate_budget
+    check_fusion_cap(max_fusion_ops)
     if pb < 2:
         raise BudgetError("point budget must be at least 2 (the pair partition)")
     if ib < pb:
@@ -175,8 +305,9 @@ def generate_closure(
 
     stored: set[Word] = set()
     big: set[Word] = set()
-    # per orbit: the rotations of its representative, and the orbit itself
-    queue: list[tuple[list[Word], list[Word]]] = []
+    # the queue holds (length, slot in the length's _Orbits) per orbit
+    queue: list[tuple[int, int]] = []
+    by_length: dict[int, _Orbits] = {}
 
     targets: set[Word] = set()
     if stop_when is not None:
@@ -199,7 +330,10 @@ def generate_closure(
             turns, orbit = _orbit(w)
             pool.update(orbit)
             found.update(targets.intersection(orbit))
-            queue.append((turns, orbit))
+            group = by_length.get(len(w))
+            if group is None:
+                group = by_length[len(w)] = _Orbits(len(w))
+            queue.append((len(w), group.push(len(queue), turns, orbit)))
             rep = orbit[0]
             if len(rep) >= 2:
                 pending.extend(_contract(rep, i) for i in range(len(rep)))
@@ -208,29 +342,28 @@ def generate_closure(
         add(g.word)
     add((0, 0))  # pair partition; rotations give the unit partition
 
-    def glues() -> Iterator[tuple[Word, Word, int]]:
-        for qi, (firsts, orbit_w) in enumerate(queue):  # the queue grows meanwhile
-            m = len(orbit_w[0])
-            mirror_symmetric = len(firsts) == len(orbit_w)
-            for turns, orbit in islice(queue, qi + 1):
-                n = len(orbit[0])
-                c = max(0, (m + n - pb + 1) // 2)
-                if c <= min(m, n):
-                    for b in turns if mirror_symmetric else orbit:
-                        for a in firsts:
-                            yield a, b, c
-
     fusion_ops = 0
-    cap = math.inf if max_fusion_ops is None else max_fusion_ops
-    stopped_early = False
-    for a, b, c in glues():
-        if fusion_ops >= cap or (targets and targets <= found):
-            stopped_early = True
+    stop_reason: StopReason = "saturated"
+    qi = 0
+    while qi < len(queue):  # the queue grows meanwhile
+        total, candidates = _pair_batch(queue, by_length, qi, pb, stored)
+        qi += 1
+        # replay the batch in glue order: stop before glue j once the cap is
+        # reached or every target has been found
+        cap_at = total if max_fusion_ops is None else min(total, max_fusion_ops - fusion_ops)
+        target_at = 0 if targets and targets <= found else total
+        for j, glued in candidates:
+            if j >= min(cap_at, target_at):
+                break
+            if glued not in stored:  # glued words fit the point budget
+                add(glued)
+                if targets and targets <= found:
+                    target_at = j + 1
+        done = min(cap_at, target_at)
+        fusion_ops += done
+        if done < total:
+            stop_reason = "fusion_cap" if cap_at <= target_at else "targets_found"
             break
-        fusion_ops += 1
-        glued, _ = glue(a, b, c)
-        if glued not in stored:  # glued words fit the point budget
-            add(glued)
 
     return ClosureSet(
         generators=gens,
@@ -238,6 +371,6 @@ def generate_closure(
         intermediate_budget=ib,
         words=frozenset(stored),
         oversized_words=frozenset(big),
-        saturated=not stopped_early,
+        stop_reason=stop_reason,
         fusion_ops=fusion_ops,
     )

@@ -28,6 +28,8 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import CoverageError, OverlapError, ParseError, PointRangeError
 
 UPPER = "u"
@@ -109,6 +111,73 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
             x = parent[x]
         out.append(first.setdefault(x, len(first)))
     return tuple(out), merges
+
+
+GLUE_CHUNK_CELLS = 1 << 14  # label cells per chunk of :func:`glue_rows`
+
+
+def _first_kept(words: np.ndarray, start: int, stop: int, shift: int, spare: int) -> np.ndarray:
+    """Per word and label x (columns): ``shift + j`` for the first position
+    ``start <= j < stop`` that holds x, else the unique ``spare + x``."""
+    labels = np.arange(words.shape[1])
+    if start == stop:
+        return np.broadcast_to(spare + labels, words.shape)
+    hits = words[:, None, start:stop] == labels[None, :, None]
+    return np.where(hits.any(axis=2), shift + hits.argmax(axis=2), spare + labels)
+
+
+def glue_rows(firsts: np.ndarray, seconds: np.ndarray, c: int) -> np.ndarray:
+    """``glue(a, b, c)[0]`` for every row a of ``firsts`` and b of ``seconds``.
+
+    Both stacks hold normalized words as rows, all of one length per stack.
+    Returns the glued words as the rows of one array, of width
+    ``|a| + |b| - 2c``: row ``s * len(firsts) + r`` glues ``firsts[r]`` to
+    ``seconds[s]``.  The work runs in chunks of whole ``seconds`` rows of at
+    most ``GLUE_CHUNK_CELLS`` label cells (one chunk holds at least one row).
+
+    Every block is keyed by its first surviving point, so the seam unions
+    keep the least key of the two blocks and the key of each surviving point
+    says at once whether it opens a block of the result.
+    """
+    (r_count, m), (s_count, n) = firsts.shape, seconds.shape
+    size, k = m + n, m + n - 2 * c
+    out = np.empty((s_count * r_count, k), np.min_scalar_type(max(k - 1, 0)))
+    if not out.size:
+        return out
+    # a label x sits in row x of the key table, b label y in row m + y; a
+    # key is a position of the result or, for a block that loses all its
+    # points, a spare value from k upwards
+    dtype = np.min_scalar_type(k + size)
+    key_a = _first_kept(firsts, 0, m - c, 0, k).T
+    label_a = firsts.T.astype(np.intp)
+    seam_a = label_a[m - c :][::-1, None, :]
+    positions = np.arange(k)[:, None]
+    step = max(1, GLUE_CHUNK_CELLS // (r_count * size))
+    for s0 in range(0, s_count, step):
+        b = seconds[s0 : s0 + step]
+        # the key table is (label, s, r) for a[r] glued to b[s]; its flat
+        # index is label * width + cell
+        width = len(b) * r_count
+        cell = np.arange(width).reshape(len(b), r_count)
+        table = np.empty((size, len(b), r_count), dtype)
+        table[:m] = key_a[:, None, :]
+        table[m:] = _first_kept(b, c, n, m - c, k + m).T[:, :, None]
+        # views: keys for the elementwise work, flat for the gathers
+        keys, flat = table.reshape(size, width), table.reshape(-1)
+        label_b = b.T.astype(np.intp)[:, :, None] + m
+        seam_x = (seam_a * width + cell).reshape(c, width)
+        seam_y = (label_b[:c] * width + cell).reshape(c, width)
+        for i in range(c):
+            x, y = flat[seam_x[i]], flat[seam_y[i]]
+            low, high = np.minimum(x, y), np.maximum(x, y)
+            keys -= (keys == high) * (high - low)
+        kept = np.concatenate(
+            (flat[label_a[: m - c, None, :] * width + cell], flat[label_b[c:] * width + cell])
+        ).reshape(k, width)
+        rank = np.cumsum(kept == positions, axis=0, dtype=dtype) - dtype.type(1)
+        glued = rank.reshape(-1)[kept.astype(np.intp) * width + cell.reshape(-1)]
+        out[s0 * r_count : s0 * r_count + width] = glued.T
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from partcat.catalog import (
 )
 from partcat.classify import classify_classical, classify_easy, classify_noncrossing
 from partcat.closure import Containment, generate_closure
-from partcat.errors import BudgetError, NotNoncrossingError
+from partcat.errors import BadParamError, BudgetError, NotNoncrossingError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
     glue,
@@ -139,6 +139,34 @@ def test_dump_lines_sorted():
     lines = c.dump_lines()
     assert lines == sorted(lines)
     assert "P(0,2): l1,l2" in lines
+    c = generate_closure([singleton()], 6, 12)
+    assert c.dump_lines() == [str(p) for p in c.element_partitions()]
+
+
+def test_negative_fusion_cap_is_refused():
+    with pytest.raises(BadParamError):
+        generate_closure([singleton()], 6, 12, max_fusion_ops=-3)
+    # refused before any work, for noncrossing generators too
+    for gens in ([crossing()], [four_block()]):
+        with pytest.raises(BadParamError):
+            classify_easy(gens, max_fusion_ops=-1)
+    assert generate_closure([singleton()], 6, 12, max_fusion_ops=0).fusion_ops == 0
+
+
+def test_stop_reason_names_each_stop():
+    c = generate_closure([four_block()], 6, 12)
+    assert (c.stop_reason, c.saturated) == ("saturated", True)
+    c = generate_closure([four_block()], 8, 16, stop_when=[four_block()])
+    assert (c.stop_reason, c.saturated) == ("targets_found", False)
+    c = generate_closure([singleton()], 8, 16, max_fusion_ops=200)
+    assert (c.stop_reason, c.saturated, c.fusion_ops) == ("fusion_cap", False, 200)
+    # both stops due at the same glue: the cap is named
+    c = generate_closure([four_block()], 8, 16, stop_when=[four_block()], max_fusion_ops=0)
+    assert (c.stop_reason, c.fusion_ops) == ("fusion_cap", 0)
+    # a cap reached by the last glue leaves nothing to stop
+    full = generate_closure([singleton()], 4, 8)
+    last = generate_closure([singleton()], 4, 8, max_fusion_ops=full.fusion_ops)
+    assert last.stop_reason == "saturated"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +231,29 @@ def test_glue_is_iterated_seam_contraction():
             for c in range(1, min(len(a), len(b)) + 1):
                 expected = _contract(expected, len(a) - c)
                 assert glue(a, b, c)[0] == expected, (a, b, c)
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 64, None])
+def test_glue_rows_matches_glue(monkeypatch, chunk_cells):
+    # every pair of words of up to 5 points, the empty word included, at
+    # every width; one cell per chunk puts each second operand in a chunk
+    # of its own, 64 cells split the larger stacks unevenly
+    import numpy as np
+
+    from partcat import partition
+
+    if chunk_cells is not None:
+        monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", chunk_cells)
+    words = {n: list(iter_words(n)) for n in range(6)}
+    stacks = {n: np.array(ws, dtype=np.uint8).reshape(len(ws), n) for n, ws in words.items()}
+    for m, firsts in words.items():
+        for n, seconds in words.items():
+            for c in range(min(m, n) + 1):
+                rows = partition.glue_rows(stacks[m], stacks[n], c)
+                assert rows.shape == (len(firsts) * len(seconds), m + n - 2 * c)
+                got = [tuple(row) for row in rows.tolist()]
+                want = [glue(a, b, c)[0] for b in seconds for a in firsts]
+                assert got == want, (m, n, c)
 
 
 def test_glue_in_either_order_agrees_up_to_shift():
@@ -481,6 +532,11 @@ def test_engine_matches_sequential_reference_under_every_small_cap():
     # different places inside one representative's pairings
     for cap in range(401):
         _assert_same_run([singleton()], 6, 12, max_fusion_ops=cap)
+    # here one batch finds a new word more than once; the engine must add
+    # it at its first glue (caps 27, 52 and 67-72 tell the first from the
+    # last)
+    for cap in range(101):
+        _assert_same_run(catalog_entry("S").generators, 6, 12, max_fusion_ops=cap)
 
 
 def test_engine_matches_sequential_reference_on_target_stops():
