@@ -1,5 +1,6 @@
 import pytest
 
+import closure_reference
 from partcat.catalog import (
     FREE_NAMES,
     block,
@@ -500,8 +501,6 @@ def test_worklist_matches_reference_on_random_generator_sets():
 
 
 def _assert_same_run(generators, point_budget, intermediate_budget, **options):
-    import closure_reference
-
     got = generate_closure(generators, point_budget, intermediate_budget, **options)
     want = closure_reference.generate_closure(
         generators, point_budget, intermediate_budget, **options
