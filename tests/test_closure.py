@@ -255,6 +255,14 @@ def test_glue_rows_matches_glue(monkeypatch, chunk_cells):
                 got = [tuple(row) for row in rows.tolist()]
                 want = [glue(a, b, c)[0] for b in seconds for a in firsts]
                 assert got == want, (m, n, c)
+    # words too long for one-byte labels
+    import random
+
+    rng = random.Random(7)
+    long = [normalize_word(rng.randrange(40) for _ in range(n)) for n in (130, 140, 140)]
+    for c in (0, 5, 130):
+        rows = partition.glue_rows(np.array(long[:1]), np.array(long[1:]), c)
+        assert [tuple(row) for row in rows.tolist()] == [glue(long[0], b, c)[0] for b in long[1:]]
 
 
 def test_glue_in_either_order_agrees_up_to_shift():
