@@ -19,6 +19,9 @@ H3 = "P(0,6): l1,l3,l5; l2,l4,l6"
 
 CYCLE_ERROR = "error: cyclic rotation needs a one-row partition\n"
 
+# two-digit indices: from 10 on, text order is not numeric order
+TWO_DIGIT = "P(11,10): u11,l10; u1,u10; l1,l2; u2,l3,l4; u3; u4,u5,u6,u7,u8,u9,l5,l6,l7,l8,l9"
+
 VERBATIM = [
     (
         ("classify", "--gen", FOUR_BLOCK),
@@ -63,6 +66,12 @@ VERBATIM = [
     (("op", "rotate", TWO_ROW, "cycle-right"), "", 2, CYCLE_ERROR),
     (("op", "rotate", ONE_ROW, "cycle-left"), "P(0,5): l1,l4; l2,l5; l3\n", 0, ""),
     (("op", "rotate", ONE_ROW, "cycle-right"), "P(0,5): l1,l3; l2,l4; l5\n", 0, ""),
+    (
+        ("parse", TWO_DIGIT),
+        "P(11,10): u1,u10; u2,l3,l4; u3; u4,u5,u6,u7,u8,u9,l5,l6,l7,l8,l9; u11,l10; l1,l2\n",
+        0,
+        "",
+    ),
 ]
 
 DIGESTS = [
@@ -95,6 +104,12 @@ DIGESTS = [
         ("--seed", "1", "verify-tp", "--rep", "orthogonal-sample", "--n", "3", "--points", "4"),
         104,
         "b959bb478a83fbc3a3b91491bedf321912ab5805a5939dfee5a5ac87ca6ad98a",
+        "",
+    ),
+    (
+        ("enumerate", "--category", "O+", "--points", "10"),
+        42,
+        "e3cc62a3ba073773df2d536a8e35a598a5c6634e5c9c1396d5a820cea70eab2c",
         "",
     ),
 ]
