@@ -19,7 +19,6 @@ from .partition import (
     block_profile,
     canonical_text,
     is_noncrossing,
-    linearize,
     make_partition,
     parse_partition,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "generate_closure",
     "involute",
     "is_noncrossing",
-    "linearize",
     "make_partition",
     "moments_from_cumulants",
     "named_partition",

@@ -15,7 +15,7 @@ from . import linmap as lm
 from . import moments as mo
 from .classify import classify_easy, classify_noncrossing
 from .closure import Containment, generate_closure
-from .ops import enumerate_all
+from .ops import enumerate_upto
 from .partition import Partition
 
 
@@ -293,14 +293,6 @@ _DICTIONARY = (
 )
 
 
-def _all_partitions_upto(total: int) -> list[Partition]:
-    out = []
-    for n in range(total + 1):
-        for k in range(n + 1):
-            out.extend(enumerate_all(k, n - k))
-    return out
-
-
 def criterion_9(seed: int = 0) -> CriterionResult:
     """Partition/relation dictionary against concrete groups.
 
@@ -309,7 +301,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
     """
     t0 = time.time()
     failures = []
-    upto6 = _all_partitions_upto(6)
+    upto6 = enumerate_upto(6)
     for name, kind in _DICTIONARY:
         pred = cat.category_predicate(name)
         members = [p for p in upto6 if pred(p)]
@@ -318,7 +310,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
         bad = [p for p, ok in table.items() if not ok]
         if bad:
             failures.append(f"{name}/{kind}: {len(bad)} members fail, e.g. {bad[0]}")
-    upto4 = _all_partitions_upto(4)
+    upto4 = enumerate_upto(4)
     for name, kind in (("S", lm.KIND_SYMMETRIC), ("H", lm.KIND_HYPEROCTAHEDRAL)):
         pred = cat.category_predicate(name)
         nonmembers = [p for p in upto4 if not pred(p)]
@@ -337,7 +329,7 @@ def criterion_10() -> CriterionResult:
     """T_q T_p = n^loops T_{composite} for all composable pairs up to 4 points each."""
     t0 = time.time()
     failures = []
-    upto4 = _all_partitions_upto(4)
+    upto4 = enumerate_upto(4)
     by_upper: dict[int, list[Partition]] = {}
     for q in upto4:
         by_upper.setdefault(q.upper_count, []).append(q)

@@ -24,6 +24,7 @@ from .partition import (
     Word,
     lower,
     make_partition,
+    sorted_partitions,
     upper,
     word_noncrossing,
 )
@@ -136,8 +137,7 @@ def named_partition(name: str, *params: int) -> Partition:
 #
 # One rule table on boundary words: a named category asks for noncrossing
 # words or not, plus a block rule.  Block sizes are label counts; the mark of
-# walk position i is plus for even i and minus for odd i (see
-# partition.linearize).
+# walk position i is plus for even i and minus for odd i.
 
 Predicate = Callable[[Partition], bool]
 WordRule = Callable[[Word], bool]
@@ -322,13 +322,8 @@ def enumerate_category(
     """All members of the category in P(0, total_points), canonical order."""
     noncrossing, rule = word_rule(name)
     check_enumeration_cap(total_points, cap)
-    parts = [
-        Partition(0, total_points, w)
-        for w in iter_words(total_points, noncrossing)
-        if rule(w)
-    ]
-    parts.sort(key=str)
-    return parts
+    words = (w for w in iter_words(total_points, noncrossing) if rule(w))
+    return sorted_partitions(0, total_points, words)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import moments as mo
 from .classify import classify_easy
 from .closure import generate_closure
 from .errors import BudgetError, CapExceededError, MemoryCapError, PartcatError
-from .ops import Rotation, compose, enumerate_all, involute, rotate, tensor
+from .ops import Rotation, compose, enumerate_upto, involute, rotate, tensor
 from .partition import canonical_text, parse_partition
 
 _LAWS = {
@@ -128,10 +128,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify_tp(args: argparse.Namespace, seed: int) -> int:
     rep = lm.classical_rep(args.rep, args.n, sample_count=args.samples, seed=seed)
     lm.check_tensor_cap(args.n, args.points)
-    partitions = []
-    for total in range(args.points + 1):
-        for k in range(total + 1):
-            partitions.extend(enumerate_all(k, total - k))
+    partitions = enumerate_upto(args.points)
     table = lm.intertwiner_table(rep, partitions)
     for p in partitions:
         print(f"{'pass' if table[p] else 'fail'}  {canonical_text(p)}")

@@ -53,6 +53,7 @@ from .partition import (
     glue_rows,
     normalize_word,
     partition_from_word,
+    sorted_partitions,
 )
 
 DEFAULT_POINT_BUDGET = 8
@@ -226,22 +227,12 @@ class ClosureSet:
     def members(self, upper_count: int, lower_count: int) -> list[Partition]:
         """All stored elements of shape P(upper_count, lower_count)."""
         n = upper_count + lower_count
-        found = [
-            partition_from_word(w, upper_count, lower_count)
-            for w in self.words
-            if len(w) == n
-        ]
-        found.sort(key=str)
-        return found
-
-    def element_partitions(self) -> list[Partition]:
-        """The one-row forms of all stored elements, sorted by text."""
-        out = [partition_from_word(w) for w in self.words]
-        out.sort(key=str)
-        return out
+        return sorted_partitions(
+            upper_count, lower_count, (w for w in self.words if len(w) == n)
+        )
 
     def dump_lines(self) -> list[str]:
-        """The texts of :meth:`element_partitions`, each rendered once."""
+        """The texts of the one-row forms of all stored elements, sorted."""
         return sorted(canonical_text(partition_from_word(w)) for w in self.words)
 
 

@@ -34,6 +34,7 @@ from .partition import (
     glue,
     make_partition,
     partition_from_word,
+    sorted_partitions,
     word_noncrossing,
 )
 
@@ -177,6 +178,11 @@ def enumerate_all(
     """
     n = upper_count + lower_count
     check_enumeration_cap(n, cap)
-    parts = [Partition(upper_count, lower_count, w) for w in iter_words(n, noncrossing_only)]
-    parts.sort(key=str)
-    return parts
+    return sorted_partitions(upper_count, lower_count, iter_words(n, noncrossing_only))
+
+
+def enumerate_upto(total_points: int) -> list[Partition]:
+    """Every partition of every shape with at most ``total_points`` points,
+    by point count, then upper count, then text."""
+    shapes = [(k, n - k) for n in range(total_points + 1) for k in range(n + 1)]
+    return [p for k, l in shapes for p in enumerate_all(k, l)]

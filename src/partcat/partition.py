@@ -13,9 +13,11 @@ lines cross; a rotation is a cyclic shift of the word and an involution its
 reversal; composition and the tensor product are one gluing of words
 (:func:`glue`).
 
-:class:`Point` and the canonical block list are derived from the word.  They
-serve the text format (:func:`parse_partition`, :func:`canonical_text`) and
-the validation of user input in :func:`make_partition`.
+Text, order and :attr:`Partition.blocks` come from the word too: one walk
+(:func:`_group_blocks`) groups it by block in the canonical point order
+u1..uk, l1..ll, where u_i sits at walk position k - i and l_j at k + j - 1.
+:class:`Point` serves to validate input in :func:`make_partition`; no text
+or listing builds one, and only :attr:`Partition.blocks` still hands them out.
 
 Partitions are immutable; all functions return fresh values.
 """
@@ -26,6 +28,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -34,9 +37,6 @@ from .errors import CoverageError, OverlapError, ParseError, PointRangeError
 
 UPPER = "u"
 LOWER = "l"
-
-PLUS = "+"
-MINUS = "-"
 
 _SHOWN_UNCOVERED = 8  # uncovered points named in a coverage error
 
@@ -202,25 +202,25 @@ class Partition:
 
     @cached_property
     def blocks(self) -> tuple[tuple[Point, ...], ...]:
-        """The blocks as points, in canonical form, for text output.
+        """The blocks as points, in canonical form.
 
         Inside a block, points are sorted upper-before-lower and left to
         right; blocks are sorted by their least point.
         """
-        k, w = self.upper_count, self.word
-        # visit the points in canonical order; u_i sits at walk position k - i
-        groups: dict[int, list[Point]] = {}
-        for i in range(1, k + 1):
-            groups.setdefault(w[k - i], []).append(Point(UPPER, i))
-        for j in range(1, self.lower_count + 1):
-            groups.setdefault(w[k + j - 1], []).append(Point(LOWER, j))
-        return tuple(map(tuple, groups.values()))
+        k, l = self.upper_count, self.lower_count
+        points = [upper(i) for i in range(1, k + 1)] + [lower(j) for j in range(1, l + 1)]
+        return tuple(map(tuple, _group_blocks(k, self.word, points)))
 
     def __str__(self) -> str:
         return canonical_text(self)
 
     def __repr__(self) -> str:
         return f"Partition({canonical_text(self)!r})"
+
+
+def _check_shape(upper_count: int, lower_count: int) -> None:
+    if upper_count < 0 or lower_count < 0:
+        raise PointRangeError("row sizes must be nonnegative")
 
 
 def make_partition(
@@ -232,29 +232,31 @@ def make_partition(
 
     Raises OverlapError / CoverageError / PointRangeError when the blocks are
     not a partition of the declared point set.  Empty input blocks are
-    dropped.  P(0, 0) with no blocks is legal.
+    dropped.  P(0, 0) with no blocks is legal.  The work is bounded by the
+    size of ``blocks``, not by the declared shape.
     """
-    if upper_count < 0 or lower_count < 0:
-        raise PointRangeError("row sizes must be nonnegative")
-    label: dict[Point, int] = {}
+    k, l = upper_count, lower_count
+    _check_shape(k, l)
+    label: dict[int, int] = {}  # walk position -> input block
     for b, raw_block in enumerate(blocks):
         for raw in raw_block:
             pt = Point(*raw)
-            limit = upper_count if pt.row == UPPER else lower_count
+            limit = k if pt.row == UPPER else l
             if pt.row not in (UPPER, LOWER) or not 1 <= pt.index <= limit:
-                raise PointRangeError(f"point {pt} outside P({upper_count},{lower_count})")
-            if pt in label:
+                raise PointRangeError(f"point {pt} outside P({k},{l})")
+            position = k - pt.index if pt.row == UPPER else k + pt.index - 1
+            if position in label:
                 raise OverlapError(f"point {pt} appears in two blocks")
-            label[pt] = b
-    walk = boundary_order(upper_count, lower_count)
-    uncovered = len(walk) - len(label)
+            label[position] = b
+    uncovered = k + l - len(label)
     if uncovered:
-        # name only the first few, in the order u1..uk, l1..ll
-        points = chain(reversed(walk[:upper_count]), walk[upper_count:])
-        shown = list(islice((pt for pt in points if pt not in label), _SHOWN_UNCOVERED))
+        # name only the first few, in canonical point order u1..uk, l1..ll
+        order = chain(range(k - 1, -1, -1), range(k, k + l))
+        missing = islice((i for i in order if i not in label), _SHOWN_UNCOVERED)
+        shown = [f"u{k - i}" if i < k else f"l{i - k + 1}" for i in missing]
         more = f", ... ({uncovered} in all)" if uncovered > len(shown) else ""
-        raise CoverageError(f"points not covered: {', '.join(map(str, shown))}{more}")
-    return Partition(upper_count, lower_count, normalize_word(label[pt] for pt in walk))
+        raise CoverageError(f"points not covered: {', '.join(shown)}{more}")
+    return Partition(k, l, normalize_word(label[i] for i in range(k + l)))
 
 
 _HEAD_RE = re.compile(r"\s*P\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*:(.*)", re.DOTALL)
@@ -288,31 +290,40 @@ def parse_partition(text: str) -> Partition:
     return make_partition(k, l, blocks)
 
 
+def _group_blocks(k: int, word: Word, points: list) -> list[list]:
+    """The one walk: group ``points``, given in canonical point order
+    u1..uk, l1..ll, by block, blocks in the order of their least point."""
+    groups: dict[int, list] = {}
+    for x, pt in zip(word[:k][::-1] + word[k:], points):
+        groups.setdefault(x, []).append(pt)
+    return list(groups.values())
+
+
+def _codes(k: int, l: int) -> list[str]:
+    return [f"u{i}" for i in range(1, k + 1)] + [f"l{j}" for j in range(1, l + 1)]
+
+
+def _text(k: int, l: int, word: Word, codes: list[str]) -> str:
+    body = "; ".join(map(",".join, _group_blocks(k, word, codes)))
+    return f"P({k},{l}): {body}" if body else f"P({k},{l}):"
+
+
 def canonical_text(p: Partition) -> str:
     """Deterministic text form; equal partitions give identical text."""
-    head = f"P({p.upper_count},{p.lower_count}):"
-    if not p.blocks:
-        return head
-    body = "; ".join(",".join(str(pt) for pt in block) for block in p.blocks)
-    return f"{head} {body}"
+    k, l = p.upper_count, p.lower_count
+    return _text(k, l, p.word, _codes(k, l))
 
 
-def boundary_order(upper_count: int, lower_count: int) -> list[Point]:
-    """The boundary walk u_k, ..., u_1, l_1, ..., l_l."""
-    walk = [Point(UPPER, i) for i in range(upper_count, 0, -1)]
-    walk += [Point(LOWER, j) for j in range(1, lower_count + 1)]
-    return walk
-
-
-def linearize(p: Partition) -> tuple[tuple[Point, ...], tuple[str, ...]]:
-    """Boundary walk plus alternating marks, starting with ``+``.
-
-    The walk starts at the top-right point (or l1 when there is no upper
-    row); marks strictly alternate ``+ - + -`` along it.
-    """
-    walk = boundary_order(p.upper_count, p.lower_count)
-    marks = tuple(PLUS if i % 2 == 0 else MINUS for i in range(len(walk)))
-    return tuple(walk), marks
+def sorted_partitions(upper_count: int, lower_count: int, words: Iterable[Word]) -> list[Partition]:
+    """The partitions of P(upper_count, lower_count) with the given
+    normalized words, sorted by canonical text.  The row counts are checked
+    before any word is read."""
+    k, l = upper_count, lower_count
+    _check_shape(k, l)
+    codes = _codes(k, l)
+    keyed = [(_text(k, l, w, codes), Partition(k, l, w)) for w in words]
+    keyed.sort(key=itemgetter(0))
+    return [p for _, p in keyed]
 
 
 def word_noncrossing(word: Word) -> bool:
@@ -358,8 +369,7 @@ def partition_from_word(
     word = normalize_word(word)
     if lower_count is None:
         lower_count = len(word) - upper_count
-    if upper_count < 0 or lower_count < 0:
-        raise PointRangeError("row sizes must be nonnegative")
+    _check_shape(upper_count, lower_count)
     if upper_count + lower_count != len(word):
         raise PointRangeError("word length does not match the requested shape")
     return Partition(upper_count, lower_count, word)
@@ -367,7 +377,7 @@ def partition_from_word(
 
 @dataclass(frozen=True)
 class BlockProfile:
-    """Block statistics, with plus/minus counts taken from :func:`linearize`.
+    """Block statistics; walk position i has mark ``+`` iff i is even.
 
     ``signed_counts`` lists the blocks in label order, that is by their first
     point along the boundary walk.

@@ -1,12 +1,13 @@
-"""Block-and-point implementations of the category operations, the catalog
-predicates, the intertwiner matrix and the dense intertwiner check, kept only
-as a reference for tests.
+"""Block-and-point implementations of the canonical text, the category
+operations, the catalog predicates, the intertwiner matrix and the dense
+intertwiner check, kept only as a reference for tests.
 
-The package computes all of these on boundary words.  The versions here read
-``Partition.blocks`` and move ``Point``s, as the package did before the word
-became its one representation, and rebuild partitions through the validating
-``make_partition``.  The crossing test is an independent brute force over
-four walk positions.
+The package computes all of these on boundary words.  The versions here walk
+the boundary as a list of ``Point``s, sort the canonical block form out of it
+by its definition, and move ``Point``s, as the package did before the word
+became its one representation; they rebuild partitions through the
+validating ``make_partition``.  The crossing test is an independent brute
+force over four walk positions.
 """
 
 from __future__ import annotations
@@ -16,16 +17,33 @@ import itertools
 import numpy as np
 
 from partcat.ops import ComposeResult, Rotation
-from partcat.partition import (
-    LOWER,
-    MINUS,
-    PLUS,
-    UPPER,
-    Partition,
-    Point,
-    linearize,
-    make_partition,
-)
+from partcat.partition import LOWER, UPPER, Partition, Point, make_partition
+
+
+def walk(p: Partition) -> list[Point]:
+    """The boundary walk u_k, ..., u_1, l_1, ..., l_l, one point per letter."""
+    uppers = [Point(UPPER, i) for i in range(p.upper_count, 0, -1)]
+    return uppers + [Point(LOWER, j) for j in range(1, p.lower_count + 1)]
+
+
+def _point_key(pt: Point) -> tuple[bool, int]:
+    return pt.row != UPPER, pt.index
+
+
+def blocks(p: Partition) -> tuple[tuple[Point, ...], ...]:
+    """The canonical block form: points upper-before-lower and left to right
+    inside a block, blocks sorted by their least point."""
+    by_label: dict[int, list[Point]] = {}
+    for pt, x in zip(walk(p), p.word):
+        by_label.setdefault(x, []).append(pt)
+    inner = (tuple(sorted(b, key=_point_key)) for b in by_label.values())
+    return tuple(sorted(inner, key=lambda b: _point_key(b[0])))
+
+
+def canonical_text(p: Partition) -> str:
+    head = f"P({p.upper_count},{p.lower_count}):"
+    body = "; ".join(",".join(f"{pt.row}{pt.index}" for pt in b) for b in blocks(p))
+    return f"{head} {body}" if body else head
 
 
 def tensor(p: Partition, q: Partition) -> Partition:
@@ -34,12 +52,12 @@ def tensor(p: Partition, q: Partition) -> Partition:
             Point(pt.row, pt.index + (p.upper_count if pt.row == UPPER else p.lower_count))
             for pt in block
         ]
-        for block in q.blocks
+        for block in blocks(q)
     ]
     return make_partition(
         p.upper_count + q.upper_count,
         p.lower_count + q.lower_count,
-        list(p.blocks) + shifted,
+        list(blocks(p)) + shifted,
     )
 
 
@@ -67,10 +85,10 @@ def compose(p: Partition, q: Partition) -> ComposeResult:
     def q_node(pt: Point) -> int:
         return k + pt.index - 1 if pt.row == UPPER else k + mid + pt.index - 1
 
-    for block in p.blocks:
+    for block in blocks(p):
         for pt in block[1:]:
             union(p_node(block[0]), p_node(pt))
-    for block in q.blocks:
+    for block in blocks(q):
         for pt in block[1:]:
             union(q_node(block[0]), q_node(pt))
 
@@ -89,7 +107,7 @@ def compose(p: Partition, q: Partition) -> ComposeResult:
 def involute(p: Partition) -> Partition:
     flipped = [
         [Point(LOWER if pt.row == UPPER else UPPER, pt.index) for pt in block]
-        for block in p.blocks
+        for block in blocks(p)
     ]
     return make_partition(p.lower_count, p.upper_count, flipped)
 
@@ -129,7 +147,7 @@ def rotate(p: Partition, where: Rotation) -> Partition:
     else:
         move = {Point(LOWER, l): Point(UPPER, k + 1)}
         new_k, new_l = k + 1, l - 1
-    moved = [[move.get(pt, pt) for pt in block] for block in p.blocks]
+    moved = [[move.get(pt, pt) for pt in block] for block in blocks(p)]
     return make_partition(new_k, new_l, moved)
 
 
@@ -139,9 +157,8 @@ def rotate(p: Partition, where: Rotation) -> Partition:
 
 def noncrossing(p: Partition) -> bool:
     """No walk positions a < b < c < d with a, c in one block, b, d in another."""
-    walk, _ = linearize(p)
-    block_of = {pt: i for i, blk in enumerate(p.blocks) for pt in blk}
-    labels = [block_of[pt] for pt in walk]
+    block_of = {pt: i for i, blk in enumerate(blocks(p)) for pt in blk}
+    labels = [block_of[pt] for pt in walk(p)]
     for a, b, c, d in itertools.combinations(range(len(labels)), 4):
         if labels[a] == labels[c] != labels[b] == labels[d]:
             return False
@@ -149,39 +166,36 @@ def noncrossing(p: Partition) -> bool:
 
 
 def signed_counts(p: Partition) -> list[tuple[int, int]]:
-    walk, marks = linearize(p)
-    mark_of = dict(zip(walk, marks))
+    """(plus, minus) per block; marks alternate + - + - along the walk."""
+    plus = set(walk(p)[::2])
     return [
-        (
-            sum(1 for pt in block if mark_of[pt] == PLUS),
-            sum(1 for pt in block if mark_of[pt] == MINUS),
-        )
-        for block in p.blocks
+        (sum(1 for pt in block if pt in plus), sum(1 for pt in block if pt not in plus))
+        for block in blocks(p)
     ]
 
 
 def _sizes_at_most_two(p: Partition) -> bool:
-    return all(len(b) <= 2 for b in p.blocks)
+    return all(len(b) <= 2 for b in blocks(p))
 
 
 def _all_pairs(p: Partition) -> bool:
-    return all(len(b) == 2 for b in p.blocks)
+    return all(len(b) == 2 for b in blocks(p))
 
 
 def _all_even(p: Partition) -> bool:
-    return all(len(b) % 2 == 0 for b in p.blocks)
+    return all(len(b) % 2 == 0 for b in blocks(p))
 
 
 def _even_odd_blocks(p: Partition) -> bool:
-    return sum(1 for b in p.blocks if len(b) % 2) % 2 == 0
+    return sum(1 for b in blocks(p) if len(b) % 2) % 2 == 0
 
 
 def _even_singletons(p: Partition) -> bool:
-    return sum(1 for b in p.blocks if len(b) == 1) % 2 == 0
+    return sum(1 for b in blocks(p) if len(b) == 1) % 2 == 0
 
 
 def _pairs_balanced(p: Partition) -> bool:
-    for block, (plus, minus) in zip(p.blocks, signed_counts(p)):
+    for block, (plus, minus) in zip(blocks(p), signed_counts(p)):
         if len(block) == 2 and not (plus == 1 and minus == 1):
             return False
     return True
@@ -225,10 +239,10 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
     lower_weight = [n ** (l - a - 1) for a in range(l)]
     block_cols = []
     block_rows = []
-    for blk in p.blocks:
+    for blk in blocks(p):
         block_cols.append(sum(upper_weight[pt.index - 1] for pt in blk if pt.row == UPPER))
         block_rows.append(sum(lower_weight[pt.index - 1] for pt in blk if pt.row == LOWER))
-    for values in itertools.product(range(n), repeat=len(p.blocks)):
+    for values in itertools.product(range(n), repeat=len(blocks(p))):
         col = sum(v * w for v, w in zip(values, block_cols))
         row = sum(v * w for v, w in zip(values, block_rows))
         mat[row, col] = 1

@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from partcat.ops import enumerate_all
+from partcat.ops import enumerate_upto
 from partcat.partition import Partition, partition_from_word
 
 settings.register_profile("ci", derandomize=True)
@@ -26,8 +26,4 @@ def partitions(draw, max_points: int = 8) -> Partition:
 @pytest.fixture(scope="session")
 def all_upto_6() -> list[Partition]:
     """Every partition of every shape with at most 6 points."""
-    out = []
-    for n in range(7):
-        for k in range(n + 1):
-            out.extend(enumerate_all(k, n - k))
-    return out
+    return enumerate_upto(6)

@@ -29,6 +29,13 @@ def test_parse_uncovered_points_error_is_short(capsys):
     assert len(err) < 120
 
 
+def test_parse_huge_uncovered_shape_exits_with_error(capsys):
+    code, out, err = run(capsys, "parse", "P(1000000000,0): u1")
+    assert (code, out) == (2, [])
+    assert err.startswith("error: points not covered: u2, u3,")
+    assert err.endswith("(999999999 in all)\n")
+
+
 def test_op_compose_prints_result_and_loops(capsys):
     code, out, _ = run(capsys, "op", "compose", "P(0,2): l1,l2", "P(2,0): u1,u2")
     assert code == 0
@@ -76,6 +83,12 @@ def test_enumerate_category(capsys):
     code, out, _ = run(capsys, "enumerate", "--category", "O+", "--points", "4")
     assert code == 0
     assert out == ["P(0,4): l1,l2; l3,l4", "P(0,4): l1,l4; l2,l3"]
+
+
+def test_enumerate_negative_points_is_an_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--category", "S", "--points", "-1")
+    assert (code, out) == (2, [])
+    assert err == "error: row sizes must be nonnegative\n"
 
 
 def test_enumerate_no_predicate_is_an_error(capsys):
@@ -149,7 +162,7 @@ def test_verify_tp_over_the_byte_cap_exits_before_enumerating(capsys, monkeypatc
     def no_enumeration(*args):
         raise AssertionError("enumerated partitions before checking the cap")
 
-    monkeypatch.setattr(cli, "enumerate_all", no_enumeration)
+    monkeypatch.setattr(cli, "enumerate_upto", no_enumeration)
     for argv in (
         ("--n", "10", "--points", "8"),  # one vector of 8 * 10^8 bytes
         ("--n", "50000", "--points", "1"),  # 20 samples of 50000 x 50000

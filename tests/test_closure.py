@@ -141,7 +141,7 @@ def test_dump_lines_sorted():
     assert lines == sorted(lines)
     assert "P(0,2): l1,l2" in lines
     c = generate_closure([singleton()], 6, 12)
-    assert c.dump_lines() == [str(p) for p in c.element_partitions()]
+    assert c.dump_lines() == sorted(str(p) for n in range(7) for p in c.members(0, n))
 
 
 def test_negative_fusion_cap_is_refused():
@@ -305,7 +305,7 @@ def test_closure_elements_respect_every_covering_predicate():
     names = FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES
     for gens in generator_sets:
         c = generate_closure(gens, 6, 12)
-        elements = c.element_partitions()
+        elements = [partition_from_word(w) for w in c.words]
         for name in names:
             pred = category_predicate(name)
             if all(pred(g) for g in gens):
@@ -371,7 +371,7 @@ def test_block_extraction_lemma():
         c = generate_closure(entry.generators, 6, 12)
         has_singleton = c.contains(singleton()) is CONFIRMED
         has_double = c.contains(double_singleton()) is CONFIRMED
-        for p in c.element_partitions():
+        for p in map(partition_from_word, c.words):
             for blk in p.blocks:
                 standalone = block(len(blk))
                 if has_singleton:

@@ -6,6 +6,7 @@ from partcat.catalog import (
     block,
     crossing,
     double_singleton,
+    enumerate_category,
     four_block,
     pair_partition,
     positioner,
@@ -17,6 +18,7 @@ from partcat.errors import (
     CapExceededError,
     CycleOnTwoRowsError,
     EmptyRowError,
+    PointRangeError,
 )
 from partcat.ops import (
     EMPTY,
@@ -253,6 +255,14 @@ def test_enumerate_is_duplicate_free_and_sorted():
     texts = [str(p) for p in parts]
     assert texts == sorted(texts)
     assert len(set(texts)) == len(texts) == 15
+
+
+def test_enumerate_refuses_negative_rows():
+    for k, l in ((-1, 1), (3, -1)):
+        with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
+            enumerate_all(k, l)
+    with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
+        enumerate_category("S", -1)
 
 
 def test_enumerate_cap():

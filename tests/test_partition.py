@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given
 
 from conftest import partitions
+from partcat import partition
+from partcat.catalog import enumerate_category
+from partcat.closure import generate_closure
 from partcat.errors import CoverageError, OverlapError, ParseError, PointRangeError
 from partcat.partition import (
-    MINUS,
-    PLUS,
     block_profile,
     canonical_text,
     is_noncrossing,
-    linearize,
     lower,
     make_partition,
     parse_partition,
     partition_from_word,
+    sorted_partitions,
     upper,
 )
 from partcat.catalog import (
     crossing,
+    double_singleton,
     four_block,
     h_series,
     pair_partition,
@@ -64,6 +66,19 @@ def test_coverage_error_stays_short():
     assert len(message) < 100
     assert message.startswith("points not covered: u1, u2,")
     assert message.endswith("(100000 in all)")
+
+
+def test_coverage_error_is_bounded_by_the_input():
+    # naming the uncovered points walks only the labelled ones and the first
+    # few others, never the whole declared shape
+    with pytest.raises(CoverageError) as huge:
+        parse_partition("P(1000000000,0): u1")
+    assert str(huge.value) == (
+        "points not covered: u2, u3, u4, u5, u6, u7, u8, u9, ... (999999999 in all)"
+    )
+    with pytest.raises(CoverageError) as two_rows:
+        make_partition(3, 2, [[upper(2), lower(1)], [upper(1)]])
+    assert str(two_rows.value) == "points not covered: u3, l2"
 
 
 def test_parse_examples():
@@ -123,26 +138,44 @@ def test_parse_ignores_injected_whitespace(p, seed):
     assert parse_partition(mangled) == p
 
 
-def test_linearize_orders_and_marks():
-    pts, marks = linearize(four_block())
-    assert [str(x) for x in pts] == ["l1", "l2", "l3", "l4"]
-    assert marks == (PLUS, MINUS, PLUS, MINUS)
-
-    pts, marks = linearize(crossing())
-    assert [str(x) for x in pts] == ["u2", "u1", "l1", "l2"]
-    assert marks == (PLUS, MINUS, PLUS, MINUS)
-
-    pts, marks = linearize(make_partition(1, 0, [[upper(1)]]))
-    assert [str(x) for x in pts] == ["u1"]
-    assert marks == (PLUS,)
-
-
 @given(partitions(max_points=8))
 def test_mark_alternation(p):
-    _, marks = linearize(p)
-    assert all(a != b for a, b in zip(marks, marks[1:]))
-    balance = marks.count(PLUS) - marks.count(MINUS)
+    # marks alternate + - + - along the walk, so the plus points outnumber
+    # the minus points by the parity of the point count
+    signed = block_profile(p).signed_counts
+    balance = sum(plus for plus, _ in signed) - sum(minus for _, minus in signed)
     assert balance == (p.n_points % 2)
+
+
+def test_sorted_partitions_checks_the_shape_before_reading_words():
+    def unread():
+        raise AssertionError("a word was read")
+        yield ()
+
+    for k, l in ((-1, 1), (3, -1)):
+        with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
+            sorted_partitions(k, l, unread())
+    words = [(0, 1) + (0,) * 8, (0,) + (1,) * 8 + (0,)]
+    # text order, not numeric order: l10 sorts before l3
+    assert [str(p) for p in sorted_partitions(0, 10, words)] == [
+        "P(0,10): l1,l10; l2,l3,l4,l5,l6,l7,l8,l9",
+        "P(0,10): l1,l3,l4,l5,l6,l7,l8,l9,l10; l2",
+    ]
+
+
+def test_output_path_builds_no_point(monkeypatch):
+    c = generate_closure([double_singleton()], 4, 8)
+    p = crossing()
+
+    def no_point(*args):
+        raise AssertionError("a Point was built on the output path")
+
+    monkeypatch.setattr(partition, "Point", no_point)
+    assert canonical_text(p) == "P(2,2): u1,l2; u2,l1"
+    assert len(enumerate_all(2, 3)) == 52
+    assert len(enumerate_category("B", 4)) == 10
+    assert [str(q) for q in c.members(1, 1)] == ["P(1,1): u1,l1", "P(1,1): u1; l1"]
+    assert c.dump_lines()[:3] == ["P(0,0):", "P(0,2): l1,l2", "P(0,2): l1; l2"]
 
 
 def test_noncrossing_examples():

@@ -16,11 +16,32 @@ from partcat.catalog import (
     category_predicate,
 )
 from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
-from partcat.partition import block_profile, partition_from_word
+from partcat.partition import Partition, block_profile, canonical_text, partition_from_word
 
 
 def _by_size(n_max):
     return {n: [p for k in range(n + 1) for p in enumerate_all(k, n - k)] for n in range(n_max + 1)}
+
+
+def test_text_and_blocks_match_reference():
+    # every partition of every shape with up to 8 points
+    checked = 0
+    for n in range(9):
+        for w in iter_words(n):
+            for k in range(n + 1):
+                p = Partition(k, n - k, w)
+                assert canonical_text(p) == ref.canonical_text(p), (k, w)
+                assert p.blocks == ref.blocks(p), (k, w)
+                checked += 1
+    assert checked == 46_113
+
+
+@pytest.mark.parametrize("k,l", [(0, 11), (6, 5), (11, 0)])
+def test_enumerate_order_matches_reference(k, l):
+    # 11 points: index 10 and 11 sort between 1 and 2 in text order
+    got = enumerate_all(k, l, noncrossing_only=True)
+    assert len({p.word for p in got}) == 58_786  # Catalan(11)
+    assert got == sorted(got, key=ref.canonical_text)
 
 
 def test_unary_ops_match_reference(all_upto_6):
