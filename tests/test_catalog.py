@@ -205,6 +205,33 @@ def test_catalog_entry_lookup_and_series():
         catalog_entry("X+")
 
 
+_CLASSICAL_EDGES = [("O", "B'"), ("B'", "B"), ("B", "S"),
+                    ("O", "H"), ("H", "S'"), ("S'", "S"), ("B'", "S'")]
+
+
+def _reflexive_transitive(edges, names):
+    order = {(n, n) for n in names} | set(edges)
+    for via in names:
+        for a in names:
+            for b in names:
+                if (a, via) in order and (via, b) in order:
+                    order.add((a, b))
+    return order
+
+
+@pytest.mark.parametrize(
+    "names,order,edges",
+    [
+        (FREE_NAMES, FREE_INCLUSIONS, _FREE_EDGES),
+        (CLASSICAL_NAMES, CLASSICAL_INCLUSIONS, _CLASSICAL_EDGES),
+    ],
+    ids=["free", "classical"],
+)
+def test_inclusion_order_is_the_papers_hasse_diagram(names, order, edges):
+    # the Hasse diagrams of the free and classical worlds, typed from the paper
+    assert set(order) == _reflexive_transitive(edges, names)
+
+
 def test_inclusion_tables():
     assert included("O+", "S+", FREE_INCLUSIONS)
     assert not included("S+", "O+", FREE_INCLUSIONS)
