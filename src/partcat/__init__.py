@@ -4,7 +4,7 @@ Submodules:
 
 * ``partition``: the partition data type (shape + boundary word), text grammar
 * ``ops``      : tensor, composition with loop counting, involution, rotation
-* ``catalog``  : named partitions and category membership predicates
+* ``catalog``  : named partitions and the table of named categories
 * ``closure``  : bounded categorial hulls
 * ``classify`` : classification against the named categories
 * ``linmap``   : exact intertwiner matrices and concrete group checks

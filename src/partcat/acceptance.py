@@ -172,15 +172,6 @@ _THIRTEEN = (
     "B#*", "B#+",
 )
 
-_WORLD_OF = {
-    "O": "Classical6", "S": "Classical6", "B": "Classical6",
-    "S'": "Classical6", "B'": "Classical6",
-    "O+": "Free7", "S+": "Free7", "B+": "Free7",
-    "S'+": "Free7", "B'+": "Free7", "B#+": "Free7",
-    "O*": "HalfLib", "B#*": "HalfLib",
-}
-
-
 def _confirmed_only(result, needed: list[Partition]) -> list[str]:
     texts = {w for w, note in result.evidence if note == "Confirmed"}
     return [str(p) for p in needed if str(p) not in texts]
@@ -192,7 +183,7 @@ def criterion_5() -> CriterionResult:
     failures = []
     for name in _THIRTEEN:
         res = classify_easy(cat.catalog_entry(name).generators)
-        if res.category_name != name or res.world != _WORLD_OF[name]:
+        if res.category_name != name or res.world != cat.CATALOG[name].world:
             failures.append(f"{name}: classified as {res.world}/{res.category_name}")
     hl, fb = cat.half_lib(), cat.four_block()
     res = classify_easy([hl, fb, cat.h_series(3)])

@@ -1,24 +1,30 @@
-"""Named partitions and named categories with their membership predicates.
+"""Named partitions and the table of named categories.
 
-Category identifiers are stable text names used by the CLI and result files:
+``CATALOG`` is the one table of the named categories (Weber's
+classification).  Each row gives a category's name, its world, the
+generators it is known by, whether its members are noncrossing, and its
+block rule on boundary words:
 
-* free (noncrossing) world: ``O+ H+ S'+ S+ B#+ B'+ B+``
-* classical world:          ``O  H  S'  S  B'  B``
-* half-liberated world:     ``O* H* B#*``
-* parametrized series:      ``H^(s)`` and the category ``fatcross``
+* ``Free7``:      ``O+ H+ S'+ S+ B#+ B'+ B+``, noncrossing plus a block rule
+* ``Classical6``: ``O  H  S'  S  B'  B``, the same block rules with crossings
+* ``HalfLib``:    ``O* H* B#*``, crossings allowed and mark rules that bite
+* ``Series``:     ``fatcross`` and the parametrized ``H^(s)``, known by their
+  generators only
 
-The last two have generators but no closed membership predicate; asking for
-one raises NoPredicateError and membership questions go through the closure
-engine instead.
+Everything else is read from the table: ``word_rule`` and
+``category_predicate``, the name tuple of each world (in table order), and
+the inclusion orders of the free and classical worlds.  A category with no
+block rule has no predicate; asking for one raises NoPredicateError and
+membership questions go through the closure engine instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import BadParamError, NoPredicateError
-from .ops import ENUMERATION_CAP, check_enumeration_cap, iter_words
+from .ops import check_enumeration_cap, iter_words
 from .partition import (
     Partition,
     Word,
@@ -135,8 +141,7 @@ def named_partition(name: str, *params: int) -> Partition:
 # ---------------------------------------------------------------------------
 # membership predicates
 #
-# One rule table on boundary words: a named category asks for noncrossing
-# words or not, plus a block rule.  Block sizes are label counts; the mark of
+# Block rules on boundary words.  Block sizes are label counts; the mark of
 # walk position i is plus for even i and minus for odd i.
 
 Predicate = Callable[[Partition], bool]
@@ -192,98 +197,106 @@ def _b_sharp(w: Word) -> bool:
     return _b_prime(w) and _pairs_balanced(w)
 
 
-# name -> (members are noncrossing, block rule)
-_RULES: dict[str, tuple[bool, WordRule]] = {
-    # free world: noncrossing plus a block rule
-    "O+": (True, _all_pairs),
-    "H+": (True, _all_even),
-    "S'+": (True, _even_odd_blocks),
-    "S+": (True, _any),
-    "B#+": (True, _b_sharp),
-    "B'+": (True, _b_prime),
-    "B+": (True, _sizes_at_most_two),
-    # classical world: the same block rules, crossings allowed, no mark rule
-    "O": (False, _all_pairs),
-    "H": (False, _all_even),
-    "S'": (False, _even_odd_blocks),
-    "S": (False, _any),
-    "B'": (False, _b_prime),
-    "B": (False, _sizes_at_most_two),
-    # half-liberated world: crossings allowed, mark rules bite
-    "O*": (False, lambda w: _all_pairs(w) and _blocks_balanced(w)),
-    "H*": (False, lambda w: _all_even(w) and _blocks_balanced(w)),
-    "B#*": (False, _b_sharp),
-}
+def _balanced_pairs(w: Word) -> bool:
+    return _all_pairs(w) and _blocks_balanced(w)
 
 
-def word_rule(name: str) -> tuple[bool, WordRule]:
-    """Whether the category's members are noncrossing, and its block rule."""
-    if name in _RULES:
-        return _RULES[name]
-    if name in CATALOG or _series_param(name) is not None:
-        raise NoPredicateError(f"category {name!r} has no membership predicate")
-    raise BadParamError(f"unknown category {name!r}")
-
-
-def category_predicate(name: str) -> Predicate:
-    noncrossing, rule = word_rule(name)
-    if noncrossing:
-        return lambda p: word_noncrossing(p.word) and rule(p.word)
-    return lambda p: rule(p.word)
+def _balanced_even(w: Word) -> bool:
+    return _all_even(w) and _blocks_balanced(w)
 
 
 # ---------------------------------------------------------------------------
-# catalog table
+# the catalog table
 
-FREE_WORLD = "free"
-CLASSICAL_WORLD = "classical"
-HALF_LIBERATED_WORLD = "half-liberated"
-SERIES_WORLD = "hyperoctahedral-series"
+WORLD_FREE = "Free7"
+WORLD_CLASSICAL = "Classical6"
+WORLD_HALF_LIBERATED = "HalfLib"
+WORLD_SERIES = "Series"
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One named category: its generators, and its membership rule if any.
+
+    Members are the partitions whose word passes ``rule`` and, when
+    ``noncrossing`` is set, has no crossing.  ``rule`` is None for the
+    categories known only by their generators.
+    """
+
     name: str
     world: str
     generators: tuple[Partition, ...]
-    predicate: Predicate | None
+    noncrossing: bool = False
+    rule: WordRule | None = None
 
-
-def _entry(name: str, world: str, generators: Iterable[Partition]) -> CatalogEntry:
-    predicate = category_predicate(name) if name in _RULES else None
-    return CatalogEntry(name, world, tuple(generators), predicate)
+    @property
+    def predicate(self) -> Predicate | None:
+        rule = self.rule
+        if rule is None:
+            return None
+        if self.noncrossing:
+            return lambda p: word_noncrossing(p.word) and rule(p.word)
+        return lambda p: rule(p.word)
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:
     s, ss, fb, pos = singleton(), double_singleton(), four_block(), positioner()
     x, hl = crossing(), half_lib()
     entries = [
-        _entry("O+", FREE_WORLD, []),
-        _entry("H+", FREE_WORLD, [fb]),
-        _entry("S'+", FREE_WORLD, [ss, fb]),
-        _entry("S+", FREE_WORLD, [s, fb]),
-        _entry("B#+", FREE_WORLD, [ss]),
-        _entry("B'+", FREE_WORLD, [pos]),
-        _entry("B+", FREE_WORLD, [s]),
-        _entry("O", CLASSICAL_WORLD, [x]),
-        _entry("H", CLASSICAL_WORLD, [fb, x]),
-        _entry("S'", CLASSICAL_WORLD, [ss, fb, x]),
-        _entry("S", CLASSICAL_WORLD, [s, fb, x]),
-        _entry("B'", CLASSICAL_WORLD, [pos, x]),
-        _entry("B", CLASSICAL_WORLD, [s, x]),
-        _entry("O*", HALF_LIBERATED_WORLD, [hl]),
-        _entry("H*", HALF_LIBERATED_WORLD, [hl, fb]),
-        _entry("B#*", HALF_LIBERATED_WORLD, [hl, ss]),
-        _entry("fatcross", SERIES_WORLD, [fat_crossing(), fb]),
+        # free world: noncrossing plus a block rule
+        CatalogEntry("O+", WORLD_FREE, (), True, _all_pairs),
+        CatalogEntry("H+", WORLD_FREE, (fb,), True, _all_even),
+        CatalogEntry("S'+", WORLD_FREE, (ss, fb), True, _even_odd_blocks),
+        CatalogEntry("S+", WORLD_FREE, (s, fb), True, _any),
+        CatalogEntry("B#+", WORLD_FREE, (ss,), True, _b_sharp),
+        CatalogEntry("B'+", WORLD_FREE, (pos,), True, _b_prime),
+        CatalogEntry("B+", WORLD_FREE, (s,), True, _sizes_at_most_two),
+        # classical world: the same block rules, crossings allowed, no mark rule
+        CatalogEntry("O", WORLD_CLASSICAL, (x,), False, _all_pairs),
+        CatalogEntry("H", WORLD_CLASSICAL, (fb, x), False, _all_even),
+        CatalogEntry("S'", WORLD_CLASSICAL, (ss, fb, x), False, _even_odd_blocks),
+        CatalogEntry("S", WORLD_CLASSICAL, (s, fb, x), False, _any),
+        CatalogEntry("B'", WORLD_CLASSICAL, (pos, x), False, _b_prime),
+        CatalogEntry("B", WORLD_CLASSICAL, (s, x), False, _sizes_at_most_two),
+        # half-liberated world: crossings allowed, mark rules bite
+        CatalogEntry("O*", WORLD_HALF_LIBERATED, (hl,), False, _balanced_pairs),
+        CatalogEntry("H*", WORLD_HALF_LIBERATED, (hl, fb), False, _balanced_even),
+        CatalogEntry("B#*", WORLD_HALF_LIBERATED, (hl, ss), False, _b_sharp),
+        # known by its generators only
+        CatalogEntry("fatcross", WORLD_SERIES, (fat_crossing(), fb)),
     ]
     return {e.name: e for e in entries}
 
 
 CATALOG: dict[str, CatalogEntry] = _build_catalog()
 
-FREE_NAMES = ("O+", "H+", "S'+", "S+", "B#+", "B'+", "B+")
-CLASSICAL_NAMES = ("O", "H", "S'", "S", "B'", "B")
-HALF_LIBERATED_NAMES = ("O*", "H*", "B#*")
+
+def _names_in(world: str) -> tuple[str, ...]:
+    return tuple(name for name, e in CATALOG.items() if e.world == world)
+
+
+FREE_NAMES = _names_in(WORLD_FREE)
+CLASSICAL_NAMES = _names_in(WORLD_CLASSICAL)
+HALF_LIBERATED_NAMES = _names_in(WORLD_HALF_LIBERATED)
+
+
+def _ruled_entry(name: str) -> CatalogEntry:
+    entry = CATALOG.get(name)
+    if entry is not None and entry.rule is not None:
+        return entry
+    if entry is not None or _series_param(name) is not None:
+        raise NoPredicateError(f"category {name!r} has no membership predicate")
+    raise BadParamError(f"unknown category {name!r}")
+
+
+def word_rule(name: str) -> tuple[bool, WordRule]:
+    """Whether the category's members are noncrossing, and its block rule."""
+    entry = _ruled_entry(name)
+    return entry.noncrossing, entry.rule
+
+
+def category_predicate(name: str) -> Predicate:
+    return _ruled_entry(name).predicate
 
 
 def _series_param(name: str) -> int | None:
@@ -299,12 +312,7 @@ def series_entry(s: int) -> CatalogEntry:
     """The parametrized series ⟨half-lib, four-block, h(s)⟩, s >= 3."""
     if s < 3:
         raise BadParamError(f"series parameter must be >= 3, got {s}")
-    return CatalogEntry(
-        name=f"H^({s})",
-        world=SERIES_WORLD,
-        generators=(half_lib(), four_block(), h_series(s)),
-        predicate=None,
-    )
+    return CatalogEntry(f"H^({s})", WORLD_SERIES, (half_lib(), four_block(), h_series(s)))
 
 
 def catalog_entry(name: str) -> CatalogEntry:
@@ -316,59 +324,33 @@ def catalog_entry(name: str) -> CatalogEntry:
     raise BadParamError(f"unknown category {name!r}")
 
 
-def enumerate_category(
-    name: str, total_points: int, cap: int = ENUMERATION_CAP
-) -> list[Partition]:
+def enumerate_category(name: str, total_points: int) -> list[Partition]:
     """All members of the category in P(0, total_points), canonical order."""
     noncrossing, rule = word_rule(name)
-    check_enumeration_cap(total_points, cap)
+    check_enumeration_cap(total_points)
     words = (w for w in iter_words(total_points, noncrossing) if rule(w))
     return sorted_partitions(0, total_points, words)
 
 
 # ---------------------------------------------------------------------------
-# inclusion order of the named worlds (transitively closed)
+# inclusion order of the named worlds
+#
+# A category contains the category generated by G iff it contains G
+# (Banica-Speicher), so a is included in b iff b's predicate accepts every
+# catalog generator of a.  The orders are reflexive and transitive.
 
 
-def _transitive(pairs: set[tuple[str, str]], names: tuple[str, ...]) -> set[tuple[str, str]]:
-    closed = set(pairs) | {(n, n) for n in names}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return closed
+def _inclusions(names: tuple[str, ...]) -> set[tuple[str, str]]:
+    return {
+        (a, b)
+        for a in names
+        for b in names
+        if all(CATALOG[b].predicate(g) for g in CATALOG[a].generators)
+    }
 
 
-FREE_INCLUSIONS = _transitive(
-    {
-        ("O+", "B#+"),
-        ("B#+", "B'+"),
-        ("B'+", "B+"),
-        ("B+", "S+"),
-        ("O+", "H+"),
-        ("H+", "S'+"),
-        ("S'+", "S+"),
-        ("B'+", "S'+"),
-    },
-    FREE_NAMES,
-)
-
-CLASSICAL_INCLUSIONS = _transitive(
-    {
-        ("O", "B'"),
-        ("B'", "B"),
-        ("B", "S"),
-        ("O", "H"),
-        ("H", "S'"),
-        ("S'", "S"),
-        ("B'", "S'"),
-    },
-    CLASSICAL_NAMES,
-)
+FREE_INCLUSIONS = _inclusions(FREE_NAMES)
+CLASSICAL_INCLUSIONS = _inclusions(CLASSICAL_NAMES)
 
 
 def included(a: str, b: str, world_order: set[tuple[str, str]]) -> bool:

@@ -17,6 +17,10 @@ from .catalog import (
     CLASSICAL_NAMES,
     FREE_INCLUSIONS,
     FREE_NAMES,
+    WORLD_CLASSICAL,
+    WORLD_FREE,
+    WORLD_HALF_LIBERATED,
+    WORLD_SERIES,
     category_predicate,
     crossing,
     double_singleton,
@@ -27,6 +31,7 @@ from .catalog import (
 )
 from .closure import (
     DEFAULT_INTERMEDIATE_BUDGET,
+    DEFAULT_MAX_FUSION_OPS,
     DEFAULT_POINT_BUDGET,
     check_fusion_cap,
     generate_closure,
@@ -34,10 +39,6 @@ from .closure import (
 from .errors import NotNoncrossingError
 from .partition import Partition, canonical_text, is_noncrossing
 
-WORLD_FREE = "Free7"
-WORLD_CLASSICAL = "Classical6"
-WORLD_HALF_LIBERATED = "HalfLib"
-WORLD_SERIES = "Series"
 WORLD_UNDETERMINED = "Undetermined"
 
 
@@ -61,10 +62,13 @@ class Classification:
 
 
 def _least_satisfied(
+    world: str,
     generators: Sequence[Partition],
     names: Sequence[str],
     order: set[tuple[str, str]],
-) -> tuple[str, list[str]]:
+) -> Classification:
+    """The least named category of the world whose predicate every generator
+    satisfies; the evidence lists all such names for every generator."""
     satisfied = [
         name
         for name in names
@@ -73,7 +77,9 @@ def _least_satisfied(
     least = [a for a in satisfied if all(included(a, b, order) for b in satisfied)]
     if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
         raise AssertionError(f"no unique least category among {satisfied}")
-    return least[0], satisfied
+    note = "satisfies " + ", ".join(satisfied)
+    evidence = tuple((canonical_text(g), note) for g in generators)
+    return Classification(world, least[0], evidence=evidence)
 
 
 def classify_noncrossing(generators: Sequence[Partition]) -> Classification:
@@ -86,23 +92,13 @@ def classify_noncrossing(generators: Sequence[Partition]) -> Classification:
     for g in gens:
         if not is_noncrossing(g):
             raise NotNoncrossingError(f"generator {g} has a crossing")
-    name, satisfied = _least_satisfied(gens, FREE_NAMES, FREE_INCLUSIONS)
-    evidence = tuple(
-        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
-        for g in gens
-    )
-    return Classification(WORLD_FREE, name, evidence=evidence)
+    return _least_satisfied(WORLD_FREE, gens, FREE_NAMES, FREE_INCLUSIONS)
 
 
 def classify_classical(generators: Sequence[Partition]) -> Classification:
     """Least of the six classical categories containing generators + crossing."""
     gens = tuple(generators) + (crossing(),)
-    name, satisfied = _least_satisfied(gens, CLASSICAL_NAMES, CLASSICAL_INCLUSIONS)
-    evidence = tuple(
-        (canonical_text(g), "satisfies " + ", ".join(n for n in satisfied))
-        for g in gens
-    )
-    return Classification(WORLD_CLASSICAL, name, evidence=evidence)
+    return _least_satisfied(WORLD_CLASSICAL, gens, CLASSICAL_NAMES, CLASSICAL_INCLUSIONS)
 
 
 def classify_easy(
@@ -110,7 +106,7 @@ def classify_easy(
     point_budget: int = DEFAULT_POINT_BUDGET,
     intermediate_budget: int = DEFAULT_INTERMEDIATE_BUDGET,
     *,
-    max_fusion_ops: int = 2_000_000,
+    max_fusion_ops: int = DEFAULT_MAX_FUSION_OPS,
 ) -> Classification:
     """Decision cascade over all named worlds.
 

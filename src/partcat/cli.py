@@ -16,7 +16,7 @@ from . import catalog as cat
 from . import linmap as lm
 from . import moments as mo
 from .classify import classify_easy
-from .closure import generate_closure
+from .closure import DEFAULT_MAX_FUSION_OPS, generate_closure
 from .errors import BudgetError, CapExceededError, MemoryCapError, PartcatError
 from .ops import Rotation, compose, enumerate_upto, involute, rotate, tensor
 from .partition import canonical_text, parse_partition
@@ -110,7 +110,9 @@ def _cmd_op(args: argparse.Namespace) -> int:
 
 def _cmd_closure(args: argparse.Namespace) -> int:
     gens = [parse_partition(t) for t in args.gen]
-    closure = generate_closure(gens, args.budget, args.ibudget)
+    closure = generate_closure(
+        gens, args.budget, args.ibudget, max_fusion_ops=DEFAULT_MAX_FUSION_OPS
+    )
     for line in closure.dump_lines():
         print(line)
     print(f"# elements={len(closure.words)} saturated={closure.saturated}", file=sys.stderr)

@@ -58,6 +58,8 @@ from .partition import (
 
 DEFAULT_POINT_BUDGET = 8
 DEFAULT_INTERMEDIATE_BUDGET = 16
+# the fusion cap of classify_easy and of the CLI's closure verb
+DEFAULT_MAX_FUSION_OPS = 2_000_000
 
 
 def _rotations(w: Word) -> list[Word]:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .catalog import word_rule
 from .errors import BadParamError, UndefinedBlockValueError
-from .ops import ENUMERATION_CAP, check_enumeration_cap, iter_words
+from .ops import check_enumeration_cap, iter_words
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -41,16 +41,14 @@ class MomentSequence:
         return len(self.values)
 
 
-def count_moments(
-    category_name: str, k_max: int, cap: int = ENUMERATION_CAP
-) -> MomentSequence:
+def count_moments(category_name: str, k_max: int) -> MomentSequence:
     """m_k = number of category members on k points, k = 1..k_max.
 
     Counts boundary words, builds no partition, and checks ``k_max`` against
-    ``cap`` before counting anything.
+    the enumeration cap before counting anything.
     """
     noncrossing, rule = word_rule(category_name)
-    check_enumeration_cap(k_max, cap)
+    check_enumeration_cap(k_max)
     values = tuple(
         sum(1 for w in iter_words(k, noncrossing) if rule(w)) for k in range(1, k_max + 1)
     )

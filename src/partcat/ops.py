@@ -35,7 +35,6 @@ from .partition import (
     make_partition,
     partition_from_word,
     sorted_partitions,
-    word_noncrossing,
 )
 
 EMPTY = make_partition(0, 0, ())
@@ -140,14 +139,17 @@ ROTATION_INVERSES = {
 ENUMERATION_CAP = 12
 
 
-def check_enumeration_cap(n_points: int, cap: int = ENUMERATION_CAP) -> None:
-    """Refuse an exhaustive enumeration over more than ``cap`` points."""
-    if n_points > cap:
-        raise CapExceededError(f"{n_points} points exceeds the enumeration cap {cap}")
+def check_enumeration_cap(n_points: int) -> None:
+    """Refuse an exhaustive enumeration over more than ``ENUMERATION_CAP`` points."""
+    if n_points > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"{n_points} points exceeds the enumeration cap {ENUMERATION_CAP}"
+        )
 
 
 def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
-    """All partition words of n_points points (restricted growth strings)."""
+    """All partition words of n_points points (restricted growth strings), in
+    lexicographic order; with ``noncrossing_only`` the noncrossing ones only."""
     if n_points == 0:
         yield ()
         return
@@ -161,23 +163,30 @@ def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
             labels[i] = v
             yield from rec(i + 1, used if v < used else used + 1)
 
-    for word in rec(0, 0):
-        if not noncrossing_only or word_noncrossing(word):
-            yield word
+    def rec_noncrossing(i: int, used: int, reopenable: tuple[int, ...]) -> Iterator[Word]:
+        # reopenable: the blocks a later point may join without a crossing,
+        # in opening order; joining block v closes every block opened after v
+        if i == n_points:
+            yield tuple(labels)
+            return
+        for depth, v in enumerate(reopenable):
+            labels[i] = v
+            yield from rec_noncrossing(i + 1, used, reopenable[: depth + 1])
+        labels[i] = used
+        yield from rec_noncrossing(i + 1, used + 1, reopenable + (used,))
+
+    yield from (rec_noncrossing(0, 0, ()) if noncrossing_only else rec(0, 0))
 
 
 def enumerate_all(
-    upper_count: int,
-    lower_count: int,
-    noncrossing_only: bool = False,
-    cap: int = ENUMERATION_CAP,
+    upper_count: int, lower_count: int, noncrossing_only: bool = False
 ) -> list[Partition]:
     """Every partition of P(upper_count, lower_count), duplicate-free, sorted.
 
-    The point total must stay within ``cap`` (default 12).
+    The point total must stay within ``ENUMERATION_CAP`` (12).
     """
     n = upper_count + lower_count
-    check_enumeration_cap(n, cap)
+    check_enumeration_cap(n)
     return sorted_partitions(upper_count, lower_count, iter_words(n, noncrossing_only))
 
 

@@ -196,7 +196,7 @@ def test_predicates_closed_under_operations():
 
 
 def test_catalog_entry_lookup_and_series():
-    assert catalog_entry("O+").world == "free"
+    assert catalog_entry("O+").world == "Free7"
     assert catalog_entry("H^(4)").generators[-1] == h_series(4)
     assert series_entry(3).name == "H^(3)"
     with pytest.raises(BadParamError):

@@ -66,6 +66,18 @@ def test_closure_streams_sorted_elements(capsys):
     assert "saturated=True" in err
 
 
+def test_closure_stops_at_the_fusion_cap(capsys, monkeypatch):
+    # the S+ generators saturate at 6/12 after 15,738 fusions; at 12/24 they
+    # run for seconds even under the default cap
+    monkeypatch.setattr(cli, "DEFAULT_MAX_FUSION_OPS", 1000)
+    gens = ["--gen", "P(0,1): l1", "--gen", "P(0,4): l1,l2,l3,l4"]
+    for budget, ibudget in (("6", "12"), ("12", "24")):
+        code, out, err = run(capsys, "closure", *gens, "--budget", budget, "--ibudget", ibudget)
+        assert code == 0
+        assert out and out == sorted(out)
+        assert err.endswith(" saturated=False\n"), budget
+
+
 def test_closure_budget_error_exit_code(capsys):
     code, _, err = run(capsys, "closure", "--gen", "P(0,1): l1", "--budget", "8", "--ibudget", "4")
     assert code == 2

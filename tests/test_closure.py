@@ -348,7 +348,7 @@ def test_closure_equality_at_deeper_budget():
     c = generate_closure([four_block()], 10, 20)
     assert c.saturated
     for k in (8, 10):
-        want = {p.word for p in enumerate_category("H+", k, cap=10)}
+        want = {p.word for p in enumerate_category("H+", k)}
         assert {w for w in c.words if len(w) == k} == want, k
 
 

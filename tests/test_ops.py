@@ -27,10 +27,18 @@ from partcat.ops import (
     compose,
     enumerate_all,
     involute,
+    iter_words,
     rotate,
     tensor,
 )
-from partcat.partition import is_noncrossing, make_partition, parse_partition, upper, lower
+from partcat.partition import (
+    is_noncrossing,
+    lower,
+    make_partition,
+    parse_partition,
+    upper,
+    word_noncrossing,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +265,12 @@ def test_enumerate_is_duplicate_free_and_sorted():
     assert len(set(texts)) == len(texts) == 15
 
 
+def test_noncrossing_words_are_the_filtered_words_in_order():
+    for n in range(11):
+        want = [w for w in iter_words(n) if word_noncrossing(w)]
+        assert list(iter_words(n, noncrossing_only=True)) == want, n
+
+
 def test_enumerate_refuses_negative_rows():
     for k, l in ((-1, 1), (3, -1)):
         with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
@@ -268,5 +282,3 @@ def test_enumerate_refuses_negative_rows():
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
         enumerate_all(0, 13)
-    with pytest.raises(CapExceededError):
-        enumerate_all(0, 5, cap=4)
