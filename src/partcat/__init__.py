@@ -13,10 +13,8 @@ Submodules:
 """
 
 from .partition import (
-    BlockProfile,
     Partition,
     Point,
-    block_profile,
     canonical_text,
     is_noncrossing,
     make_partition,
@@ -39,7 +37,6 @@ from .classify import (
 )
 from .linmap import (
     GroupRep,
-    IntertwinerMatrix,
     check_functor,
     classical_rep,
     delta,
@@ -53,13 +50,11 @@ from .moments import (
     moments_from_cumulants,
     squeeze,
     symmetrize,
-    transform,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockProfile",
     "CATALOG",
     "CatalogEntry",
     "Classification",
@@ -68,12 +63,10 @@ __all__ = [
     "Containment",
     "CumulantSpec",
     "GroupRep",
-    "IntertwinerMatrix",
     "MomentSequence",
     "Partition",
     "Point",
     "Rotation",
-    "block_profile",
     "canonical_text",
     "category_predicate",
     "check_functor",
@@ -99,5 +92,4 @@ __all__ = [
     "symmetrize",
     "t_matrix",
     "tensor",
-    "transform",
 ]

@@ -351,8 +351,3 @@ def _inclusions(names: tuple[str, ...]) -> set[tuple[str, str]]:
 
 FREE_INCLUSIONS = _inclusions(FREE_NAMES)
 CLASSICAL_INCLUSIONS = _inclusions(CLASSICAL_NAMES)
-
-
-def included(a: str, b: str, world_order: set[tuple[str, str]]) -> bool:
-    """True iff category a is contained in category b."""
-    return (a, b) in world_order

@@ -27,7 +27,6 @@ from .catalog import (
     four_block,
     h_series,
     half_lib,
-    included,
 )
 from .closure import (
     DEFAULT_INTERMEDIATE_BUDGET,
@@ -74,7 +73,7 @@ def _least_satisfied(
         for name in names
         if all(category_predicate(name)(g) for g in generators)
     ]
-    least = [a for a in satisfied if all(included(a, b, order) for b in satisfied)]
+    least = [a for a in satisfied if all((a, b) in order for b in satisfied)]
     if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
         raise AssertionError(f"no unique least category among {satisfied}")
     note = "satisfies " + ", ".join(satisfied)

@@ -34,7 +34,7 @@ class CycleOnTwoRowsError(PartcatError):
 
 
 class CapExceededError(PartcatError):
-    """An exhaustive enumeration exceeded the configured point cap."""
+    """An exhaustive enumeration (of partitions or of a group) exceeded its cap."""
 
 
 class BudgetError(PartcatError):
@@ -59,10 +59,6 @@ class IndexRangeError(PartcatError):
 
 class MemoryCapError(PartcatError):
     """A requested vector or matrix would exceed the byte cap."""
-
-
-class EnumerationTooLargeError(PartcatError):
-    """A finite group is too large to enumerate at this dimension."""
 
 
 class UndefinedBlockValueError(PartcatError):

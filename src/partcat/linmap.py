@@ -6,9 +6,10 @@ i and lower indices j are constant along every block of p.  Index tuples are
 flattened big-endian: tuple (t_1, .., t_k) with entries in 1..n maps to
 sum (t_a - 1) * n^(k - a).
 
-Both start from xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary
-word w (legs u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant
-along every block; ``t_matrix`` regroups its legs.  By Frobenius reciprocity,
+Both ``t_matrix`` and ``intertwiner_table`` start from xi_w, the 0/1 vector
+in (C^n)^{tensor m} of the boundary word w (legs u_k .. u_1, l_1 .. l_l) that
+is 1 where the indices are constant along every block; ``t_matrix`` regroups
+its legs and returns the int64 matrix itself.  By Frobenius reciprocity,
 for orthogonal u, T_p u^{tensor k} = u^{tensor l} T_p exactly when
 u^{tensor m} xi_w = xi_w (Banica-Speicher, arXiv:0808.2628): one test per
 word, shared by every rotation of p, with u applied to one leg at a time.
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import (
     ArityMismatchError,
     BadParamError,
-    EnumerationTooLargeError,
+    CapExceededError,
     IndexRangeError,
     MemoryCapError,
 )
@@ -90,17 +91,9 @@ def _support(word: tuple[int, ...], n: int) -> np.ndarray:
     return flat
 
 
-@dataclass(frozen=True)
-class IntertwinerMatrix:
-    """Dense 0/1 matrix of the map induced by ``partition`` at dimension n."""
-
-    n: int
-    partition: Partition
-    matrix: np.ndarray  # shape (n**lower_count, n**upper_count), dtype int64
-
-
-def t_matrix(p: Partition, n: int) -> IntertwinerMatrix:
-    """The 0/1 matrix of p at dimension n: xi_w with its legs regrouped."""
+def t_matrix(p: Partition, n: int) -> np.ndarray:
+    """The 0/1 int64 matrix of p at dimension n, of shape (n^l, n^k): xi_w
+    with its legs regrouped."""
     if n < 1:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     k, l = p.upper_count, p.lower_count
@@ -109,7 +102,7 @@ def t_matrix(p: Partition, n: int) -> IntertwinerMatrix:
     xi[_support(p.word, n)] = 1
     # legs u_k .. u_1, l_1 .. l_l -> rows l_1 .. l_l, columns u_1 .. u_k
     legs = xi.reshape((n,) * (k + l)).transpose(*range(k, k + l), *reversed(range(k)))
-    return IntertwinerMatrix(n=n, partition=p, matrix=legs.reshape(n**l, n**k))
+    return legs.reshape(n**l, n**k)
 
 
 def check_functor(p: Partition, q: Partition, n: int) -> bool:
@@ -120,15 +113,15 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
-    tp = t_matrix(p, n).matrix
-    tq = t_matrix(q, n).matrix
+    tp = t_matrix(p, n)
+    tq = t_matrix(q, n)
     comp = compose(p, q)
-    t_comp = t_matrix(comp.result, n).matrix
+    t_comp = t_matrix(comp.result, n)
     ok_compose = np.array_equal(tq @ tp, n**comp.removed_loops * t_comp)
-    t_tens = t_matrix(tensor(p, q), n).matrix
+    t_tens = t_matrix(tensor(p, q), n)
     ok_tensor = np.array_equal(t_tens, np.kron(tp, tq))
-    ok_invol = np.array_equal(t_matrix(involute(p), n).matrix, tp.T) and np.array_equal(
-        t_matrix(involute(q), n).matrix, tq.T
+    ok_invol = np.array_equal(t_matrix(involute(p), n), tp.T) and np.array_equal(
+        t_matrix(involute(q), n), tq.T
     )
     return bool(ok_compose and ok_tensor and ok_invol)
 
@@ -180,14 +173,14 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
     basis vector to the normalized all-ones vector.
     """
     if n < 2:
-        raise EnumerationTooLargeError("representations need n >= 2")
+        raise BadParamError(f"representations need n >= 2, got {n}")
     if kind == KIND_SYMMETRIC:
         if n > _SYMMETRIC_MAX_N:
-            raise EnumerationTooLargeError(f"n! too large at n={n}")
+            raise CapExceededError(f"n! too large at n={n} (at most {_SYMMETRIC_MAX_N})")
         return GroupRep(kind, n, tuple(_permutation_matrices(n)), 0.0)
     if kind == KIND_HYPEROCTAHEDRAL:
         if n > _HYPEROCTAHEDRAL_MAX_N:
-            raise EnumerationTooLargeError(f"2^n n! too large at n={n}")
+            raise CapExceededError(f"2^n n! too large at n={n} (at most {_HYPEROCTAHEDRAL_MAX_N})")
         elements = []
         for perm_matrix in _permutation_matrices(n):
             for signs in itertools.product((1, -1), repeat=n):
@@ -220,7 +213,7 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
             embedded[1:, 1:] = u_small
             elements.append(t @ embedded @ t.T)
         return GroupRep(kind, n, tuple(elements), 1e-9)
-    raise EnumerationTooLargeError(f"unknown representation kind {kind!r}")
+    raise BadParamError(f"unknown representation kind {kind!r}")
 
 
 def intertwiner_table(rep: GroupRep, partitions: list[Partition]) -> dict[Partition, bool]:

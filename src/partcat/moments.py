@@ -4,8 +4,9 @@ The k-th asymptotic moment of a category's character is the number of its
 members on k points in a row; ``count_moments`` computes these by exhaustive
 enumeration.  ``moments_from_cumulants`` evaluates moment sums over all
 partitions (classical) or noncrossing partitions (free), with a block-value
-rule supplied by a :class:`CumulantSpec`.  Everything here is exact integer /
-rational arithmetic; no floats.
+rule supplied by a :class:`CumulantSpec`; block shapes above the largest
+declared size count 0.  ``squeeze`` and ``symmetrize`` reshape a sequence.
+Everything here is exact integer / rational arithmetic; no floats.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .catalog import word_rule
 from .errors import BadParamError, UndefinedBlockValueError
-from .ops import check_enumeration_cap, iter_words
+from .ops import bell_number, check_enumeration_cap, iter_words
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -75,14 +76,7 @@ def closed_form(name: str, k: int) -> int:
     if name == CATALAN:
         return comb(2 * k, k) // (k + 1)
     if name == BELL:
-        # Bell triangle
-        row = [1]
-        for _ in range(k):
-            nxt = [row[-1]]
-            for x in row:
-                nxt.append(nxt[-1] + x)
-            row = nxt
-        return row[0]
+        return bell_number(k)
     if name == MOTZKIN:
         return sum(comb(k, 2 * j) * comb(2 * j, j) // (j + 1) for j in range(k // 2 + 1))
     if name == INVOLUTIONS:
@@ -130,14 +124,13 @@ class CumulantSpec:
     ``values`` maps (size, marks) to an exact rational, where ``marks`` is
     the sorted tuple of the point marks the block touches (empty tuple for
     mark-free rules).  Undeclared shapes of size above the largest declared
-    size evaluate to 0 when ``higher_vanish`` is set; anything else
-    undeclared raises UndefinedBlockValueError.  Marked entries are only
-    accepted for blocks of size one or two.
+    size evaluate to 0; any other undeclared shape raises
+    UndefinedBlockValueError.  Marked entries are only accepted for blocks of
+    size one or two.
     """
 
     kind: str  # "free" | "classical"
     values: Mapping[tuple[int, tuple[str, ...]], Fraction]
-    higher_vanish: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in (FREE, CLASSICAL):
@@ -159,7 +152,7 @@ class CumulantSpec:
         bare = (size, ())
         if bare in self.values:
             return self.values[bare]
-        if self.higher_vanish and size > self._max_size:
+        if size > self._max_size:
             return Fraction(0)
         raise UndefinedBlockValueError(f"no value for block shape {key}")
 
@@ -255,9 +248,6 @@ def moments_from_cumulants(
 # ---------------------------------------------------------------------------
 # squeezing and symmetrizing
 
-SQUEEZE = "squeeze"
-SYMMETRIZE = "symmetrize"
-
 
 def squeeze(seq: MomentSequence) -> MomentSequence:
     """Interleave zeros: entry k of the input becomes entry 2k."""
@@ -272,11 +262,3 @@ def symmetrize(seq: MomentSequence) -> MomentSequence:
     return MomentSequence(
         tuple(0 if k % 2 == 1 else v for k, v in enumerate(seq.values, start=1))
     )
-
-
-def transform(seq: MomentSequence, which: str) -> MomentSequence:
-    if which == SQUEEZE:
-        return squeeze(seq)
-    if which == SYMMETRIZE:
-        return symmetrize(seq)
-    raise BadParamError(f"unknown transform {which!r}")

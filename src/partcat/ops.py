@@ -27,6 +27,7 @@ from .errors import (
     CapExceededError,
     CycleOnTwoRowsError,
     EmptyRowError,
+    PointRangeError,
 )
 from .partition import (
     Partition,
@@ -147,6 +148,17 @@ def check_enumeration_cap(n_points: int) -> None:
         )
 
 
+def bell_number(k: int) -> int:
+    """Bell(k), the number of partitions of k points, by the Bell triangle."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     """All partition words of n_points points (restricted growth strings), in
     lexicographic order; with ``noncrossing_only`` the noncrossing ones only."""
@@ -192,6 +204,21 @@ def enumerate_all(
 
 def enumerate_upto(total_points: int) -> list[Partition]:
     """Every partition of every shape with at most ``total_points`` points,
-    by point count, then upper count, then text."""
+    by point count, then upper count, then text.
+
+    The listing holds sum over n of (n + 1) Bell(n) partitions; it may be no
+    longer than the largest single shape the enumeration cap admits,
+    Bell(``ENUMERATION_CAP``).  Both checks run before anything is built.
+    """
+    if total_points < 0:
+        raise PointRangeError(f"point total must be nonnegative, got {total_points}")
+    size, limit = 0, bell_number(ENUMERATION_CAP)
+    for n in range(total_points + 1):
+        size += (n + 1) * bell_number(n)
+        if size > limit:
+            raise CapExceededError(
+                f"the partitions of up to {total_points} points exceed the cap "
+                f"Bell({ENUMERATION_CAP}) = {limit}"
+            )
     shapes = [(k, n - k) for n in range(total_points + 1) for k in range(n + 1)]
     return [p for k, l in shapes for p in enumerate_all(k, l)]

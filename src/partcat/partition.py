@@ -373,32 +373,3 @@ def partition_from_word(
     if upper_count + lower_count != len(word):
         raise PointRangeError("word length does not match the requested shape")
     return Partition(upper_count, lower_count, word)
-
-
-@dataclass(frozen=True)
-class BlockProfile:
-    """Block statistics; walk position i has mark ``+`` iff i is even.
-
-    ``signed_counts`` lists the blocks in label order, that is by their first
-    point along the boundary walk.
-    """
-
-    sizes: tuple[int, ...]
-    singleton_count: int
-    odd_block_count: int
-    signed_counts: tuple[tuple[int, int], ...]
-
-
-def block_profile(p: Partition) -> BlockProfile:
-    """One pass over the word; walk position i has mark ``+`` iff i is even."""
-    counts = [[0, 0] for _ in range(max(p.word, default=-1) + 1)]
-    for i, x in enumerate(p.word):
-        counts[x][i % 2] += 1
-    signed = tuple((plus, minus) for plus, minus in counts)
-    sizes = tuple(sorted(plus + minus for plus, minus in signed))
-    return BlockProfile(
-        sizes=sizes,
-        singleton_count=sizes.count(1),
-        odd_block_count=sum(s % 2 for s in sizes),
-        signed_counts=signed,
-    )

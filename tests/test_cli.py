@@ -1,6 +1,7 @@
 import pytest
 
 import partcat.cli as cli
+import partcat.ops as ops
 from partcat.cli import main
 
 
@@ -182,3 +183,33 @@ def test_verify_tp_over_the_byte_cap_exits_before_enumerating(capsys, monkeypatc
         code, out, err = run(capsys, "verify-tp", "--rep", "orthogonal-sample", *argv)
         assert (code, out) == (2, [])
         assert err.startswith("budget:")
+
+
+def test_verify_tp_over_the_listing_cap_exits_before_enumerating(capsys, monkeypatch):
+    # the check lives in enumerate_upto, so the shapes' enumeration is patched
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before checking the cap")
+
+    monkeypatch.setattr(ops, "enumerate_all", no_enumeration)
+    for points, prefix in (("11", "budget:"), ("12", "budget:"), ("-1", "error:")):
+        code, out, err = run(
+            capsys, "verify-tp", "--rep", "symmetric-group", "--n", "2", "--points", points
+        )
+        assert (code, out) == (2, [])
+        assert err.startswith(prefix), err
+
+
+def test_verify_tp_group_too_large_is_a_budget_error(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before building the group")
+
+    monkeypatch.setattr(cli, "enumerate_upto", no_enumeration)
+    for rep, n in (("symmetric-group", "7"), ("hyperoctahedral", "5")):
+        code, out, err = run(capsys, "verify-tp", "--rep", rep, "--n", n, "--points", "2")
+        assert (code, out) == (2, [])
+        assert err.startswith("budget:"), err
+    code, out, err = run(
+        capsys, "verify-tp", "--rep", "symmetric-group", "--n", "1", "--points", "2"
+    )
+    assert (code, out) == (2, [])
+    assert err.startswith("error:"), err

@@ -20,12 +20,14 @@ from partcat.errors import (
     EmptyRowError,
     PointRangeError,
 )
+import partcat.ops as ops
 from partcat.ops import (
     EMPTY,
     ROTATION_INVERSES,
     Rotation,
     compose,
     enumerate_all,
+    enumerate_upto,
     involute,
     iter_words,
     rotate,
@@ -282,3 +284,19 @@ def test_enumerate_refuses_negative_rows():
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
         enumerate_all(0, 13)
+
+
+def test_enumerate_upto_checks_its_size_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before checking the size")
+
+    monkeypatch.setattr(ops, "enumerate_all", no_enumeration)
+    with pytest.raises(PointRangeError, match="nonnegative"):
+        enumerate_upto(-1)
+    # 9,676,148 partitions at 11 points; Bell(12) = 4,213,597 is the cap
+    for total in (11, 12, 10**9):
+        with pytest.raises(CapExceededError, match="4213597"):
+            enumerate_upto(total)
+    # 1,533,308 partitions at 10 points pass the check
+    monkeypatch.setattr(ops, "enumerate_all", lambda k, l: [])
+    assert enumerate_upto(10) == []

@@ -10,7 +10,6 @@ from partcat.catalog import enumerate_category
 from partcat.closure import generate_closure
 from partcat.errors import CoverageError, OverlapError, ParseError, PointRangeError
 from partcat.partition import (
-    block_profile,
     canonical_text,
     is_noncrossing,
     lower,
@@ -138,15 +137,6 @@ def test_parse_ignores_injected_whitespace(p, seed):
     assert parse_partition(mangled) == p
 
 
-@given(partitions(max_points=8))
-def test_mark_alternation(p):
-    # marks alternate + - + - along the walk, so the plus points outnumber
-    # the minus points by the parity of the point count
-    signed = block_profile(p).signed_counts
-    balance = sum(plus for plus, _ in signed) - sum(minus for _, minus in signed)
-    assert balance == (p.n_points % 2)
-
-
 def test_sorted_partitions_checks_the_shape_before_reading_words():
     def unread():
         raise AssertionError("a word was read")
@@ -210,23 +200,3 @@ def test_word_shift_matches_right_rotation(all_upto_6):
             rotated = rotate(p, Rotation.DOWN_RIGHT)
             shifted = p.word[1:] + p.word[:1]
             assert rotated.word == partition_from_word(shifted).word
-
-
-def test_block_profile_examples():
-    prof = block_profile(four_block())
-    assert (prof.sizes, prof.singleton_count, prof.odd_block_count) == ((4,), 0, 0)
-
-    prof = block_profile(positioner())
-    assert (prof.sizes, prof.singleton_count, prof.odd_block_count) == ((1, 1, 2), 2, 2)
-
-    # blocks in label order: the plus block starts the walk
-    prof = block_profile(h_series(3))
-    assert prof.signed_counts == ((3, 0), (0, 3))
-
-
-@given(partitions(max_points=8))
-def test_block_profile_invariants(p):
-    prof = block_profile(p)
-    assert sum(prof.sizes) == p.n_points
-    assert prof.odd_block_count % 2 == p.n_points % 2
-    assert prof.singleton_count == sum(1 for b in p.blocks if len(b) == 1)

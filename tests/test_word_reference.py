@@ -16,7 +16,7 @@ from partcat.catalog import (
     category_predicate,
 )
 from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
-from partcat.partition import Partition, block_profile, canonical_text, partition_from_word
+from partcat.partition import Partition, canonical_text, partition_from_word
 
 
 def _by_size(n_max):
@@ -83,18 +83,11 @@ def test_predicates_match_reference(all_upto_6):
             assert pred(p) == want(p), (name, str(p))
 
 
-def test_block_profile_matches_reference(all_upto_6):
-    for p in all_upto_6:
-        prof = block_profile(p)
-        assert prof.sizes == tuple(sorted(len(b) for b in p.blocks))
-        assert sorted(prof.signed_counts) == sorted(ref.signed_counts(p))
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_t_matrix_matches_reference(n):
     for size, parts in _by_size(5).items():
         for p in parts:
-            mat = linmap.t_matrix(p, n).matrix
+            mat = linmap.t_matrix(p, n)
             assert np.array_equal(mat, ref.t_matrix(p, n)), str(p)
             if size <= 4:
                 for i in itertools.product(range(1, n + 1), repeat=p.upper_count):
