@@ -44,7 +44,6 @@ from .linmap import (
 )
 from .moments import (
     CumulantSpec,
-    MomentSequence,
     closed_form,
     count_moments,
     moments_from_cumulants,
@@ -63,7 +62,6 @@ __all__ = [
     "Containment",
     "CumulantSpec",
     "GroupRep",
-    "MomentSequence",
     "Partition",
     "Point",
     "Rotation",

@@ -173,7 +173,7 @@ _THIRTEEN = (
 )
 
 def _confirmed_only(result, needed: list[Partition]) -> list[str]:
-    texts = {w for w, note in result.evidence if note == "Confirmed"}
+    texts = {w for w, note in result.evidence if note == Containment.CONFIRMED.value}
     return [str(p) for p in needed if str(p) not in texts]
 
 

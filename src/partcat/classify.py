@@ -32,6 +32,7 @@ from .closure import (
     DEFAULT_INTERMEDIATE_BUDGET,
     DEFAULT_MAX_FUSION_OPS,
     DEFAULT_POINT_BUDGET,
+    Containment,
     check_fusion_cap,
     generate_closure,
 )
@@ -112,16 +113,17 @@ def classify_easy(
     Noncrossing generator sets are classified exactly.  Otherwise a bounded
     closure decides: crossing present -> classical; half-liberating diagram
     present -> one of the half-liberated names or the h-series (parameter =
-    gcd of the visible series lengths).  Conclusions that rest on bounded
-    search are budget-qualified in the evidence; Undetermined is a value,
-    not an error.  A negative ``max_fusion_ops`` is refused up front.
+    gcd of the visible series lengths).  A half-liberated name is given only
+    if every generator satisfies that category's predicate; otherwise the
+    answer is Undetermined.  Conclusions that rest on bounded search are
+    budget-qualified in the evidence; Undetermined is a value, not an error.
+    A negative ``max_fusion_ops`` is refused up front.
     """
     check_fusion_cap(max_fusion_ops)
     gens = tuple(generators)
     if all(is_noncrossing(g) for g in gens):
         return classify_noncrossing(gens)
 
-    budgets = (point_budget, intermediate_budget)
     closure = generate_closure(
         gens,
         point_budget,
@@ -129,59 +131,35 @@ def classify_easy(
         stop_when=[crossing()],
         max_fusion_ops=max_fusion_ops,
     )
-
-    def status(p: Partition) -> tuple[bool, str]:
-        ok = closure.contains_word(p.word)
-        if ok:
-            return True, "Confirmed"
-        return False, (
-            "NotFoundWithinBudget"
-            + ("" if closure.saturated else " (search stopped before saturation)")
-        )
-
+    missing = Containment.NOT_FOUND_WITHIN_BUDGET.value
+    if not closure.saturated:
+        missing += " (search stopped before saturation)"
     evidence: list[tuple[str, str]] = []
-    cross_in, cross_note = status(crossing())
-    evidence.append((canonical_text(crossing()), cross_note))
-    if cross_in:
+
+    def probe(p: Partition) -> bool:
+        hit = closure.contains_word(p.word)
+        evidence.append((canonical_text(p), Containment.CONFIRMED.value if hit else missing))
+        return hit
+
+    def result(world: str, name: str | None, series: int | None = None, more=()) -> Classification:
+        if world == WORLD_HALF_LIBERATED:
+            rule = category_predicate(name)
+            failing = next((g for g in gens if not rule(g)), None)
+            if failing is not None:
+                evidence.append((canonical_text(failing), f"fails {name}"))
+                world, name = WORLD_UNDETERMINED, None
+        budgets = (point_budget, intermediate_budget)
+        return Classification(world, name, series, tuple(evidence) + more, budgets)
+
+    if probe(crossing()):
         base = classify_classical(gens)
-        return Classification(
-            WORLD_CLASSICAL,
-            base.category_name,
-            evidence=tuple(evidence) + base.evidence,
-            budgets=budgets,
-        )
-
-    hl_in, hl_note = status(half_lib())
-    evidence.append((canonical_text(half_lib()), hl_note))
-    if hl_in:
-        fb_in, fb_note = status(four_block())
-        evidence.append((canonical_text(four_block()), fb_note))
-        if not fb_in:
-            ss_in, ss_note = status(double_singleton())
-            evidence.append((canonical_text(double_singleton()), ss_note))
-            name = "B#*" if ss_in else "O*"
-            return Classification(
-                WORLD_HALF_LIBERATED, name, evidence=tuple(evidence), budgets=budgets
-            )
-        found_ts = []
-        for t in range(3, point_budget // 2 + 1):
-            t_in, t_note = status(h_series(t))
-            evidence.append((canonical_text(h_series(t)), t_note))
-            if t_in:
-                found_ts.append(t)
-        if found_ts:
-            g = math.gcd(*found_ts)
-            return Classification(
-                WORLD_SERIES,
-                f"H^({g})",
-                series_parameter=g,
-                evidence=tuple(evidence),
-                budgets=budgets,
-            )
-        return Classification(
-            WORLD_HALF_LIBERATED, "H*", evidence=tuple(evidence), budgets=budgets
-        )
-
-    return Classification(
-        WORLD_UNDETERMINED, None, evidence=tuple(evidence), budgets=budgets
-    )
+        return result(WORLD_CLASSICAL, base.category_name, more=base.evidence)
+    if not probe(half_lib()):
+        return result(WORLD_UNDETERMINED, None)
+    if not probe(four_block()):
+        return result(WORLD_HALF_LIBERATED, "B#*" if probe(double_singleton()) else "O*")
+    found = [t for t in range(3, point_budget // 2 + 1) if probe(h_series(t))]
+    if found:
+        g = math.gcd(*found)
+        return result(WORLD_SERIES, f"H^({g})", g)
+    return result(WORLD_HALF_LIBERATED, "H*")

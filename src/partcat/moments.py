@@ -24,36 +24,17 @@ FREE = "free"
 CLASSICAL = "classical"
 
 
-@dataclass(frozen=True)
-class MomentSequence:
-    """Exact moments m_1..m_K, 1-indexed by moment order."""
-
-    values: tuple[int, ...]
-
-    def moment(self, k: int) -> int:
-        if not 1 <= k <= len(self.values):
-            raise BadParamError(f"moment order {k} outside 1..{len(self.values)}")
-        return self.values[k - 1]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def count_moments(category_name: str, k_max: int) -> MomentSequence:
-    """m_k = number of category members on k points, k = 1..k_max.
+def count_moments(category_name: str, k_max: int) -> tuple[int, ...]:
+    """(m_1, ..., m_k_max), m_k = number of category members on k points.
 
     Counts boundary words, builds no partition, and checks ``k_max`` against
     the enumeration cap before counting anything.
     """
     noncrossing, rule = word_rule(category_name)
     check_enumeration_cap(k_max)
-    values = tuple(
+    return tuple(
         sum(1 for w in iter_words(k, noncrossing) if rule(w)) for k in range(1, k_max + 1)
     )
-    return MomentSequence(values)
 
 
 # ---------------------------------------------------------------------------
@@ -161,57 +142,51 @@ def _spec(kind: str, entries: dict[tuple[int, tuple[str, ...]], int | Fraction])
     return CumulantSpec(kind, {k: Fraction(v) for k, v in entries.items()})
 
 
+# each table serves a free law and its classical analogue
+_CENTRED = {(1, ()): 0, (2, ()): 1}
+_SHIFTED = {(1, ()): 1, (2, ()): 1}
+_SHIFTED_MARKED = {
+    (1, ("d",)): 1,
+    (1, ("d*",)): 1,
+    (2, ("d", "d*")): 1,
+    (2, ("d", "d")): 0,
+    (2, ("d*", "d*")): 0,
+}
+
+
 def semicircular_spec() -> CumulantSpec:
     """Second cumulant 1, everything else 0 (free)."""
-    return _spec(FREE, {(1, ()): 0, (2, ()): 1})
+    return _spec(FREE, _CENTRED)
 
 
 def shifted_semicircular_spec() -> CumulantSpec:
     """First and second cumulants 1 (free): the law of 1 + s."""
-    return _spec(FREE, {(1, ()): 1, (2, ()): 1})
+    return _spec(FREE, _SHIFTED)
 
 
 def shifted_circular_spec() -> CumulantSpec:
     """Mixed cumulants of d = 1 + c: singletons 1, opposite-mark pairs 1."""
-    return _spec(
-        FREE,
-        {
-            (1, ("d",)): 1,
-            (1, ("d*",)): 1,
-            (2, ("d", "d*")): 1,
-            (2, ("d", "d")): 0,
-            (2, ("d*", "d*")): 0,
-        },
-    )
+    return _spec(FREE, _SHIFTED_MARKED)
 
 
 def gaussian_spec() -> CumulantSpec:
     """Second classical cumulant 1: the standard real Gaussian."""
-    return _spec(CLASSICAL, {(1, ()): 0, (2, ()): 1})
+    return _spec(CLASSICAL, _CENTRED)
 
 
 def shifted_gaussian_spec() -> CumulantSpec:
-    return _spec(CLASSICAL, {(1, ()): 1, (2, ()): 1})
+    return _spec(CLASSICAL, _SHIFTED)
 
 
 def shifted_complex_gaussian_spec() -> CumulantSpec:
     """Classical analogue of the shifted-circular rule."""
-    return _spec(
-        CLASSICAL,
-        {
-            (1, ("d",)): 1,
-            (1, ("d*",)): 1,
-            (2, ("d", "d*")): 1,
-            (2, ("d", "d")): 0,
-            (2, ("d*", "d*")): 0,
-        },
-    )
+    return _spec(CLASSICAL, _SHIFTED_MARKED)
 
 
 def moments_from_cumulants(
     spec: CumulantSpec, word_unit: tuple[str, ...], k_max: int
-) -> MomentSequence:
-    """m_k = sum over partitions of the repeated mark word's points.
+) -> tuple[int, ...]:
+    """(m_1, ..., m_k_max), m_k = sum over partitions of the repeated mark word's points.
 
     ``word_unit`` is repeated k times to mark the points of the k-th moment:
     ("a",) gives the plain single-variable moments, ("d", "d*") the
@@ -242,23 +217,18 @@ def moments_from_cumulants(
                 f"moment m_{k} is not a nonnegative integer: {total}"
             )
         values.append(int(total))
-    return MomentSequence(tuple(values))
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
 # squeezing and symmetrizing
 
 
-def squeeze(seq: MomentSequence) -> MomentSequence:
+def squeeze(seq: Iterable[int]) -> tuple[int, ...]:
     """Interleave zeros: entry k of the input becomes entry 2k."""
-    out: list[int] = []
-    for v in seq.values:
-        out.extend((0, v))
-    return MomentSequence(tuple(out))
+    return tuple(x for v in seq for x in (0, v))
 
 
-def symmetrize(seq: MomentSequence) -> MomentSequence:
-    """Zero all odd-order entries in place."""
-    return MomentSequence(
-        tuple(0 if k % 2 == 1 else v for k, v in enumerate(seq.values, start=1))
-    )
+def symmetrize(seq: Iterable[int]) -> tuple[int, ...]:
+    """Zero all odd-order entries."""
+    return tuple(0 if k % 2 == 1 else v for k, v in enumerate(seq, start=1))

@@ -20,7 +20,7 @@ from partcat.catalog import (
 )
 from partcat.classify import classify_classical, classify_easy, classify_noncrossing
 from partcat.closure import Containment, generate_closure
-from partcat.errors import BadParamError, BudgetError, NotNoncrossingError
+from partcat.errors import BadParamError, BudgetError, NoPredicateError, NotNoncrossingError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
     glue,
@@ -28,6 +28,7 @@ from partcat.partition import (
     normalize_word,
     parse_partition,
     partition_from_word,
+    word_noncrossing,
 )
 
 CONFIRMED = Containment.CONFIRMED
@@ -610,6 +611,43 @@ def test_classify_easy_noncrossing_generators_stay_exact():
     res = classify_easy([four_block()])
     assert (res.world, res.category_name) == ("Free7", "H+")
     assert res.budgets is None
+
+
+def test_classify_easy_refuses_a_half_liberated_name_a_generator_fails():
+    # h(4) has unbalanced blocks and h(5) odd ones: neither lies in H*
+    h4_text = "P(0,8): l1,l3,l5,l7; l2,l4,l6,l8"
+    res = classify_easy([half_lib(), h_series(4)], 6, 12)
+    assert (res.world, res.category_name) == ("Undetermined", None)
+    assert res.evidence == (
+        ("P(2,2): u1,l2; u2,l1", "NotFoundWithinBudget"),
+        ("P(3,3): u1,l3; u2,l2; u3,l1", "Confirmed"),
+        ("P(0,4): l1,l2,l3,l4", "Confirmed"),
+        ("P(0,6): l1,l3,l5; l2,l4,l6", "NotFoundWithinBudget"),
+        (h4_text, "fails H*"),
+    )
+    for budgets in ((6, 12), (8, 16)):
+        res = classify_easy([half_lib(), h_series(5)], *budgets)
+        assert (res.world, res.category_name) == ("Undetermined", None), budgets
+        assert res.evidence[-1] == ("P(0,10): l1,l3,l5,l7,l9; l2,l4,l6,l8,l10", "fails H*")
+    # once the closure reaches h(4) itself, the series name stands
+    res = classify_easy([half_lib(), h_series(4)], 8, 16)
+    assert (res.world, res.category_name, res.series_parameter) == ("Series", "H^(4)", 4)
+    assert res.evidence[-1] == (h4_text, "Confirmed")
+
+
+def test_classify_easy_names_only_categories_every_generator_satisfies():
+    crossing_words = [w for n in range(1, 7) for w in iter_words(n) if not word_noncrossing(w)]
+    assert len(crossing_words) == 82
+    for w in crossing_words:
+        gens = [half_lib(), partition_from_word(w)]
+        res = classify_easy(gens, 6, 12)
+        if res.category_name is None:
+            continue
+        try:
+            rule = category_predicate(res.category_name)
+        except NoPredicateError:
+            continue
+        assert all(rule(g) for g in gens), (w, res.category_name)
 
 
 def test_classification_report_lines():

@@ -12,7 +12,6 @@ PUBLIC = [
     "Containment",
     "CumulantSpec",
     "GroupRep",
-    "MomentSequence",
     "Partition",
     "Point",
     "Rotation",
