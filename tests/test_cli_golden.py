@@ -72,6 +72,42 @@ VERBATIM = [
         0,
         "",
     ),
+    (
+        ("moments", "--law", "semicircle", "--kmax", "9"),
+        "1,0\n2,1\n3,0\n4,2\n5,0\n6,5\n7,0\n8,14\n9,0\n",
+        0,
+        "",
+    ),
+    (
+        ("moments", "--law", "shifted-semicircle", "--kmax", "9"),
+        "1,1\n2,2\n3,4\n4,9\n5,21\n6,51\n7,127\n8,323\n9,835\n",
+        0,
+        "",
+    ),
+    (
+        ("moments", "--law", "real-gaussian", "--kmax", "9"),
+        "1,0\n2,1\n3,0\n4,3\n5,0\n6,15\n7,0\n8,105\n9,0\n",
+        0,
+        "",
+    ),
+    (
+        ("moments", "--law", "shifted-real-gaussian", "--kmax", "9"),
+        "1,1\n2,2\n3,4\n4,10\n5,26\n6,76\n7,232\n8,764\n9,2620\n",
+        0,
+        "",
+    ),
+    (
+        ("moments", "--law", "shifted-circle", "--kmax", "4"),
+        "1,2\n2,7\n3,30\n4,143\n",
+        0,
+        "",
+    ),
+    (
+        ("moments", "--law", "shifted-complex-gaussian", "--kmax", "4"),
+        "1,2\n2,7\n3,34\n4,209\n",
+        0,
+        "",
+    ),
 ]
 
 DIGESTS = [

@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+import moments_reference
 import partcat.moments as mo
 from partcat.catalog import enumerate_category
 from partcat.errors import (
@@ -155,6 +158,85 @@ def test_cumulant_spec_validation():
         mo.moments_from_cumulants(spec, ("a",), 1)
     with pytest.raises(BadParamError):
         mo.moments_from_cumulants(mo.semicircular_spec(), (), 2)
+
+
+# ---------------------------------------------------------------------------
+# the package against the per-word reference sum
+
+_UNITS = (("a",), ("d", "d*"))
+_DRAWN_VALUES = (0, 1, -1, Fraction(1, 2), 3)
+
+
+def _outcome(fn, spec, unit, k_max):
+    try:
+        return fn(spec, unit, k_max)
+    except UndefinedBlockValueError as exc:
+        return f"error: {exc}"
+
+
+def _random_spec(rng, kind, unit):
+    """Bare shapes up to a random largest size, each declared with
+    probability 2/3, plus marked shapes of size <= 2 with probability 1/2;
+    an undeclared shape below the largest size is undefined."""
+    values = {}
+    for size in range(1, rng.randint(1, 4) + 1):
+        if rng.random() < 2 / 3:
+            values[(size, ())] = rng.choice(_DRAWN_VALUES)
+        if size <= 2:
+            for marks in combinations_with_replacement(sorted(set(unit)), size):
+                if rng.random() < 1 / 2:
+                    values[(size, marks)] = rng.choice(_DRAWN_VALUES)
+    return mo.CumulantSpec(kind, values)
+
+
+def test_cumulant_sums_match_the_reference_on_random_specs():
+    rng = random.Random(20121)
+    errors = values = 0
+    for _ in range(300):
+        kind = rng.choice((mo.FREE, mo.CLASSICAL))
+        unit = rng.choice(_UNITS)
+        spec = _random_spec(rng, kind, unit)
+        k_max = 6 // len(unit)
+        want = _outcome(moments_reference.moments_from_cumulants, spec, unit, k_max)
+        assert _outcome(mo.moments_from_cumulants, spec, unit, k_max) == want, spec
+        if isinstance(want, str):
+            errors += 1
+        else:
+            values += 1
+    # both kinds of outcome are exercised
+    assert errors >= 50 and values >= 50, (errors, values)
+
+
+def test_a_zero_block_before_an_undefined_one_raises_nothing():
+    # (1, ("d*",)) is undefined, but in the word (0, 1) on d d* the zero
+    # block of d comes first, so only the word (0, 1, 0, 2) of m_2 raises
+    spec = mo.CumulantSpec(mo.CLASSICAL, {(1, ("d",)): 0, (2, ()): 1})
+    for fn in (moments_reference.moments_from_cumulants, mo.moments_from_cumulants):
+        assert fn(spec, ("d", "d*"), 1) == (1,)
+        with pytest.raises(
+            UndefinedBlockValueError, match=r"^no value for block shape \(1, \('d\*',\)\)$"
+        ):
+            fn(spec, ("d", "d*"), 2)
+
+
+_NAMED_LAWS = {
+    "semicircle": (mo.semicircular_spec, ("a",)),
+    "shifted-semicircle": (mo.shifted_semicircular_spec, ("a",)),
+    "shifted-circle": (mo.shifted_circular_spec, ("d", "d*")),
+    "real-gaussian": (mo.gaussian_spec, ("a",)),
+    "shifted-real-gaussian": (mo.shifted_gaussian_spec, ("a",)),
+    "shifted-complex-gaussian": (mo.shifted_complex_gaussian_spec, ("d", "d*")),
+}
+
+
+@pytest.mark.parametrize("law", sorted(_NAMED_LAWS))
+def test_named_laws_match_the_reference(law):
+    make_spec, unit = _NAMED_LAWS[law]
+    # the largest sizes the benchmark's count workload and criterion 8 use
+    k_max = 9 if len(unit) == 1 else 5
+    spec = make_spec()
+    want = moments_reference.moments_from_cumulants(spec, unit, k_max)
+    assert mo.moments_from_cumulants(spec, unit, k_max) == want
 
 
 # ---------------------------------------------------------------------------
