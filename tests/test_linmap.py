@@ -5,6 +5,7 @@ import pytest
 
 import block_reference as ref
 import partcat.linmap as lm
+import partcat.ops as ops
 from partcat.catalog import (
     block,
     four_block,
@@ -20,7 +21,7 @@ from partcat.errors import (
     IndexRangeError,
     MemoryCapError,
 )
-from partcat.ops import Rotation, enumerate_all, involute, rotate
+from partcat.ops import ComposeResult, Rotation, enumerate_all, enumerate_upto, involute, rotate
 from partcat.partition import parse_partition
 
 
@@ -110,6 +111,26 @@ def test_check_functor_random_pairs():
     for p in enumerate_all(0, 4):
         for q in enumerate_all(4, 2):
             assert lm.check_functor(p, q, 2)
+
+
+def _one_extra_loop(p, q):
+    res = ops.compose(p, q)
+    return ComposeResult(res.result, res.removed_loops + 1)
+
+
+@pytest.mark.parametrize("name,broken,fails_everywhere", [
+    ("compose", _one_extra_loop, True),
+    ("tensor", lambda p, q: ops.tensor(q, p), False),
+    ("involute", lambda p: p, False),
+], ids=["compose", "tensor", "involute"])
+def test_check_functor_catches_a_broken_operation(monkeypatch, name, broken, fails_everywhere):
+    upto4 = enumerate_upto(4)
+    pairs = [(p, q) for p in upto4 for q in upto4 if q.upper_count == p.lower_count]
+    monkeypatch.setattr(lm, name, broken)
+    failing = [(p, q) for p, q in pairs if not lm.check_functor(p, q, 2)]
+    assert failing
+    if fails_everywhere:
+        assert len(failing) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
