@@ -5,15 +5,21 @@ members on k points in a row; ``count_moments`` computes these by exhaustive
 enumeration.  ``moments_from_cumulants`` evaluates moment sums over all
 partitions (classical) or noncrossing partitions (free), with a block-value
 rule supplied by a :class:`CumulantSpec`; block shapes above the largest
-declared size count 0.  ``squeeze`` and ``symmetrize`` reshape a sequence.
-Everything here is exact integer / rational arithmetic; no floats.
+declared size count 0.  It visits every word, but looks each block's value up
+in a table local to the call, keyed by the block's marks, and only counts the
+words per multiset of block shapes; the rational products are formed once per
+shape after the enumeration.  Errors are raised at the same word and with the
+same message as a per-word product would raise them.  ``squeeze`` and
+``symmetrize`` reshape a sequence.  Everything here is exact integer /
+rational arithmetic; no floats.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
 from .catalog import word_rule
@@ -102,24 +108,33 @@ def poly_square(coeffs: Iterable[int]) -> tuple[int, ...]:
 class CumulantSpec:
     """Block-value rule for a moment-cumulant sum.
 
-    ``values`` maps (size, marks) to an exact rational, where ``marks`` is
-    the sorted tuple of the point marks the block touches (empty tuple for
-    mark-free rules).  Undeclared shapes of size above the largest declared
-    size evaluate to 0; any other undeclared shape raises
+    ``values`` maps (size, marks) to an exact rational, an ``int`` or a
+    ``Fraction``, where ``size`` is at least 1 and ``marks`` is the sorted
+    tuple of the block's ``size`` point marks (empty tuple for mark-free
+    rules).  Undeclared shapes of size above the largest declared size
+    evaluate to 0; any other undeclared shape raises
     UndefinedBlockValueError.  Marked entries are only accepted for blocks of
     size one or two.
     """
 
     kind: str  # "free" | "classical"
-    values: Mapping[tuple[int, tuple[str, ...]], Fraction]
+    values: Mapping[tuple[int, tuple[str, ...]], int | Fraction]
 
     def __post_init__(self) -> None:
         if self.kind not in (FREE, CLASSICAL):
             raise BadParamError(f"unknown cumulant kind {self.kind!r}")
-        for (size, marks), _ in self.values.items():
+        for (size, marks), value in self.values.items():
+            if size < 1:
+                raise BadParamError(f"block size must be >= 1, got {size}")
+            if marks and len(marks) != size:
+                raise BadParamError(f"a block of size {size} cannot carry the marks {marks}")
             if marks and size > 2:
                 raise UndefinedBlockValueError(
                     "marked cumulants are only supported for blocks of size <= 2"
+                )
+            if not isinstance(value, (int, Fraction)):
+                raise BadParamError(
+                    f"cumulant of {(size, marks)} must be an int or a Fraction, got {value!r}"
                 )
 
     @property
@@ -193,25 +208,43 @@ def moments_from_cumulants(
     alternating starred moments.  Free specs sum over noncrossing partitions,
     classical specs over all partitions.  The largest moment's point count,
     ``len(word_unit) * k_max``, must stay within the enumeration cap.
+
+    Every word of ``iter_words`` is visited.  Its blocks are read in label
+    order, each valued through a table local to the call that is keyed by
+    the block's marks in point order, and the scan stops at the first zero
+    block; ``spec.block_value`` runs only on a key's first sighting.  So an
+    undefined shape raises at the same word, with the same message, as a
+    product formed word by word, and a zero block ahead of an undefined one
+    raises nothing.  A word with no zero block is counted under its sorted
+    tuple of keys, and m_k sums count times the product of the key values
+    over these shapes.
     """
     if not word_unit:
         raise BadParamError("the mark word must not be empty")
     check_enumeration_cap(len(word_unit) * k_max)
     noncrossing = spec.kind == FREE
+    block_values: dict[tuple[str, ...], int | Fraction] = {}
     values = []
     for k in range(1, k_max + 1):
-        marks = word_unit * k
-        total = Fraction(0)
-        for w in iter_words(len(marks), noncrossing_only=noncrossing):
-            term = Fraction(1)
-            for lab in range(max(w) + 1):
-                positions = [i for i, x in enumerate(w) if x == lab]
-                term *= spec.block_value(
-                    len(positions), tuple(marks[i] for i in positions)
-                )
-                if not term:
+        singletons = [(mark,) for mark in word_unit * k]
+        shapes: Counter[tuple[tuple[str, ...], ...]] = Counter()
+        for w in iter_words(len(singletons), noncrossing_only=noncrossing):
+            blocks = [()] * (max(w) + 1)
+            for lab, mark in zip(w, singletons):
+                blocks[lab] += mark
+            for key in blocks:
+                value = block_values.get(key)
+                if value is None:
+                    value = block_values[key] = spec.block_value(len(key), key)
+                if not value:
                     break
-            total += term
+            else:
+                shapes[tuple(sorted(blocks))] += 1
+        total = sum(
+            (count * prod((block_values[key] for key in shape), start=Fraction(1))
+             for shape, count in shapes.items()),
+            Fraction(0),
+        )
         if total.denominator != 1 or total < 0:
             raise UndefinedBlockValueError(
                 f"moment m_{k} is not a nonnegative integer: {total}"

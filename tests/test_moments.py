@@ -160,6 +160,18 @@ def test_cumulant_spec_validation():
         mo.moments_from_cumulants(mo.semicircular_spec(), (), 2)
 
 
+@pytest.mark.parametrize("values", [
+    {(1, ()): 0.5, (2, ()): 1},
+    {(1, ()): 0, (2, ()): "1"},
+    {(0, ()): 1, (2, ()): 1},
+    {(2, ("d",)): 1},
+    {(1, ("d", "d*")): 1},
+], ids=["float", "str", "size-0", "too-few-marks", "too-many-marks"])
+def test_cumulant_spec_refuses_what_it_cannot_evaluate(values):
+    with pytest.raises(BadParamError):
+        mo.CumulantSpec("free", values)
+
+
 # ---------------------------------------------------------------------------
 # the package against the per-word reference sum
 
