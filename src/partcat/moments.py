@@ -5,11 +5,10 @@ members on k points in a row; ``count_moments`` computes these by exhaustive
 enumeration.  ``moments_from_cumulants`` evaluates moment sums over all
 partitions (classical) or noncrossing partitions (free), with a block-value
 rule supplied by a :class:`CumulantSpec`; block shapes above the largest
-declared size count 0.  It visits every word, but looks each block's value up
-in a table local to the call, keyed by the block's marks, and only counts the
-words per multiset of block shapes; the rational products are formed once per
-shape after the enumeration.  Errors are raised at the same word and with the
-same message as a per-word product would raise them.  ``squeeze`` and
+declared size count 0.  The sum visits every word but keeps, per call, a table
+of block values keyed by the block's marks; it counts the words per multiset
+of block shapes and forms the rational products once per shape.  Its results
+and errors are those of a product formed word by word.  ``squeeze`` and
 ``symmetrize`` reshape a sequence.  Everything here is exact integer /
 rational arithmetic; no floats.
 """
@@ -226,11 +225,12 @@ def moments_from_cumulants(
     block_values: dict[tuple[str, ...], int | Fraction] = {}
     values = []
     for k in range(1, k_max + 1):
-        singletons = [(mark,) for mark in word_unit * k]
+        # one-tuples, so that a block's key is the concatenation of its marks
+        marks = [(mark,) for mark in word_unit * k]
         shapes: Counter[tuple[tuple[str, ...], ...]] = Counter()
-        for w in iter_words(len(singletons), noncrossing_only=noncrossing):
+        for w in iter_words(len(marks), noncrossing_only=noncrossing):
             blocks = [()] * (max(w) + 1)
-            for lab, mark in zip(w, singletons):
+            for lab, mark in zip(w, marks):
                 blocks[lab] += mark
             for key in blocks:
                 value = block_values.get(key)
@@ -240,11 +240,9 @@ def moments_from_cumulants(
                     break
             else:
                 shapes[tuple(sorted(blocks))] += 1
-        total = sum(
-            (count * prod((block_values[key] for key in shape), start=Fraction(1))
-             for shape, count in shapes.items()),
-            Fraction(0),
-        )
+        total = Fraction(0)
+        for shape, count in shapes.items():
+            total += count * prod((block_values[key] for key in shape), start=Fraction(1))
         if total.denominator != 1 or total < 0:
             raise UndefinedBlockValueError(
                 f"moment m_{k} is not a nonnegative integer: {total}"

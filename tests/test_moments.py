@@ -221,7 +221,7 @@ def test_cumulant_sums_match_the_reference_on_random_specs():
 
 def test_a_zero_block_before_an_undefined_one_raises_nothing():
     # (1, ("d*",)) is undefined, but in the word (0, 1) on d d* the zero
-    # block of d comes first, so only the word (0, 1, 0, 2) of m_2 raises
+    # block of d comes first; m_2 raises at its word (0, 1, 0, 2)
     spec = mo.CumulantSpec(mo.CLASSICAL, {(1, ("d",)): 0, (2, ()): 1})
     for fn in (moments_reference.moments_from_cumulants, mo.moments_from_cumulants):
         assert fn(spec, ("d", "d*"), 1) == (1,)
