@@ -151,6 +151,27 @@ DIGESTS = [
 ]
 
 
+# `count --kmax 9` of every category with a block rule: m_1..m_9
+COUNTS = {
+    "O+": (0, 1, 0, 2, 0, 5, 0, 14, 0),
+    "H+": (0, 1, 0, 3, 0, 12, 0, 55, 0),
+    "S'+": (0, 2, 0, 14, 0, 132, 0, 1430, 0),
+    "S+": (1, 2, 5, 14, 42, 132, 429, 1430, 4862),
+    "B#+": (0, 2, 0, 7, 0, 30, 0, 143, 0),
+    "B'+": (0, 2, 0, 9, 0, 51, 0, 323, 0),
+    "B+": (1, 2, 4, 9, 21, 51, 127, 323, 835),
+    "O": (0, 1, 0, 3, 0, 15, 0, 105, 0),
+    "H": (0, 1, 0, 4, 0, 31, 0, 379, 0),
+    "S'": (0, 2, 0, 15, 0, 203, 0, 4140, 0),
+    "S": (1, 2, 5, 15, 52, 203, 877, 4140, 21147),
+    "B'": (0, 2, 0, 10, 0, 76, 0, 764, 0),
+    "B": (1, 2, 4, 10, 26, 76, 232, 764, 2620),
+    "O*": (0, 1, 0, 2, 0, 6, 0, 24, 0),
+    "H*": (0, 1, 0, 3, 0, 16, 0, 131, 0),
+    "B#*": (0, 2, 0, 7, 0, 34, 0, 209, 0),
+}
+
+
 def _ids(cases):
     return [f"{i}-{'-'.join(case[0][:2])}" for i, case in enumerate(cases)]
 
@@ -170,3 +191,12 @@ def test_cli_output_digest(capsys, argv, lines, sha256, stderr):
     assert len(captured.out.splitlines()) == lines
     assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
     assert captured.err == stderr
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_cli_count_verbatim(capsys, name):
+    assert main(["count", "--category", name, "--kmax", "9"]) == 0
+    captured = capsys.readouterr()
+    rows = "".join(f"{name},{k},{m}\n" for k, m in enumerate(COUNTS[name], start=1))
+    assert captured.out == "category,k,m_k\n" + rows
+    assert captured.err == ""
