@@ -3,19 +3,19 @@
 ``CATALOG`` is the one table of the named categories (Weber's
 classification).  Each row gives a category's name, its world, the
 generators it is known by, whether its members are noncrossing, and its
-block rule on boundary words:
+block rule on boundary words.  A block rule is data: a test on each block's
+(plus, minus) mark counts, where walk position i is plus for even i, and a
+flag asking for an even number of points.  The flag is the only global
+condition any row needs: with blocks of at most two points an even number of
+singletons is an even number of points (``B'``, ``B#``), and the number of
+odd blocks always has the parity of the number of points, so an even number
+of odd blocks is an even number of points (``S'``).
 
 * ``Free7``:      ``O+ H+ S'+ S+ B#+ B'+ B+``, noncrossing plus a block rule
 * ``Classical6``: ``O  H  S'  S  B'  B``, the same block rules with crossings
 * ``HalfLib``:    ``O* H* B#*``, crossings allowed and mark rules that bite
 * ``Series``:     ``fatcross`` and the parametrized ``H^(s)``, known by their
   generators only
-
-Everything else is read from the table: ``word_rule`` and
-``category_predicate``, the name tuple of each world (in table order), and
-the inclusion orders of the free and classical worlds.  A category with no
-block rule has no predicate; asking for one raises NoPredicateError and
-membership questions go through the closure engine instead.
 """
 
 from __future__ import annotations
@@ -141,68 +141,51 @@ def named_partition(name: str, *params: int) -> Partition:
 # ---------------------------------------------------------------------------
 # membership predicates
 #
-# Block rules on boundary words.  Block sizes are label counts; the mark of
-# walk position i is plus for even i and minus for odd i.
+# Block tests on a block's (plus, minus) mark counts; the mark of walk
+# position i is plus for even i and minus for odd i.
 
 Predicate = Callable[[Partition], bool]
 WordRule = Callable[[Word], bool]
+BlockTest = Callable[[int, int], bool]
 
 
-def _sizes(w: Word) -> list[int]:
-    return [w.count(x) for x in range(max(w, default=-1) + 1)]
+def _pair(plus: int, minus: int) -> bool:
+    return plus + minus == 2
 
 
-def _any(w: Word) -> bool:
-    return True
+def _even(plus: int, minus: int) -> bool:
+    return (plus + minus) % 2 == 0
 
 
-def _sizes_at_most_two(w: Word) -> bool:
-    return all(s <= 2 for s in _sizes(w))
+def _at_most_two(plus: int, minus: int) -> bool:
+    return plus + minus <= 2
 
 
-def _all_pairs(w: Word) -> bool:
-    return all(s == 2 for s in _sizes(w))
+def _balanced(plus: int, minus: int) -> bool:
+    return plus == minus
 
 
-def _all_even(w: Word) -> bool:
-    return all(s % 2 == 0 for s in _sizes(w))
+def _balanced_pair(plus: int, minus: int) -> bool:
+    return plus == minus == 1
 
 
-def _even_odd_blocks(w: Word) -> bool:
-    # the number of odd blocks has the parity of the number of points
-    return len(w) % 2 == 0
+def _singleton_or_balanced_pair(plus: int, minus: int) -> bool:
+    return plus + minus == 1 or plus == minus == 1
 
 
-def _even_singletons(w: Word) -> bool:
-    return _sizes(w).count(1) % 2 == 0
+def _make_rule(block: BlockTest | None, even_points: bool) -> WordRule:
+    """Every block passes ``block`` on its (plus, minus) mark counts, and the
+    number of points is even if ``even_points``; no block test, no scan."""
 
+    def rule(w: Word) -> bool:
+        if even_points and len(w) % 2:
+            return False
+        if block is None:
+            return True
+        plus, minus = w[::2], w[1::2]
+        return all(block(plus.count(x), minus.count(x)) for x in range(max(w, default=-1) + 1))
 
-def _pairs_balanced(w: Word) -> bool:
-    """Every block of size two carries one plus and one minus mark."""
-    plus = w[::2]
-    return all(plus.count(x) == 1 for x, s in enumerate(_sizes(w)) if s == 2)
-
-
-def _blocks_balanced(w: Word) -> bool:
-    """Every block carries as many plus as minus marks."""
-    plus, minus = w[::2], w[1::2]
-    return all(plus.count(x) == minus.count(x) for x in range(max(w, default=-1) + 1))
-
-
-def _b_prime(w: Word) -> bool:
-    return _sizes_at_most_two(w) and _even_singletons(w)
-
-
-def _b_sharp(w: Word) -> bool:
-    return _b_prime(w) and _pairs_balanced(w)
-
-
-def _balanced_pairs(w: Word) -> bool:
-    return _all_pairs(w) and _blocks_balanced(w)
-
-
-def _balanced_even(w: Word) -> bool:
-    return _all_even(w) and _blocks_balanced(w)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +225,35 @@ class CatalogEntry:
 def _build_catalog() -> dict[str, CatalogEntry]:
     s, ss, fb, pos = singleton(), double_singleton(), four_block(), positioner()
     x, hl = crossing(), half_lib()
-    entries = [
+    F, C, HL = WORLD_FREE, WORLD_CLASSICAL, WORLD_HALF_LIBERATED
+    # name, world, generators, noncrossing, block test, even number of points
+    ruled = [
         # free world: noncrossing plus a block rule
-        CatalogEntry("O+", WORLD_FREE, (), True, _all_pairs),
-        CatalogEntry("H+", WORLD_FREE, (fb,), True, _all_even),
-        CatalogEntry("S'+", WORLD_FREE, (ss, fb), True, _even_odd_blocks),
-        CatalogEntry("S+", WORLD_FREE, (s, fb), True, _any),
-        CatalogEntry("B#+", WORLD_FREE, (ss,), True, _b_sharp),
-        CatalogEntry("B'+", WORLD_FREE, (pos,), True, _b_prime),
-        CatalogEntry("B+", WORLD_FREE, (s,), True, _sizes_at_most_two),
+        ("O+", F, (), True, _pair, False),
+        ("H+", F, (fb,), True, _even, False),
+        ("S'+", F, (ss, fb), True, None, True),
+        ("S+", F, (s, fb), True, None, False),
+        ("B#+", F, (ss,), True, _singleton_or_balanced_pair, True),
+        ("B'+", F, (pos,), True, _at_most_two, True),
+        ("B+", F, (s,), True, _at_most_two, False),
         # classical world: the same block rules, crossings allowed, no mark rule
-        CatalogEntry("O", WORLD_CLASSICAL, (x,), False, _all_pairs),
-        CatalogEntry("H", WORLD_CLASSICAL, (fb, x), False, _all_even),
-        CatalogEntry("S'", WORLD_CLASSICAL, (ss, fb, x), False, _even_odd_blocks),
-        CatalogEntry("S", WORLD_CLASSICAL, (s, fb, x), False, _any),
-        CatalogEntry("B'", WORLD_CLASSICAL, (pos, x), False, _b_prime),
-        CatalogEntry("B", WORLD_CLASSICAL, (s, x), False, _sizes_at_most_two),
+        ("O", C, (x,), False, _pair, False),
+        ("H", C, (fb, x), False, _even, False),
+        ("S'", C, (ss, fb, x), False, None, True),
+        ("S", C, (s, fb, x), False, None, False),
+        ("B'", C, (pos, x), False, _at_most_two, True),
+        ("B", C, (s, x), False, _at_most_two, False),
         # half-liberated world: crossings allowed, mark rules bite
-        CatalogEntry("O*", WORLD_HALF_LIBERATED, (hl,), False, _balanced_pairs),
-        CatalogEntry("H*", WORLD_HALF_LIBERATED, (hl, fb), False, _balanced_even),
-        CatalogEntry("B#*", WORLD_HALF_LIBERATED, (hl, ss), False, _b_sharp),
-        # known by its generators only
-        CatalogEntry("fatcross", WORLD_SERIES, (fat_crossing(), fb)),
+        ("O*", HL, (hl,), False, _balanced_pair, False),
+        ("H*", HL, (hl, fb), False, _balanced, False),
+        ("B#*", HL, (hl, ss), False, _singleton_or_balanced_pair, True),
     ]
+    entries = [
+        CatalogEntry(name, world, gens, noncrossing, _make_rule(block, even_points))
+        for name, world, gens, noncrossing, block, even_points in ruled
+    ]
+    # known by its generators only
+    entries.append(CatalogEntry("fatcross", WORLD_SERIES, (fat_crossing(), fb)))
     return {e.name: e for e in entries}
 
 
