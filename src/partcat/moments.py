@@ -131,6 +131,8 @@ class CumulantSpec:
                 raise UndefinedBlockValueError(
                     "marked cumulants are only supported for blocks of size <= 2"
                 )
+            if list(marks) != sorted(marks):
+                raise BadParamError(f"the marks of {(size, marks)} are not sorted")
             if not isinstance(value, (int, Fraction)):
                 raise BadParamError(
                     f"cumulant of {(size, marks)} must be an int or a Fraction, got {value!r}"

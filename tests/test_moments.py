@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -158,6 +159,11 @@ def test_cumulant_spec_validation():
         mo.moments_from_cumulants(spec, ("a",), 1)
     with pytest.raises(BadParamError):
         mo.moments_from_cumulants(mo.semicircular_spec(), (), 2)
+    # a key read by sorted marks: an unsorted one would never be read
+    values = dict(mo.shifted_circular_spec().values)
+    values[(2, ("d*", "d"))] = values.pop((2, ("d", "d*")))
+    with pytest.raises(BadParamError, match=re.escape("(2, ('d*', 'd'))")):
+        mo.CumulantSpec("free", values)
 
 
 @pytest.mark.parametrize("values", [
