@@ -33,6 +33,7 @@ from .closure import (
     DEFAULT_MAX_FUSION_OPS,
     DEFAULT_POINT_BUDGET,
     Containment,
+    check_budgets,
     check_fusion_cap,
     generate_closure,
 )
@@ -117,9 +118,10 @@ def classify_easy(
     if every generator satisfies that category's predicate; otherwise the
     answer is Undetermined.  Conclusions that rest on bounded search are
     budget-qualified in the evidence; Undetermined is a value, not an error.
-    A negative ``max_fusion_ops`` is refused up front.
+    A negative ``max_fusion_ops`` or a bad budget is refused up front.
     """
     check_fusion_cap(max_fusion_ops)
+    check_budgets(point_budget, intermediate_budget)
     gens = tuple(generators)
     if all(is_noncrossing(g) for g in gens):
         return classify_noncrossing(gens)

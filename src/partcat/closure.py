@@ -244,6 +244,14 @@ def check_fusion_cap(max_fusion_ops: int | None) -> None:
         raise BadParamError(f"max_fusion_ops must be at least 0, not {max_fusion_ops}")
 
 
+def check_budgets(point_budget: int, intermediate_budget: int) -> None:
+    """Refuse a point budget below 2 (the pair partition) or above the intermediate one."""
+    if point_budget < 2:
+        raise BudgetError("point budget must be at least 2 (the pair partition)")
+    if intermediate_budget < point_budget:
+        raise BudgetError("intermediate budget must be at least the point budget")
+
+
 def generate_closure(
     generators: Sequence[Partition],
     point_budget: int = DEFAULT_POINT_BUDGET,
@@ -285,10 +293,7 @@ def generate_closure(
     """
     pb, ib = point_budget, intermediate_budget
     check_fusion_cap(max_fusion_ops)
-    if pb < 2:
-        raise BudgetError("point budget must be at least 2 (the pair partition)")
-    if ib < pb:
-        raise BudgetError("intermediate budget must be at least the point budget")
+    check_budgets(pb, ib)
     gens = tuple(generators)
     for g in gens:
         if g.n_points > ib:

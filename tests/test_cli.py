@@ -85,6 +85,19 @@ def test_closure_budget_error_exit_code(capsys):
     assert err.startswith("budget:")
 
 
+@pytest.mark.parametrize(
+    "gen", ["P(0,4): l1,l2,l3,l4", "P(2,2): u1,l2; u2,l1"], ids=["noncrossing", "crossing"]
+)
+@pytest.mark.parametrize(
+    "budgets", [("1", "16"), ("8", "4")], ids=["point-budget-1", "ibudget-below-budget"]
+)
+def test_classify_budget_error_exit_code(capsys, gen, budgets):
+    budget, ibudget = budgets
+    code, out, err = run(capsys, "classify", "--gen", gen, "--budget", budget, "--ibudget", ibudget)
+    assert (code, out) == (2, [])
+    assert err.startswith("budget:")
+
+
 def test_classify_record(capsys):
     code, out, _ = run(capsys, "classify", "--gen", "P(0,4): l1,l2,l3,l4")
     assert code == 0

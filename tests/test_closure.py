@@ -613,6 +613,16 @@ def test_classify_easy_noncrossing_generators_stay_exact():
     assert res.budgets is None
 
 
+@pytest.mark.parametrize("gens", [[four_block()], [crossing()]], ids=["noncrossing", "crossing"])
+@pytest.mark.parametrize("budgets,message", [
+    ((1, 16), "point budget must be at least 2"),
+    ((8, 4), "intermediate budget must be at least the point budget"),
+], ids=["point-budget-1", "ibudget-below-budget"])
+def test_classify_easy_refuses_bad_budgets(gens, budgets, message):
+    with pytest.raises(BudgetError, match=message):
+        classify_easy(gens, *budgets)
+
+
 def test_classify_easy_refuses_a_half_liberated_name_a_generator_fails():
     # h(4) has unbalanced blocks and h(5) odd ones: neither lies in H*
     h4_text = "P(0,8): l1,l3,l5,l7; l2,l4,l6,l8"
