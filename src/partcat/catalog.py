@@ -3,19 +3,24 @@
 ``CATALOG`` is the one table of the named categories (Weber's
 classification).  Each row gives a category's name, its world, the
 generators it is known by, whether its members are noncrossing, and its
-block rule on boundary words.  A block rule is data: a test on each block's
-(plus, minus) mark counts, where walk position i is plus for even i, and a
-flag asking for an even number of points.  The flag is the only global
-condition any row needs: with blocks of at most two points an even number of
-singletons is an even number of points (``B'``, ``B#``), and the number of
-odd blocks always has the parity of the number of points, so an even number
-of odd blocks is an even number of points (``S'``).
+block rule on boundary words: a test on each block's (plus, minus) mark
+counts, plus meaning an even walk position, and a flag asking for an even
+number of points.  That flag is every global condition: for blocks of at
+most two points an even number of singletons is an even number of points
+(``B'``, ``B#``), and the number of odd blocks has the parity of the number
+of points (``S'``).
 
 * ``Free7``:      ``O+ H+ S'+ S+ B#+ B'+ B+``, noncrossing plus a block rule
 * ``Classical6``: ``O  H  S'  S  B'  B``, the same block rules with crossings
 * ``HalfLib``:    ``O* H* B#*``, crossings allowed and mark rules that bite
 * ``Series``:     ``fatcross`` and the parametrized ``H^(s)``, known by their
   generators only
+
+Everything else is read from the table: ``word_rule`` and
+``category_predicate``, the name tuple of each world (in table order), and
+the inclusion orders of the free and classical worlds.  A category with no
+block rule has no predicate; asking for one raises NoPredicateError and
+membership questions go through the closure engine instead.
 """
 
 from __future__ import annotations
@@ -140,9 +145,6 @@ def named_partition(name: str, *params: int) -> Partition:
 
 # ---------------------------------------------------------------------------
 # membership predicates
-#
-# Block tests on a block's (plus, minus) mark counts; the mark of walk
-# position i is plus for even i and minus for odd i.
 
 Predicate = Callable[[Partition], bool]
 WordRule = Callable[[Word], bool]
@@ -174,8 +176,7 @@ def _singleton_or_balanced_pair(plus: int, minus: int) -> bool:
 
 
 def _make_rule(block: BlockTest | None, even_points: bool) -> WordRule:
-    """Every block passes ``block`` on its (plus, minus) mark counts, and the
-    number of points is even if ``even_points``; no block test, no scan."""
+    """Every block's (plus, minus) marks pass ``block``; even length if ``even_points``."""
 
     def rule(w: Word) -> bool:
         if even_points and len(w) % 2:
@@ -225,28 +226,27 @@ class CatalogEntry:
 def _build_catalog() -> dict[str, CatalogEntry]:
     s, ss, fb, pos = singleton(), double_singleton(), four_block(), positioner()
     x, hl = crossing(), half_lib()
-    F, C, HL = WORLD_FREE, WORLD_CLASSICAL, WORLD_HALF_LIBERATED
     # name, world, generators, noncrossing, block test, even number of points
     ruled = [
         # free world: noncrossing plus a block rule
-        ("O+", F, (), True, _pair, False),
-        ("H+", F, (fb,), True, _even, False),
-        ("S'+", F, (ss, fb), True, None, True),
-        ("S+", F, (s, fb), True, None, False),
-        ("B#+", F, (ss,), True, _singleton_or_balanced_pair, True),
-        ("B'+", F, (pos,), True, _at_most_two, True),
-        ("B+", F, (s,), True, _at_most_two, False),
+        ("O+", WORLD_FREE, (), True, _pair, False),
+        ("H+", WORLD_FREE, (fb,), True, _even, False),
+        ("S'+", WORLD_FREE, (ss, fb), True, None, True),
+        ("S+", WORLD_FREE, (s, fb), True, None, False),
+        ("B#+", WORLD_FREE, (ss,), True, _singleton_or_balanced_pair, True),
+        ("B'+", WORLD_FREE, (pos,), True, _at_most_two, True),
+        ("B+", WORLD_FREE, (s,), True, _at_most_two, False),
         # classical world: the same block rules, crossings allowed, no mark rule
-        ("O", C, (x,), False, _pair, False),
-        ("H", C, (fb, x), False, _even, False),
-        ("S'", C, (ss, fb, x), False, None, True),
-        ("S", C, (s, fb, x), False, None, False),
-        ("B'", C, (pos, x), False, _at_most_two, True),
-        ("B", C, (s, x), False, _at_most_two, False),
+        ("O", WORLD_CLASSICAL, (x,), False, _pair, False),
+        ("H", WORLD_CLASSICAL, (fb, x), False, _even, False),
+        ("S'", WORLD_CLASSICAL, (ss, fb, x), False, None, True),
+        ("S", WORLD_CLASSICAL, (s, fb, x), False, None, False),
+        ("B'", WORLD_CLASSICAL, (pos, x), False, _at_most_two, True),
+        ("B", WORLD_CLASSICAL, (s, x), False, _at_most_two, False),
         # half-liberated world: crossings allowed, mark rules bite
-        ("O*", HL, (hl,), False, _balanced_pair, False),
-        ("H*", HL, (hl, fb), False, _balanced, False),
-        ("B#*", HL, (hl, ss), False, _singleton_or_balanced_pair, True),
+        ("O*", WORLD_HALF_LIBERATED, (hl,), False, _balanced_pair, False),
+        ("H*", WORLD_HALF_LIBERATED, (hl, fb), False, _balanced, False),
+        ("B#*", WORLD_HALF_LIBERATED, (hl, ss), False, _singleton_or_balanced_pair, True),
     ]
     entries = [
         CatalogEntry(name, world, gens, noncrossing, _make_rule(block, even_points))
