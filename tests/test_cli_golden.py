@@ -170,6 +170,15 @@ COUNTS = {
     "H*": (0, 1, 0, 3, 0, 16, 0, 131, 0),
     "B#*": (0, 2, 0, 7, 0, 34, 0, 209, 0),
 }
+VERBATIM += [
+    (
+        ("count", "--category", name, "--kmax", "9"),
+        "category,k,m_k\n" + "".join(f"{name},{k},{m}\n" for k, m in enumerate(counts, start=1)),
+        0,
+        "",
+    )
+    for name, counts in COUNTS.items()
+]
 
 
 def _ids(cases):
@@ -192,11 +201,3 @@ def test_cli_output_digest(capsys, argv, lines, sha256, stderr):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
     assert captured.err == stderr
 
-
-@pytest.mark.parametrize("name", COUNTS)
-def test_cli_count_verbatim(capsys, name):
-    assert main(["count", "--category", name, "--kmax", "9"]) == 0
-    captured = capsys.readouterr()
-    rows = "".join(f"{name},{k},{m}\n" for k, m in enumerate(COUNTS[name], start=1))
-    assert captured.out == "category,k,m_k\n" + rows
-    assert captured.err == ""
