@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
@@ -265,6 +267,18 @@ def test_enumerate_is_duplicate_free_and_sorted():
     texts = [str(p) for p in parts]
     assert texts == sorted(texts)
     assert len(set(texts)) == len(texts) == 15
+
+
+def test_words_are_the_restricted_growth_strings_in_lexicographic_order():
+    # an independent listing: every string with w[i] <= i, kept when each
+    # label is at most one more than the largest label before it
+    for n in range(9):
+        want = [
+            w
+            for w in itertools.product(*(range(i + 1) for i in range(n)))
+            if all(w[i] <= max(w[:i], default=-1) + 1 for i in range(n))
+        ]
+        assert list(iter_words(n)) == want, n
 
 
 def test_noncrossing_words_are_the_filtered_words_in_order():
