@@ -18,8 +18,10 @@ of points (``S'``).
 
 Everything else is read from the table: ``word_rule`` and
 ``category_predicate``, the name tuple of each world (in table order), and
-the inclusion orders of the free and classical worlds.  A category with no
-block rule has no predicate; asking for one raises NoPredicateError and
+the inclusion orders of the free and classical worlds.  ``catalog_entry``
+resolves every name, a ``CATALOG`` row or ``H^(s)`` with s >= 3; every other
+name is a BadParamError.  Only ``fatcross`` and ``H^(s)`` have no block rule,
+so only they raise NoPredicateError when a predicate is asked for; their
 membership questions go through the closure engine instead.
 """
 
@@ -270,12 +272,10 @@ HALF_LIBERATED_NAMES = _names_in(WORLD_HALF_LIBERATED)
 
 
 def _ruled_entry(name: str) -> CatalogEntry:
-    entry = CATALOG.get(name)
-    if entry is not None and entry.rule is not None:
-        return entry
-    if entry is not None or _series_param(name) is not None:
+    entry = catalog_entry(name)
+    if entry.rule is None:
         raise NoPredicateError(f"category {name!r} has no membership predicate")
-    raise BadParamError(f"unknown category {name!r}")
+    return entry
 
 
 def word_rule(name: str) -> tuple[bool, WordRule]:
@@ -288,15 +288,6 @@ def category_predicate(name: str) -> Predicate:
     return _ruled_entry(name).predicate
 
 
-def _series_param(name: str) -> int | None:
-    if name.startswith("H^(") and name.endswith(")"):
-        try:
-            return int(name[3:-1])
-        except ValueError:
-            return None
-    return None
-
-
 def series_entry(s: int) -> CatalogEntry:
     """The parametrized series ⟨half-lib, four-block, h(s)⟩, s >= 3."""
     if s < 3:
@@ -305,11 +296,16 @@ def series_entry(s: int) -> CatalogEntry:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
+    """The entry of a ``CATALOG`` name, or of ``H^(s)`` through ``series_entry``."""
     if name in CATALOG:
         return CATALOG[name]
-    s = _series_param(name)
-    if s is not None:
-        return series_entry(s)
+    if name.startswith("H^(") and name.endswith(")"):
+        try:
+            s = int(name[3:-1])
+        except ValueError:
+            pass
+        else:
+            return series_entry(s)
     raise BadParamError(f"unknown category {name!r}")
 
 

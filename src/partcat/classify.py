@@ -27,6 +27,7 @@ from .catalog import (
     four_block,
     h_series,
     half_lib,
+    series_entry,
 )
 from .closure import (
     DEFAULT_INTERMEDIATE_BUDGET,
@@ -37,7 +38,7 @@ from .closure import (
     check_fusion_cap,
     generate_closure,
 )
-from .errors import NotNoncrossingError
+from .errors import BadParamError, NotNoncrossingError
 from .partition import Partition, canonical_text, is_noncrossing
 
 WORLD_UNDETERMINED = "Undetermined"
@@ -163,5 +164,11 @@ def classify_easy(
     found = [t for t in range(3, point_budget // 2 + 1) if probe(h_series(t))]
     if found:
         g = math.gcd(*found)
-        return result(WORLD_SERIES, f"H^({g})", g)
+        try:
+            name = series_entry(g).name
+        except BadParamError as exc:
+            # h(1) and h(2) lead to the classical world, which the search did not reach
+            evidence.append((canonical_text(h_series(g)), str(exc)))
+            return result(WORLD_UNDETERMINED, None)
+        return result(WORLD_SERIES, name, g)
     return result(WORLD_HALF_LIBERATED, "H*")

@@ -28,6 +28,7 @@ from partcat.catalog import (
     unit_partition,
 )
 from partcat.errors import BadParamError, NoPredicateError
+from partcat.moments import count_moments
 from partcat.ops import Rotation, compose, enumerate_all, involute, rotate, tensor
 from partcat.partition import parse_partition
 
@@ -101,6 +102,33 @@ def test_no_predicate_for_series():
         category_predicate("fatcross")
     with pytest.raises(BadParamError):
         category_predicate("nonsense")
+
+
+# the questions that need a category's rule
+_RULE_QUESTIONS = (
+    category_predicate,
+    lambda name: count_moments(name, 3),
+    lambda name: enumerate_category(name, 4),
+)
+
+
+@pytest.mark.parametrize("n", [2, 0, -1])
+def test_series_names_below_the_range_are_refused_by_every_lookup(n):
+    # every question about a name resolves it through catalog_entry
+    name = f"H^({n})"
+    message = f"^series parameter must be >= 3, got {n}$"
+    with pytest.raises(BadParamError, match=message):
+        catalog_entry(name)
+    for ask in _RULE_QUESTIONS:
+        with pytest.raises(BadParamError, match=message):
+            ask(name)
+
+
+@pytest.mark.parametrize("name", ["H^(3)", "fatcross"])
+def test_entries_without_a_rule_have_no_predicate(name):
+    for ask in _RULE_QUESTIONS:
+        with pytest.raises(NoPredicateError, match="has no membership predicate"):
+            ask(name)
 
 
 def test_enumerate_category_examples():

@@ -122,6 +122,12 @@ def test_enumerate_no_predicate_is_an_error(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_count_series_name_below_the_range_is_an_error(capsys):
+    code, out, err = run(capsys, "count", "--category", "H^(2)", "--kmax", "3")
+    assert (code, out) == (2, [])
+    assert err == "error: series parameter must be >= 3, got 2\n"
+
+
 def test_count_emits_csv(capsys):
     code, out, _ = run(capsys, "count", "--category", "B#+", "--kmax", "8")
     assert code == 0

@@ -645,6 +645,18 @@ def test_classify_easy_refuses_a_half_liberated_name_a_generator_fails():
     assert res.evidence[-1] == (h4_text, "Confirmed")
 
 
+def test_classify_easy_names_no_series_below_the_range():
+    # with no glue at all, h(4) and h(6) are found but the crossing is not;
+    # their gcd 2 names no series member, so the answer stays open
+    gens = [half_lib(), four_block(), h_series(4), h_series(6)]
+    res = classify_easy(gens, 12, 24, max_fusion_ops=0)
+    assert (res.world, res.category_name, res.series_parameter) == ("Undetermined", None, None)
+    assert res.evidence[0] == (
+        "P(2,2): u1,l2; u2,l1", "NotFoundWithinBudget (search stopped before saturation)"
+    )
+    assert res.evidence[-1] == ("P(0,4): l1,l3; l2,l4", "series parameter must be >= 3, got 2")
+
+
 def test_classify_easy_names_only_categories_every_generator_satisfies():
     crossing_words = [w for n in range(1, 7) for w in iter_words(n) if not word_noncrossing(w)]
     assert len(crossing_words) == 82
