@@ -161,33 +161,26 @@ def bell_number(k: int) -> int:
 
 def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     """All partition words of n_points points (restricted growth strings), in
-    lexicographic order; with ``noncrossing_only`` the noncrossing ones only."""
-    if n_points == 0:
-        yield ()
-        return
+    lexicographic order; with ``noncrossing_only`` the noncrossing ones only.
+
+    One recursion labels the points left to right: each joins one of the
+    joinable blocks, in opening order, and then opens a new block, which
+    gives lexicographic order.  The classical world keeps every block
+    joinable; the noncrossing world cuts them back to the joined block.
+    """
     labels = [0] * n_points
 
-    def rec(i: int, used: int) -> Iterator[Word]:
+    def rec(i: int, joinable: tuple[int, ...], used: int) -> Iterator[Word]:
         if i == n_points:
             yield tuple(labels)
             return
-        for v in range(used + 1):
+        for depth, v in enumerate(joinable):
             labels[i] = v
-            yield from rec(i + 1, used if v < used else used + 1)
-
-    def rec_noncrossing(i: int, used: int, reopenable: tuple[int, ...]) -> Iterator[Word]:
-        # reopenable: the blocks a later point may join without a crossing,
-        # in opening order; joining block v closes every block opened after v
-        if i == n_points:
-            yield tuple(labels)
-            return
-        for depth, v in enumerate(reopenable):
-            labels[i] = v
-            yield from rec_noncrossing(i + 1, used, reopenable[: depth + 1])
+            yield from rec(i + 1, joinable[: depth + 1] if noncrossing_only else joinable, used)
         labels[i] = used
-        yield from rec_noncrossing(i + 1, used + 1, reopenable + (used,))
+        yield from rec(i + 1, joinable + (used,), used + 1)
 
-    yield from (rec_noncrossing(0, 0, ()) if noncrossing_only else rec(0, 0))
+    yield from rec(0, (), 0)
 
 
 def enumerate_all(
