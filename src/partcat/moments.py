@@ -108,10 +108,10 @@ class CumulantSpec:
     """Block-value rule for a moment-cumulant sum.
 
     ``values`` maps (size, marks) to an exact rational, an ``int`` or a
-    ``Fraction``, where ``size`` is at least 1 and ``marks`` is the sorted
-    tuple of the block's ``size`` point marks (empty tuple for mark-free
-    rules).  Undeclared shapes of size above the largest declared size
-    evaluate to 0; any other undeclared shape raises
+    ``Fraction``, where ``size`` is an ``int`` of at least 1 and ``marks`` is
+    the sorted tuple of the block's ``size`` point marks (empty tuple for
+    mark-free rules).  Undeclared shapes of size above the largest declared
+    size evaluate to 0; any other undeclared shape raises
     UndefinedBlockValueError.  Marked entries are only accepted for blocks of
     size one or two.
     """
@@ -123,6 +123,8 @@ class CumulantSpec:
         if self.kind not in (FREE, CLASSICAL):
             raise BadParamError(f"unknown cumulant kind {self.kind!r}")
         for (size, marks), value in self.values.items():
+            if not isinstance(size, int) or not isinstance(marks, tuple):
+                raise BadParamError(f"cumulant key {(size, marks)} must pair an int with a tuple")
             if size < 1:
                 raise BadParamError(f"block size must be >= 1, got {size}")
             if marks and len(marks) != size:

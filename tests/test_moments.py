@@ -172,7 +172,11 @@ def test_cumulant_spec_validation():
     {(0, ()): 1, (2, ()): 1},
     {(2, ("d",)): 1},
     {(1, ("d", "d*")): 1},
-], ids=["float", "str", "size-0", "too-few-marks", "too-many-marks"])
+    {(1.5, ()): 1, (2, ()): 1},
+    {(2, "dd"): 1},
+    {("2", ()): 1},
+], ids=["float", "str", "size-0", "too-few-marks", "too-many-marks",
+        "float-size", "str-marks", "str-size"])
 def test_cumulant_spec_refuses_what_it_cannot_evaluate(values):
     with pytest.raises(BadParamError):
         mo.CumulantSpec("free", values)
