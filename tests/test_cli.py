@@ -128,6 +128,19 @@ def test_count_series_name_below_the_range_is_an_error(capsys):
     assert err == "error: series parameter must be >= 3, got 2\n"
 
 
+@pytest.mark.parametrize(
+    "category,kmax,message",
+    [
+        ("X+", "13", "error: unknown category 'X+'\n"),
+        ("X+", "0", "error: unknown category 'X+'\n"),
+        ("fatcross", "13", "error: category 'fatcross' has no membership predicate\n"),
+    ],
+)
+def test_count_checks_the_name_before_kmax(capsys, category, kmax, message):
+    code, out, err = run(capsys, "count", "--category", category, "--kmax", kmax)
+    assert (code, out, err) == (2, [], message)
+
+
 def test_count_emits_csv(capsys):
     code, out, _ = run(capsys, "count", "--category", "B#+", "--kmax", "8")
     assert code == 0
