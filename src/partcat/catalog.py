@@ -16,19 +16,20 @@ of points (``S'``).
 * ``Series``:     ``fatcross`` and the parametrized ``H^(s)``, known by their
   generators only
 
-Everything else is read from the table: ``word_rule`` and
-``category_predicate``, the name tuple of each world (in table order), and
-the inclusion orders of the free and classical worlds.  ``catalog_entry``
-resolves every name, a ``CATALOG`` row or ``H^(s)`` with s >= 3; every other
-name is a BadParamError.  Only ``fatcross`` and ``H^(s)`` have no block rule,
-so only they raise NoPredicateError when a predicate is asked for; their
-membership questions go through the closure engine instead.
+Everything else is read from the table: ``member_words``, the one stream of
+a category's words, ``category_predicate``, the name tuple of each world (in
+table order), and the inclusion orders of the free and classical worlds.
+``catalog_entry`` resolves every name, a ``CATALOG`` row or ``H^(s)`` with
+s >= 3 spelled as the series prints it; every other name is a BadParamError.
+Only ``fatcross`` and ``H^(s)`` have no block rule, so only they raise
+NoPredicateError when asked for a predicate or words; their membership
+questions go through the closure engine instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import BadParamError, NoPredicateError
 from .ops import check_enumeration_cap, iter_words
@@ -278,10 +279,12 @@ def _ruled_entry(name: str) -> CatalogEntry:
     return entry
 
 
-def word_rule(name: str) -> tuple[bool, WordRule]:
-    """Whether the category's members are noncrossing, and its block rule."""
+def member_words(name: str, n_points: int) -> Iterator[Word]:
+    """The category's words on n_points points, read lazily; the name is
+    checked first, then n_points against the enumeration cap."""
     entry = _ruled_entry(name)
-    return entry.noncrossing, entry.rule
+    check_enumeration_cap(n_points)
+    return filter(entry.rule, iter_words(n_points, entry.noncrossing))
 
 
 def category_predicate(name: str) -> Predicate:
@@ -296,25 +299,22 @@ def series_entry(s: int) -> CatalogEntry:
 
 
 def catalog_entry(name: str) -> CatalogEntry:
-    """The entry of a ``CATALOG`` name, or of ``H^(s)`` through ``series_entry``."""
+    """The entry of a ``CATALOG`` name, or ``series_entry(s)`` for its own name ``H^(s)``."""
     if name in CATALOG:
         return CATALOG[name]
-    if name.startswith("H^(") and name.endswith(")"):
-        try:
-            s = int(name[3:-1])
-        except ValueError:
-            pass
-        else:
+    try:
+        s = int(name[3:-1])
+    except ValueError:
+        pass
+    else:
+        if name == f"H^({s})":
             return series_entry(s)
     raise BadParamError(f"unknown category {name!r}")
 
 
 def enumerate_category(name: str, total_points: int) -> list[Partition]:
     """All members of the category in P(0, total_points), canonical order."""
-    noncrossing, rule = word_rule(name)
-    check_enumeration_cap(total_points)
-    words = (w for w in iter_words(total_points, noncrossing) if rule(w))
-    return sorted_partitions(0, total_points, words)
+    return sorted_partitions(0, total_points, member_words(name, total_points))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from . import catalog as cat
 from . import linmap as lm
 from . import moments as mo
 from .classify import classify_easy
-from .closure import DEFAULT_MAX_FUSION_OPS, generate_closure
+from .closure import DEFAULT_INTERMEDIATE_BUDGET, DEFAULT_MAX_FUSION_OPS, DEFAULT_POINT_BUDGET
+from .closure import generate_closure
 from .errors import BudgetError, CapExceededError, MemoryCapError, PartcatError
 from .ops import Rotation, compose, enumerate_upto, involute, rotate, tensor
 from .partition import canonical_text, parse_partition
@@ -46,13 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closure", help="generate a bounded categorial hull")
     p.add_argument("--gen", action="append", default=[], help="generator partition text")
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--ibudget", type=int, default=16)
+    p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument("--ibudget", type=int, default=DEFAULT_INTERMEDIATE_BUDGET)
 
     p = sub.add_parser("classify", help="classify the category generated by partitions")
     p.add_argument("--gen", action="append", default=[])
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--ibudget", type=int, default=16)
+    p.add_argument("--budget", type=int, default=DEFAULT_POINT_BUDGET)
+    p.add_argument("--ibudget", type=int, default=DEFAULT_INTERMEDIATE_BUDGET)
 
     p = sub.add_parser("enumerate", help="list category members on K points")
     p.add_argument("--category", required=True)

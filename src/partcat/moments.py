@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
-from .catalog import word_rule
+from .catalog import member_words
 from .errors import BadParamError, UndefinedBlockValueError
 from .ops import bell_number, check_enumeration_cap, iter_words
 
@@ -32,14 +32,13 @@ CLASSICAL = "classical"
 def count_moments(category_name: str, k_max: int) -> tuple[int, ...]:
     """(m_1, ..., m_k_max), m_k = number of category members on k points.
 
-    Counts boundary words, builds no partition, and checks ``k_max`` against
-    the enumeration cap before counting anything.
+    Counts boundary words, builds no partition, and checks the name, then
+    ``k_max >= 0``, then the enumeration cap, before counting anything.
     """
-    noncrossing, rule = word_rule(category_name)
-    check_enumeration_cap(k_max)
-    return tuple(
-        sum(1 for w in iter_words(k, noncrossing) if rule(w)) for k in range(1, k_max + 1)
-    )
+    member_words(category_name, max(k_max, 0))  # checks the name, then the cap
+    if k_max < 0:
+        raise BadParamError(f"k_max must be >= 0, got {k_max}")
+    return tuple(sum(1 for _ in member_words(category_name, k)) for k in range(1, k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +223,8 @@ def moments_from_cumulants(
     """
     if not word_unit:
         raise BadParamError("the mark word must not be empty")
+    if k_max < 0:
+        raise BadParamError(f"k_max must be >= 0, got {k_max}")
     check_enumeration_cap(len(word_unit) * k_max)
     noncrossing = spec.kind == FREE
     block_values: dict[tuple[str, ...], int | Fraction] = {}

@@ -259,8 +259,9 @@ def make_partition(
     return Partition(k, l, normalize_word(label[i] for i in range(k + l)))
 
 
-_HEAD_RE = re.compile(r"\s*P\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*:(.*)", re.DOTALL)
-_POINT_RE = re.compile(r"([ul])(\d+)")
+# [0-9], not \d: \d also takes other scripts' digits, which no text prints
+_HEAD_RE = re.compile(r"\s*P\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*:(.*)", re.DOTALL)
+_POINT_RE = re.compile(r"([ul])([0-9]+)")
 
 
 def parse_partition(text: str) -> Partition:

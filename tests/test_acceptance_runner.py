@@ -1,0 +1,30 @@
+"""The acceptance runner: one place times a criterion and applies its budget."""
+
+import types
+
+from partcat import acceptance
+
+
+def _clock(*readings):
+    """A stand-in for the time module whose clock gives the readings in turn."""
+    return types.SimpleNamespace(time=iter(readings).__next__)
+
+
+def test_a_criterion_over_its_budget_fails(monkeypatch):
+    monkeypatch.setattr(acceptance, "time", _clock(0.0, 120.5))
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert result.details == ["runtime 120.5s exceeds the 120s budget"]
+
+
+def test_a_criterion_within_its_budget_passes(monkeypatch):
+    monkeypatch.setattr(acceptance, "time", _clock(0.0, 119.5))
+    result = acceptance.criterion_3()
+    assert result.passed and result.details == []
+
+
+def test_no_budget_means_no_runtime_gate(monkeypatch):
+    monkeypatch.setattr(acceptance, "time", _clock(1e9))
+    result = acceptance._result(7, "title", 0.0, [])
+    assert result.passed and result.details == []
+    assert result.seconds == 1e9

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from partcat.catalog import (
     h_series,
     half_lib,
     k_series,
+    member_words,
     named_partition,
     pair_partition,
     positioner,
@@ -27,10 +29,10 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
-from partcat.errors import BadParamError, NoPredicateError
+from partcat.errors import BadParamError, CapExceededError, NoPredicateError
 from partcat.moments import count_moments
-from partcat.ops import Rotation, compose, enumerate_all, involute, rotate, tensor
-from partcat.partition import parse_partition
+from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
+from partcat.partition import parse_partition, partition_from_word
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +126,39 @@ def test_series_names_below_the_range_are_refused_by_every_lookup(n):
             ask(name)
 
 
+@pytest.mark.parametrize("name", ["H^( 3)", "H^(+3)", "H^(0_3)", "H^(03)", "H^(\u0663)", "H^(3"])
+def test_series_names_the_series_does_not_print_are_unknown(name):
+    # only H^(s) exactly as series_entry(s) names it resolves
+    message = f"^unknown category {re.escape(repr(name))}$"
+    with pytest.raises(BadParamError, match=message):
+        catalog_entry(name)
+    for ask in _RULE_QUESTIONS:
+        with pytest.raises(BadParamError, match=message):
+            ask(name)
+
+
 @pytest.mark.parametrize("name", ["H^(3)", "fatcross"])
 def test_entries_without_a_rule_have_no_predicate(name):
     for ask in _RULE_QUESTIONS:
         with pytest.raises(NoPredicateError, match="has no membership predicate"):
             ask(name)
+
+
+def test_member_words_are_the_words_the_predicate_accepts():
+    for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES:
+        pred = category_predicate(name)
+        for n in range(7):
+            want = [w for w in iter_words(n) if pred(partition_from_word(w))]
+            assert list(member_words(name, n)) == want, (name, n)
+
+
+def test_member_words_check_the_name_before_the_cap():
+    with pytest.raises(BadParamError, match="^unknown category 'X\\+'$"):
+        member_words("X+", 13)
+    with pytest.raises(NoPredicateError):
+        member_words("fatcross", 13)
+    with pytest.raises(CapExceededError):
+        member_words("S", 13)
 
 
 def test_enumerate_category_examples():

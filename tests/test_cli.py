@@ -23,6 +23,13 @@ def test_parse_error_exits_nonzero(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["P(\u0663,0): u1,u2,u3", "P(0,3): l1,l2,l\uff13"])
+def test_parse_refuses_digits_of_other_scripts(capsys, text):
+    code, out, err = run(capsys, "parse", text)
+    assert (code, out) == (2, [])
+    assert err.startswith("error:")
+
+
 def test_parse_uncovered_points_error_is_short(capsys):
     code, _, err = run(capsys, "parse", "P(100000,0):")
     assert code == 2
@@ -138,6 +145,18 @@ def test_count_series_name_below_the_range_is_an_error(capsys):
 )
 def test_count_checks_the_name_before_kmax(capsys, category, kmax, message):
     code, out, err = run(capsys, "count", "--category", category, "--kmax", kmax)
+    assert (code, out, err) == (2, [], message)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("count", "--category", "S", "--kmax", "-1"), "error: k_max must be >= 0, got -1\n"),
+        (("moments", "--law", "semicircle", "--kmax", "-2"), "error: k_max must be >= 0, got -2\n"),
+    ],
+)
+def test_negative_kmax_is_an_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, [], message)
 
 

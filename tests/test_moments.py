@@ -38,6 +38,23 @@ def _no_words(*args, **kwargs):
     raise AssertionError("words enumerated before the cap check")
 
 
+def test_negative_k_max_is_refused_after_the_name_and_before_the_cap():
+    with pytest.raises(BadParamError, match="^k_max must be >= 0, got -1$"):
+        mo.count_moments("S", -1)
+    with pytest.raises(BadParamError, match="^unknown category 'X\\+'$"):
+        mo.count_moments("X+", -1)
+    with pytest.raises(BadParamError, match="^unknown category 'X\\+'$"):
+        mo.count_moments("X+", 0)
+    with pytest.raises(NoPredicateError):
+        mo.count_moments("fatcross", -1)
+    with pytest.raises(BadParamError, match="^k_max must be >= 0, got -2$"):
+        mo.moments_from_cumulants(mo.semicircular_spec(), ("a",), -2)
+    with pytest.raises(BadParamError, match="^the mark word must not be empty$"):
+        mo.moments_from_cumulants(mo.semicircular_spec(), (), -2)
+    assert mo.count_moments("S", 0) == ()
+    assert mo.moments_from_cumulants(mo.semicircular_spec(), ("a",), 0) == ()
+
+
 def test_count_moments_checks_the_cap_before_counting(monkeypatch):
     monkeypatch.setattr(mo, "iter_words", _no_words)
     with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):

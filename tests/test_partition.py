@@ -93,7 +93,9 @@ def test_parse_examples():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "Q(0,2): l1,l2", "P(0,2) l1,l2", "P(0,2): l1;;l2", "P(0,2): l1,x2", "P(0,2): l1 l2"],
+    ["", "Q(0,2): l1,l2", "P(0,2) l1,l2", "P(0,2): l1;;l2", "P(0,2): l1,x2", "P(0,2): l1 l2",
+     # digits of other scripts: the grammar reads ASCII digits only
+     "P(\u0663,0): u1,u2,u3", "P(0,3): l1,l2,l\uff13"],
 )
 def test_parse_syntax_errors(bad):
     with pytest.raises(ParseError):
