@@ -259,7 +259,7 @@ def make_partition(
     return Partition(k, l, normalize_word(label[i] for i in range(k + l)))
 
 
-# [0-9], not \d: \d also takes other scripts' digits, which no text prints
+# [0-9], not \d: \d also takes other scripts' digits, which canonical_text never prints
 _HEAD_RE = re.compile(r"\s*P\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*:(.*)", re.DOTALL)
 _POINT_RE = re.compile(r"([ul])([0-9]+)")
 
