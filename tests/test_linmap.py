@@ -107,6 +107,24 @@ def test_check_functor_requires_composable():
         lm.check_functor(pair_partition(), pair_partition(), 2)
 
 
+def test_check_functor_argument_errors():
+    # the arity is checked first, then n, then the size of the tensor product
+    for n in (2, 0):
+        with pytest.raises(ArityMismatchError):
+            lm.check_functor(pair_partition(), pair_partition(), n)
+        with pytest.raises(ArityMismatchError):
+            lm.check_functor(unit_partition(), singleton(), n)
+    for n in (0, -1):
+        with pytest.raises(IndexRangeError):
+            lm.check_functor(pair_partition(), involute(pair_partition()), n)
+    # 14 + 14 points: each vector fits, the tensor product does not
+    with pytest.raises(MemoryCapError):
+        lm.check_functor(block(14), involute(block(14)), 2)
+    upto4 = enumerate_upto(4)
+    pairs = [(p, q) for p in upto4 for q in upto4 if q.upper_count == p.lower_count]
+    assert all(lm.check_functor(p, q, 1) for p, q in pairs)
+
+
 def test_check_functor_random_pairs():
     for p in enumerate_all(0, 4):
         for q in enumerate_all(4, 2):
