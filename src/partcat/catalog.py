@@ -29,6 +29,7 @@ questions go through the closure engine instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 from .errors import BadParamError, NoPredicateError
@@ -291,11 +292,27 @@ def category_predicate(name: str) -> Predicate:
     return _ruled_entry(name).predicate
 
 
+class _SeriesEntry(CatalogEntry):
+    """The entry of ``H^(s)``.  Its generator h(s) has 2s points, so it is
+    built when the generators are first read, not when the name is resolved:
+    resolving a name costs the same for every s."""
+
+    def __init__(self, s: int) -> None:
+        # noncrossing and rule keep their class defaults, False and None
+        object.__setattr__(self, "name", f"H^({s})")
+        object.__setattr__(self, "world", WORLD_SERIES)
+        object.__setattr__(self, "_s", s)
+
+    @cached_property
+    def generators(self) -> tuple[Partition, ...]:
+        return (half_lib(), four_block(), h_series(self._s))
+
+
 def series_entry(s: int) -> CatalogEntry:
     """The parametrized series ⟨half-lib, four-block, h(s)⟩, s >= 3."""
     if s < 3:
         raise BadParamError(f"series parameter must be >= 3, got {s}")
-    return CatalogEntry(f"H^({s})", WORLD_SERIES, (half_lib(), four_block(), h_series(s)))
+    return _SeriesEntry(s)
 
 
 def catalog_entry(name: str) -> CatalogEntry:

@@ -6,13 +6,24 @@ i and lower indices j are constant along every block of p.  Index tuples are
 flattened big-endian: tuple (t_1, .., t_k) with entries in 1..n maps to
 sum (t_a - 1) * n^(k - a).
 
-Both ``t_matrix`` and ``intertwiner_table`` start from xi_w, the 0/1 vector
-in (C^n)^{tensor m} of the boundary word w (legs u_k .. u_1, l_1 .. l_l) that
-is 1 where the indices are constant along every block; ``t_matrix`` regroups
-its legs and returns the int64 matrix itself.  By Frobenius reciprocity,
-for orthogonal u, T_p u^{tensor k} = u^{tensor l} T_p exactly when
-u^{tensor m} xi_w = xi_w (Banica-Speicher, arXiv:0808.2628): one test per
-word, shared by every rotation of p, with u applied to one leg at a time.
+``t_matrix``, ``intertwiner_table`` and ``check_functor`` all start from
+xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary word w (legs
+u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant along every
+block, built by one function; ``t_matrix`` regroups its legs and returns the
+int64 matrix itself.  By Frobenius reciprocity, for orthogonal u,
+T_p u^{tensor k} = u^{tensor l} T_p exactly when u^{tensor m} xi_w = xi_w
+(Banica-Speicher, arXiv:0808.2628): one test per word, shared by every
+rotation of p, with u applied to one leg at a time.
+
+``check_functor`` tests the functor law p -> T_p with no T-matrix built.
+Each matrix identity becomes a vector identity by one fixed bijection of
+legs applied to both sides: composition is one contraction of xi_p with
+xi_q (q's upper legs reversed) over the middle legs, the tensor product is
+one outer product (the walk of p (x) q is q's upper legs, all of p, q's
+lower legs), and involution reverses all legs of xi_p and of xi_q.  The
+dense check on T-matrices and ``np.kron`` is kept in
+``tests/block_reference.py`` as the reference its verdicts are tested
+against.
 
 Four concrete orthogonal representations are provided to exercise the
 partition <-> relation dictionary: all permutation matrices, all signed
@@ -75,20 +86,20 @@ def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     return 1
 
 
-def _support(word: tuple[int, ...], n: int) -> np.ndarray:
-    """Flat indices of the 1 entries of xi_w, legs in word order, big-endian.
+def _xi(word: tuple[int, ...], n: int) -> np.ndarray:
+    """xi_w as an int64 0/1 vector of n^len(w) entries, legs in word order,
+    big-endian.
 
-    One entry per assignment of a value in 0..n-1 to each block.
+    The 1 entries are the generalized diagonal of the legs: the view of xi
+    with one axis per block, each leg on its block's axis.  Callers bound the
+    legs with ``check_tensor_cap`` (at most 26 for n >= 2), well inside the
+    52 subscripts of ``np.einsum``.
     """
-    m = len(word)
-    weights = [0] * (max(word, default=-1) + 1)
-    for a, x in enumerate(word):
-        weights[x] += n ** (m - 1 - a)
-    flat = np.zeros(1, dtype=np.int64)
-    values = np.arange(n, dtype=np.int64)
-    for w in weights:
-        flat = (flat[:, None] + values * w).ravel()
-    return flat
+    if n == 1 or not word:
+        return np.ones(1, dtype=np.int64)
+    xi = np.zeros((n,) * len(word), dtype=np.int64)
+    np.einsum(xi, list(word), list(range(max(word) + 1)))[...] = 1
+    return xi.ravel()
 
 
 def t_matrix(p: Partition, n: int) -> np.ndarray:
@@ -98,32 +109,62 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     k, l = p.upper_count, p.lower_count
     check_tensor_cap(n, k + l)
-    xi = np.zeros(n ** (k + l), dtype=np.int64)
-    xi[_support(p.word, n)] = 1
     # legs u_k .. u_1, l_1 .. l_l -> rows l_1 .. l_l, columns u_1 .. u_k
-    legs = xi.reshape((n,) * (k + l)).transpose(*range(k, k + l), *reversed(range(k)))
+    legs = _xi(p.word, n).reshape((n,) * (k + l))
+    legs = legs.transpose(*range(k, k + l), *reversed(range(k)))
     return legs.reshape(n**l, n**k)
+
+
+def _matches(
+    r: Partition, shape: tuple[int, int], n: int, expected: np.ndarray, scale: int = 1
+) -> bool:
+    """Whether r has the (upper, lower) ``shape``, compared as powers of n
+    as the shapes of T-matrices are, and ``scale * xi_r`` equals
+    ``expected`` entry by entry."""
+    if (n**r.upper_count, n**r.lower_count) != (n ** shape[0], n ** shape[1]):
+        return False
+    return bool((scale * _xi(r.word, n) == expected.ravel()).all())
 
 
 def check_functor(p: Partition, q: Partition, n: int) -> bool:
     """Check the diagram-to-matrix identities on a composable pair.
 
     Composition picks up one factor n per removed loop; tensor product maps
-    to the Kronecker product; turning a diagram upside down transposes.
+    to the Kronecker product; turning a diagram upside down transposes.  Each
+    identity is checked on xi vectors: both sides of the matrix identity go
+    through one fixed bijection of legs, so every verdict is that of the
+    dense check on T-matrices (kept in ``tests/block_reference.py``).  With
+    X_w the matrix of xi_w with rows u_k .. u_1 and columns l_1 .. l_l:
+
+    * ``T_q T_p = n^loops T_qp`` is ``X_p Y_q = n^loops X_qp``, where Y_q is
+      X_q with its upper legs reversed, so that both sides of the
+      contraction list the middle legs in the same order;
+    * ``T_{p (x) q} = T_p (x) T_q``: the walk of p (x) q is q's upper legs,
+      all of p's legs, then q's lower legs, so xi_{p (x) q} is the outer
+      product of xi_q, split after its upper legs, with xi_p in the middle;
+    * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi_{p*} is
+      xi_p with all its legs reversed, and likewise for q.
+
+    The shape of each operation's result is compared first, as powers of n.
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
-    tp = t_matrix(p, n)
-    tq = t_matrix(q, n)
+    if n < 1:
+        raise IndexRangeError(f"dimension must be >= 1, got {n}")
+    kp, lp, kq, lq = p.upper_count, p.lower_count, q.upper_count, q.lower_count
+    # the tensor product has every point of p and q: the largest vector here
+    check_tensor_cap(n, kp + lp + kq + lq)
+    xp, xq = _xi(p.word, n), _xi(q.word, n)
+    yq = xq.reshape((n,) * kq + (n**lq,)).transpose(*reversed(range(kq)), kq)
+    product = xp.reshape(n**kp, n**lp) @ yq.reshape(n**kq, n**lq)
+    outer = xq.reshape(n**kq, 1, n**lq) * xp.reshape(1, -1, 1)
     comp = compose(p, q)
-    t_comp = t_matrix(comp.result, n)
-    ok_compose = np.array_equal(tq @ tp, n**comp.removed_loops * t_comp)
-    t_tens = t_matrix(tensor(p, q), n)
-    ok_tensor = np.array_equal(t_tens, np.kron(tp, tq))
-    ok_invol = np.array_equal(t_matrix(involute(p), n), tp.T) and np.array_equal(
-        t_matrix(involute(q), n), tq.T
+    return (
+        _matches(comp.result, (kp, lq), n, product, n**comp.removed_loops)
+        and _matches(tensor(p, q), (kp + kq, lp + lq), n, outer)
+        and _matches(involute(p), (lp, kp), n, xp.reshape((n,) * (kp + lp)).T)
+        and _matches(involute(q), (lq, kq), n, xq.reshape((n,) * (kq + lq)).T)
     )
-    return bool(ok_compose and ok_tensor and ok_invol)
 
 
 @dataclass(frozen=True)
@@ -241,7 +282,7 @@ def _fixed_by_all(rep: GroupRep, words: list[tuple[int, ...]]) -> np.ndarray:
     n, m = rep.n, len(words[0])
     xi = np.zeros((len(words), n**m))
     for row, word in zip(xi, words):
-        row[_support(word, n)] = 1.0
+        row[...] = _xi(word, n)
     alive = np.ones(len(words), dtype=bool)
     for u in rep.elements:
         if not alive.any():

@@ -1,6 +1,7 @@
 """Block-and-point implementations of the canonical text, the category
-operations, the catalog predicates, the intertwiner matrix and the dense
-intertwiner check, kept only as a reference for tests.
+operations, the catalog predicates, the intertwiner matrix, the dense
+intertwiner check and the dense functor check, kept only as a reference for
+tests.
 
 The package computes all of these on boundary words.  The versions here walk
 the boundary as a list of ``Point``s, sort the canonical block form out of it
@@ -237,15 +238,18 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
     mat = np.zeros((n**l, n**k), dtype=np.int64)
     upper_weight = [n ** (k - a - 1) for a in range(k)]
     lower_weight = [n ** (l - a - 1) for a in range(l)]
-    block_cols = []
-    block_rows = []
-    for blk in blocks(p):
-        block_cols.append(sum(upper_weight[pt.index - 1] for pt in blk if pt.row == UPPER))
-        block_rows.append(sum(lower_weight[pt.index - 1] for pt in blk if pt.row == LOWER))
-    for values in itertools.product(range(n), repeat=len(blocks(p))):
-        col = sum(v * w for v, w in zip(values, block_cols))
-        row = sum(v * w for v, w in zip(values, block_rows))
-        mat[row, col] = 1
+    bl = blocks(p)
+    block_cols = np.array(
+        [sum(upper_weight[pt.index - 1] for pt in blk if pt.row == UPPER) for blk in bl],
+        dtype=np.int64,
+    )
+    block_rows = np.array(
+        [sum(lower_weight[pt.index - 1] for pt in blk if pt.row == LOWER) for blk in bl],
+        dtype=np.int64,
+    )
+    # one column per assignment of a value in 0..n-1 to each block
+    values = np.indices((n,) * len(bl)).reshape(len(bl), n ** len(bl))
+    mat[block_rows @ values, block_cols @ values] = 1
     return mat
 
 
@@ -274,3 +278,23 @@ def check_intertwiner(rep, p: Partition) -> bool:
         elif np.max(np.abs(lhs - rhs)) > rep.tolerance:
             return False
     return True
+
+
+def check_functor(p: Partition, q: Partition, n: int) -> bool:
+    """The functor identities on dense T-matrices, each compared whole.
+
+    Composition picks up one factor n per removed loop; tensor product maps
+    to the Kronecker product; turning a diagram upside down transposes.
+    """
+    assert p.lower_count == q.upper_count
+    tp = t_matrix(p, n)
+    tq = t_matrix(q, n)
+    comp = compose(p, q)
+    t_comp = t_matrix(comp.result, n)
+    ok_compose = np.array_equal(tq @ tp, n**comp.removed_loops * t_comp)
+    t_tens = t_matrix(tensor(p, q), n)
+    ok_tensor = np.array_equal(t_tens, np.kron(tp, tq))
+    ok_invol = np.array_equal(t_matrix(involute(p), n), tp.T) and np.array_equal(
+        t_matrix(involute(q), n), tq.T
+    )
+    return bool(ok_compose and ok_tensor and ok_invol)

@@ -10,17 +10,23 @@ settings.load_profile("ci")
 
 
 @st.composite
+def words(draw, length: int) -> tuple[int, ...]:
+    """A random boundary word of the given length, labels in order of first use."""
+    labels: list[int] = []
+    used = 0
+    for _ in range(length):
+        v = draw(st.integers(min_value=0, max_value=used))
+        labels.append(v)
+        used = max(used, v + 1)
+    return tuple(labels)
+
+
+@st.composite
 def partitions(draw, max_points: int = 8) -> Partition:
     """A random partition of a random shape with at most max_points points."""
     n = draw(st.integers(min_value=0, max_value=max_points))
     k = draw(st.integers(min_value=0, max_value=n))
-    labels: list[int] = []
-    used = 0
-    for _ in range(n):
-        v = draw(st.integers(min_value=0, max_value=used))
-        labels.append(v)
-        used = max(used, v + 1)
-    return partition_from_word(tuple(labels), k, n - k)
+    return partition_from_word(draw(words(n)), k, n - k)
 
 
 @pytest.fixture(scope="session")

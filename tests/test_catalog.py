@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import partcat.catalog as catalog
 from partcat.catalog import (
     CATALOG,
     CLASSICAL_INCLUSIONS,
@@ -135,6 +136,21 @@ def test_series_names_the_series_does_not_print_are_unknown(name):
     for ask in _RULE_QUESTIONS:
         with pytest.raises(BadParamError, match=message):
             ask(name)
+
+
+def test_series_names_resolve_without_building_the_generator(monkeypatch):
+    # h(s) has 2s points: it is built when the generators are read, not before
+    def no_h_series(s):
+        raise AssertionError(f"built h({s}) to resolve a name")
+
+    monkeypatch.setattr(catalog, "h_series", no_h_series)
+    for ask in (*_RULE_QUESTIONS, lambda name: member_words(name, 3)):
+        with pytest.raises(NoPredicateError, match="has no membership predicate"):
+            ask("H^(1000000000)")
+    monkeypatch.undo()
+    gens = (half_lib(), four_block(), h_series(5))
+    assert series_entry(5).generators == gens
+    assert catalog_entry("H^(5)").generators == gens
 
 
 @pytest.mark.parametrize("name", ["H^(3)", "fatcross"])

@@ -1,11 +1,14 @@
 import itertools
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import block_reference as ref
 import partcat.linmap as lm
 import partcat.ops as ops
+from conftest import words
 from partcat.catalog import (
     block,
     four_block,
@@ -22,7 +25,7 @@ from partcat.errors import (
     MemoryCapError,
 )
 from partcat.ops import ComposeResult, Rotation, enumerate_all, enumerate_upto, involute, rotate
-from partcat.partition import parse_partition
+from partcat.partition import parse_partition, partition_from_word
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +110,13 @@ def test_check_functor_requires_composable():
         lm.check_functor(pair_partition(), pair_partition(), 2)
 
 
-def test_check_functor_argument_errors():
+@pytest.fixture(scope="module")
+def pairs_upto_4_4() -> list:
+    upto4 = enumerate_upto(4)
+    return [(p, q) for p in upto4 for q in upto4 if q.upper_count == p.lower_count]
+
+
+def test_check_functor_argument_errors(pairs_upto_4_4):
     # the arity is checked first, then n, then the size of the tensor product
     for n in (2, 0):
         with pytest.raises(ArityMismatchError):
@@ -120,9 +129,7 @@ def test_check_functor_argument_errors():
     # 14 + 14 points: each vector fits, the tensor product does not
     with pytest.raises(MemoryCapError):
         lm.check_functor(block(14), involute(block(14)), 2)
-    upto4 = enumerate_upto(4)
-    pairs = [(p, q) for p in upto4 for q in upto4 if q.upper_count == p.lower_count]
-    assert all(lm.check_functor(p, q, 1) for p, q in pairs)
+    assert all(lm.check_functor(p, q, 1) for p, q in pairs_upto_4_4)
 
 
 def test_check_functor_random_pairs():
@@ -149,6 +156,40 @@ def test_check_functor_catches_a_broken_operation(monkeypatch, name, broken, fai
     assert failing
     if fails_everywhere:
         assert len(failing) == len(pairs)
+
+
+@pytest.mark.parametrize("name,broken,dims", [
+    (None, None, (1, 2, 3)),
+    ("compose", _one_extra_loop, (1, 2)),
+    ("tensor", lambda p, q: ops.tensor(q, p), (1, 2)),
+    ("involute", lambda p: p, (1, 2)),
+], ids=["unpatched", "compose", "tensor", "involute"])
+def test_check_functor_matches_the_dense_check(monkeypatch, pairs_upto_4_4, name, broken, dims):
+    # the same operation is broken for both checks
+    if name is not None:
+        monkeypatch.setattr(lm, name, broken)
+        monkeypatch.setattr(ref, name, broken)
+    for n in dims:
+        for p, q in pairs_upto_4_4:
+            assert lm.check_functor(p, q, n) == ref.check_functor(p, q, n), (n, str(p), str(q))
+
+
+@st.composite
+def composable_pairs(draw):
+    """p and q of 5 or 6 points each, with as many upper points on q as lower on p."""
+    m = draw(st.integers(min_value=5, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=m))
+    p = partition_from_word(draw(words(m)), k, m - k)
+    mid = m - k
+    mq = draw(st.integers(min_value=max(5, mid), max_value=6))
+    return p, partition_from_word(draw(words(mq)), mid, mq - mid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs())
+def test_check_functor_matches_the_dense_check_on_larger_pairs(pair):
+    p, q = pair
+    assert lm.check_functor(p, q, 2) == ref.check_functor(p, q, 2)
 
 
 # ---------------------------------------------------------------------------
