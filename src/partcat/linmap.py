@@ -109,6 +109,9 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     k, l = p.upper_count, p.lower_count
     check_tensor_cap(n, k + l)
+    if n == 1:
+        # one entry; no reshape to one axis per leg, which numpy caps at 64
+        return np.ones((1, 1), np.int64)
     # legs u_k .. u_1, l_1 .. l_l -> rows l_1 .. l_l, columns u_1 .. u_k
     legs = _xi(p.word, n).reshape((n,) * (k + l))
     legs = legs.transpose(*range(k, k + l), *reversed(range(k)))
@@ -154,6 +157,8 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     kp, lp, kq, lq = p.upper_count, p.lower_count, q.upper_count, q.lower_count
     # the tensor product has every point of p and q: the largest vector here
     check_tensor_cap(n, kp + lp + kq + lq)
+    if n == 1:
+        return True  # every T-matrix at n = 1 is [[1]]
     xp, xq = _xi(p.word, n), _xi(q.word, n)
     yq = xq.reshape((n,) * kq + (n**lq,)).transpose(*reversed(range(kq)), kq)
     product = xp.reshape(n**kp, n**lp) @ yq.reshape(n**kq, n**lq)
@@ -230,6 +235,8 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
     if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
         if sample_count < 1:
             raise BadParamError(f"sample count must be >= 1, got {sample_count}")
+        if seed < 0:
+            raise BadParamError(f"seed must be >= 0, got {seed}")
         if 8 * n * n * sample_count > T_BYTES_CAP:
             raise MemoryCapError(
                 f"{sample_count} samples of {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap"

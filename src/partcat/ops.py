@@ -168,6 +168,9 @@ def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     gives lexicographic order.  The classical world keeps every block
     joinable; the noncrossing world cuts them back to the joined block.
     """
+    # raised on first use, so sorted_partitions checks the row sizes first
+    if n_points < 0:
+        raise PointRangeError(f"point total must be nonnegative, got {n_points}")
     labels = [0] * n_points
 
     def rec(i: int, joinable: tuple[int, ...], used: int) -> Iterator[Word]:

@@ -207,6 +207,14 @@ def test_verify_tp_deterministic_under_seed(capsys):
     assert any("P(0,1): l1" in line for line in failing)
 
 
+@pytest.mark.parametrize("rep, n", [("orthogonal-sample", "2"), ("bistochastic", "3")])
+def test_verify_tp_negative_seed_is_an_error(capsys, rep, n):
+    args = ("--seed", "-1", "verify-tp", "--rep", rep, "--n", n, "--points", "2")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, [])
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

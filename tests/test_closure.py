@@ -1,6 +1,10 @@
+import random
+
+import numpy as np
 import pytest
 
 import closure_reference
+from partcat import partition
 from partcat.catalog import (
     FREE_NAMES,
     block,
@@ -264,6 +268,39 @@ def test_glue_rows_matches_glue(monkeypatch, chunk_cells):
     for c in (0, 5, 130):
         rows = partition.glue_rows(np.array(long[:1]), np.array(long[1:]), c)
         assert [tuple(row) for row in rows.tolist()] == [glue(long[0], b, c)[0] for b in long[1:]]
+
+
+def test_glue_rows_on_one_byte_stacks_of_long_words():
+    # the labels fit in one byte, the keys (up to k + |a| + |b|) do not
+    rng = random.Random(7)
+    long = [normalize_word(rng.randrange(40) for _ in range(n)) for n in (130, 140, 140)]
+    firsts, seconds = np.array(long[:1], np.uint8), np.array(long[1:], np.uint8)
+    for c in (0, 5, 130):
+        rows = partition.glue_rows(firsts, seconds, c)
+        assert [tuple(row) for row in rows.tolist()] == [glue(long[0], b, c)[0] for b in long[1:]]
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 64, None])
+def test_glue_rows_matches_glue_on_random_stacks(monkeypatch, chunk_cells):
+    # seeded one-byte stacks of 6-12-point words, every pair of lengths at
+    # every width, row by row
+    if chunk_cells is not None:
+        monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", chunk_cells)
+    rng = random.Random(3)
+
+    def stack(n):
+        blocks = rng.randint(1, n)
+        rows = rng.randint(1, 6)
+        return [normalize_word(rng.randrange(blocks) for _ in range(n)) for _ in range(rows)]
+
+    for m in range(6, 13):
+        for n in range(6, 13):
+            firsts, seconds = stack(m), stack(n)
+            one_byte = np.array(firsts, np.uint8), np.array(seconds, np.uint8)
+            for c in range(min(m, n) + 1):
+                rows = partition.glue_rows(*one_byte, c)
+                want = [glue(a, b, c)[0] for b in seconds for a in firsts]
+                assert [tuple(row) for row in rows.tolist()] == want, (m, n, c)
 
 
 def test_glue_in_either_order_agrees_up_to_shift():

@@ -132,6 +132,16 @@ def test_check_functor_argument_errors(pairs_upto_4_4):
     assert all(lm.check_functor(p, q, 1) for p, q in pairs_upto_4_4)
 
 
+def test_dimension_one_takes_any_number_of_points():
+    # every T-matrix at n = 1 is [[1]], past numpy's 64 axes too
+    p = block(70)
+    t = lm.t_matrix(p, 1)
+    assert t.dtype == np.int64 and t.tolist() == [[1]]
+    assert lm.check_functor(p, involute(p), 1)
+    with pytest.raises(ArityMismatchError):
+        lm.check_functor(p, p, 1)
+
+
 def test_check_functor_random_pairs():
     for p in enumerate_all(0, 4):
         for q in enumerate_all(4, 2):
@@ -222,6 +232,16 @@ def test_enumeration_caps():
         lm.classical_rep(lm.KIND_SYMMETRIC, 1)
     with pytest.raises(BadParamError):
         lm.classical_rep("unitary", 3)
+
+
+def test_sampled_kinds_refuse_a_negative_seed():
+    for kind, n in ((lm.KIND_ORTHOGONAL, 2), (lm.KIND_BISTOCHASTIC, 3)):
+        with pytest.raises(BadParamError, match="^seed must be >= 0, got -1$"):
+            lm.classical_rep(kind, n, seed=-1)
+    # exact kinds ignore the seed
+    for kind in (lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL):
+        a, b = lm.classical_rep(kind, 2, seed=-1), lm.classical_rep(kind, 2)
+        assert np.array_equal(a.elements, b.elements)
 
 
 def test_bistochastic_rows_and_columns_sum_to_one():

@@ -10,6 +10,7 @@ from partcat.catalog import (
     double_singleton,
     enumerate_category,
     four_block,
+    member_words,
     pair_partition,
     positioner,
     singleton,
@@ -293,6 +294,13 @@ def test_enumerate_refuses_negative_rows():
             enumerate_all(k, l)
     with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
         enumerate_category("S", -1)
+
+
+def test_iter_words_refuses_a_negative_point_total():
+    with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
+        list(iter_words(-1))
+    with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
+        list(member_words("S", -1))
 
 
 def test_enumerate_cap():
