@@ -29,12 +29,7 @@ from .catalog import (
     named_partition,
 )
 from .closure import ClosureSet, Containment, generate_closure
-from .classify import (
-    Classification,
-    classify_classical,
-    classify_easy,
-    classify_noncrossing,
-)
+from .classify import Classification, classify_easy
 from .linmap import (
     GroupRep,
     check_functor,
@@ -69,9 +64,7 @@ __all__ = [
     "category_predicate",
     "check_functor",
     "classical_rep",
-    "classify_classical",
     "classify_easy",
-    "classify_noncrossing",
     "closed_form",
     "compose",
     "count_moments",

@@ -18,7 +18,8 @@ of points (``S'``).
 
 Everything else is read from the table: ``member_words``, the one stream of
 a category's words, ``category_predicate``, the name tuple of each world (in
-table order), and the inclusion orders of the free and classical worlds.
+table order), ``RULED_NAMES``, the 16 names with a rule, and ``INCLUSIONS``,
+the one inclusion order over them.
 ``catalog_entry`` resolves every name, a ``CATALOG`` row or ``H^(s)`` with
 s >= 3 spelled as the series prints it; every other name is a BadParamError.
 Only ``fatcross`` and ``H^(s)`` have no block rule, so only they raise
@@ -271,6 +272,7 @@ def _names_in(world: str) -> tuple[str, ...]:
 FREE_NAMES = _names_in(WORLD_FREE)
 CLASSICAL_NAMES = _names_in(WORLD_CLASSICAL)
 HALF_LIBERATED_NAMES = _names_in(WORLD_HALF_LIBERATED)
+RULED_NAMES = tuple(name for name, e in CATALOG.items() if e.rule is not None)
 
 
 def _ruled_entry(name: str) -> CatalogEntry:
@@ -335,21 +337,16 @@ def enumerate_category(name: str, total_points: int) -> list[Partition]:
 
 
 # ---------------------------------------------------------------------------
-# inclusion order of the named worlds
+# inclusion order of the ruled names
 #
 # A category contains the category generated by G iff it contains G
 # (Banica-Speicher), so a is included in b iff b's predicate accepts every
-# catalog generator of a.  The orders are reflexive and transitive.
+# catalog generator of a.  The order is reflexive and transitive, across
+# worlds as within one.
 
-
-def _inclusions(names: tuple[str, ...]) -> set[tuple[str, str]]:
-    return {
-        (a, b)
-        for a in names
-        for b in names
-        if all(CATALOG[b].predicate(g) for g in CATALOG[a].generators)
-    }
-
-
-FREE_INCLUSIONS = _inclusions(FREE_NAMES)
-CLASSICAL_INCLUSIONS = _inclusions(CLASSICAL_NAMES)
+INCLUSIONS = {
+    (a, b)
+    for a in RULED_NAMES
+    for b in RULED_NAMES
+    if all(CATALOG[b].predicate(g) for g in CATALOG[a].generators)
+}

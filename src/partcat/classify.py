@@ -1,9 +1,12 @@
 """Classification of generator sets against the named categories.
 
-Noncrossing generator sets are classified exactly from the catalog's
-predicates.  Everything else is decided by a bounded closure (see
-:mod:`partcat.closure`), and each conclusion that rests on it carries its
-budgets and its evidence.
+``classify_easy`` is the one classifier.  Where its answer is a free or a
+classical name, that name is the least of the catalog's ruled names, under
+its one inclusion order ``INCLUSIONS``, whose predicate every generator
+satisfies: at once for a noncrossing generator set, and for the generators
+plus the crossing once a bounded closure has found the crossing.  Everything
+else is decided by the bounded closure (see :mod:`partcat.closure`), and
+each conclusion that rests on it carries its budgets and its evidence.
 """
 
 from __future__ import annotations
@@ -13,12 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .catalog import (
-    CLASSICAL_INCLUSIONS,
-    CLASSICAL_NAMES,
-    FREE_INCLUSIONS,
-    FREE_NAMES,
-    WORLD_CLASSICAL,
-    WORLD_FREE,
+    CATALOG,
+    INCLUSIONS,
+    RULED_NAMES,
     WORLD_HALF_LIBERATED,
     WORLD_SERIES,
     category_predicate,
@@ -38,7 +38,7 @@ from .closure import (
     check_fusion_cap,
     generate_closure,
 )
-from .errors import BadParamError, NotNoncrossingError
+from .errors import BadParamError
 from .partition import Partition, canonical_text, is_noncrossing
 
 WORLD_UNDETERMINED = "Undetermined"
@@ -63,44 +63,28 @@ class Classification:
         return out
 
 
-def _least_satisfied(
-    world: str,
-    generators: Sequence[Partition],
-    names: Sequence[str],
-    order: set[tuple[str, str]],
-) -> Classification:
-    """The least named category of the world whose predicate every generator
-    satisfies; the evidence lists all such names for every generator."""
+def _least_satisfied(generators: Sequence[Partition]) -> Classification:
+    """The least ruled name under ``INCLUSIONS`` whose predicate every
+    generator satisfies, in its own world; the evidence lists, for every
+    generator, the satisfied names of that world.
+
+    Noncrossing generators generate their least free name, and generators
+    with the crossing their least classical name (the two classifications);
+    every satisfied name, in any world, contains that category, so the least
+    of all 16 is a free or a classical name.
+    """
     satisfied = [
         name
-        for name in names
+        for name in RULED_NAMES
         if all(category_predicate(name)(g) for g in generators)
     ]
-    least = [a for a in satisfied if all((a, b) in order for b in satisfied)]
+    least = [a for a in satisfied if all((a, b) in INCLUSIONS for b in satisfied)]
     if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
         raise AssertionError(f"no unique least category among {satisfied}")
-    note = "satisfies " + ", ".join(satisfied)
+    world = CATALOG[least[0]].world
+    note = "satisfies " + ", ".join(n for n in satisfied if CATALOG[n].world == world)
     evidence = tuple((canonical_text(g), note) for g in generators)
     return Classification(world, least[0], evidence=evidence)
-
-
-def classify_noncrossing(generators: Sequence[Partition]) -> Classification:
-    """Exact classification among the seven noncrossing categories.
-
-    The generated category is the intersection of the seven categories whose
-    predicate every generator satisfies; no closure bound is involved.
-    """
-    gens = tuple(generators)
-    for g in gens:
-        if not is_noncrossing(g):
-            raise NotNoncrossingError(f"generator {g} has a crossing")
-    return _least_satisfied(WORLD_FREE, gens, FREE_NAMES, FREE_INCLUSIONS)
-
-
-def classify_classical(generators: Sequence[Partition]) -> Classification:
-    """Least of the six classical categories containing generators + crossing."""
-    gens = tuple(generators) + (crossing(),)
-    return _least_satisfied(WORLD_CLASSICAL, gens, CLASSICAL_NAMES, CLASSICAL_INCLUSIONS)
 
 
 def classify_easy(
@@ -125,7 +109,7 @@ def classify_easy(
     check_budgets(point_budget, intermediate_budget)
     gens = tuple(generators)
     if all(is_noncrossing(g) for g in gens):
-        return classify_noncrossing(gens)
+        return _least_satisfied(gens)
 
     closure = generate_closure(
         gens,
@@ -155,8 +139,8 @@ def classify_easy(
         return Classification(world, name, series, tuple(evidence) + more, budgets)
 
     if probe(crossing()):
-        base = classify_classical(gens)
-        return result(WORLD_CLASSICAL, base.category_name, more=base.evidence)
+        base = _least_satisfied(gens + (crossing(),))
+        return result(base.world, base.category_name, more=base.evidence)
     if not probe(half_lib()):
         return result(WORLD_UNDETERMINED, None)
     if not probe(four_block()):

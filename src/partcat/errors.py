@@ -45,10 +45,6 @@ class NoPredicateError(PartcatError):
     """The catalog has no membership predicate for this category."""
 
 
-class NotNoncrossingError(PartcatError):
-    """A generator handed to the noncrossing classifier has a crossing."""
-
-
 class BadParamError(PartcatError):
     """Invalid parameter for a named constructor, a sequence or a representation."""
 

@@ -209,6 +209,12 @@ def _bistochastic_conjugator(n: int) -> np.ndarray:
     return q
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed for the sampled kinds."""
+    if seed < 0:
+        raise BadParamError(f"seed must be >= 0, got {seed}")
+
+
 def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> GroupRep:
     """Build one of the four concrete representations at dimension n.
 
@@ -235,8 +241,7 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
     if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
         if sample_count < 1:
             raise BadParamError(f"sample count must be >= 1, got {sample_count}")
-        if seed < 0:
-            raise BadParamError(f"seed must be >= 0, got {seed}")
+        check_seed(seed)
         if 8 * n * n * sample_count > T_BYTES_CAP:
             raise MemoryCapError(
                 f"{sample_count} samples of {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap"

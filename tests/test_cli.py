@@ -1,5 +1,6 @@
 import pytest
 
+import partcat.acceptance as acceptance
 import partcat.cli as cli
 import partcat.ops as ops
 from partcat.cli import main
@@ -211,6 +212,16 @@ def test_verify_tp_deterministic_under_seed(capsys):
 def test_verify_tp_negative_seed_is_an_error(capsys, rep, n):
     args = ("--seed", "-1", "verify-tp", "--rep", rep, "--n", n, "--points", "2")
     code, out, err = run(capsys, *args)
+    assert (code, out) == (2, [])
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+def test_report_refuses_a_negative_seed_before_any_criterion(capsys, monkeypatch):
+    def never_run(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (never_run,) * 10)
+    code, out, err = run(capsys, "--seed", "-1", "report")
     assert (code, out) == (2, [])
     assert err == "error: seed must be >= 0, got -1\n"
 

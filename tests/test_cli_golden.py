@@ -16,6 +16,7 @@ ONE_ROW = "P(0,5): l1,l3; l2,l5; l4"
 HALF_LIB = "P(3,3): u1,l3; u2,l2; u3,l1"
 FOUR_BLOCK = "P(0,4): l1,l2,l3,l4"
 H3 = "P(0,6): l1,l3,l5; l2,l4,l6"
+CROSSING = "P(2,2): u1,l2; u2,l1"
 
 CYCLE_ERROR = "error: cyclic rotation needs a one-row partition\n"
 
@@ -179,6 +180,22 @@ VERBATIM += [
     )
     for name, counts in COUNTS.items()
 ]
+# the classical path, appended last so that the cases above keep their ids:
+# the crossing is probed, then classified as a generator and once more as
+# the appended crossing
+VERBATIM.append(
+    (
+        ("classify", "--gen", CROSSING),
+        "world: Classical6\n"
+        "name: O\n"
+        "budgets: 8/16\n"
+        "evidence: P(2,2): u1,l2; u2,l1 :: Confirmed\n"
+        "evidence: P(2,2): u1,l2; u2,l1 :: satisfies O, H, S', S, B', B\n"
+        "evidence: P(2,2): u1,l2; u2,l1 :: satisfies O, H, S', S, B', B\n",
+        0,
+        "",
+    )
+)
 
 
 def _ids(cases):

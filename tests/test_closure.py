@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import closure_reference
 from partcat import partition
 from partcat.catalog import (
     FREE_NAMES,
+    RULED_NAMES,
     block,
     catalog_entry,
     category_predicate,
@@ -22,9 +24,9 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
-from partcat.classify import classify_classical, classify_easy, classify_noncrossing
+from partcat.classify import classify_easy
 from partcat.closure import Containment, generate_closure
-from partcat.errors import BadParamError, BudgetError, NoPredicateError, NotNoncrossingError
+from partcat.errors import BadParamError, BudgetError, NoPredicateError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
     glue,
@@ -324,12 +326,7 @@ def test_glue_in_either_order_agrees_up_to_shift():
 def test_closure_elements_respect_every_covering_predicate():
     # soundness: whatever category predicate accepts all generators must
     # accept every element the engine derives from them
-    from partcat.catalog import (
-        CLASSICAL_NAMES,
-        FREE_NAMES,
-        HALF_LIBERATED_NAMES,
-        k_series,
-    )
+    from partcat.catalog import k_series
 
     generator_sets = [
         [block(3)],
@@ -340,11 +337,10 @@ def test_closure_elements_respect_every_covering_predicate():
         [k_series(1)],
         [half_lib(), h_series(4)],
     ]
-    names = FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES
     for gens in generator_sets:
         c = generate_closure(gens, 6, 12)
         elements = [partition_from_word(w) for w in c.words]
-        for name in names:
+        for name in RULED_NAMES:
             pred = category_predicate(name)
             if all(pred(g) for g in gens):
                 bad = [p for p in elements if not pred(p)]
@@ -485,9 +481,7 @@ def _assert_matches_reference(generators, point_budget, intermediate_budget):
 
 
 def test_worklist_matches_reference_on_predicate_categories():
-    from partcat.catalog import CLASSICAL_NAMES, HALF_LIBERATED_NAMES
-
-    for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES:
+    for name in RULED_NAMES:
         _assert_matches_reference(catalog_entry(name).generators, 6, 12)
 
 
@@ -559,12 +553,7 @@ def _assert_same_run(generators, point_budget, intermediate_budget, **options):
 
 
 def _catalog_generator_sets():
-    from partcat.catalog import CLASSICAL_NAMES, HALF_LIBERATED_NAMES
-
-    return [
-        catalog_entry(name).generators
-        for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES
-    ]
+    return [catalog_entry(name).generators for name in RULED_NAMES]
 
 
 def test_engine_matches_sequential_reference_on_catalog_sets():
@@ -607,20 +596,16 @@ def test_engine_matches_sequential_reference_above_twenty_points():
 
 
 def test_classify_noncrossing_examples():
-    assert classify_noncrossing([]).category_name == "O+"
-    assert classify_noncrossing([four_block()]).category_name == "H+"
-    assert classify_noncrossing([block(3)]).category_name == "S+"
-
-
-def test_classify_noncrossing_rejects_crossing_generators():
-    with pytest.raises(NotNoncrossingError):
-        classify_noncrossing([crossing()])
+    assert classify_easy([]).category_name == "O+"
+    assert classify_easy([four_block()]).category_name == "H+"
+    assert classify_easy([block(3)]).category_name == "S+"
 
 
 def test_classify_classical_examples():
-    assert classify_classical([]).category_name == "O"
-    assert classify_classical([double_singleton()]).category_name == "B'"
-    assert classify_classical([four_block(), singleton()]).category_name == "S"
+    x = crossing()
+    assert classify_easy([x]).category_name == "O"
+    assert classify_easy([double_singleton(), x]).category_name == "B'"
+    assert classify_easy([four_block(), singleton(), x]).category_name == "S"
 
 
 def test_classify_easy_examples():
@@ -630,6 +615,20 @@ def test_classify_easy_examples():
     assert (res.world, res.category_name) == ("HalfLib", "B#*")
     res = classify_easy([half_lib(), four_block(), h_series(3)])
     assert (res.world, res.category_name, res.series_parameter) == ("Series", "H^(3)", 3)
+
+
+def test_classify_easy_lines_are_pinned():
+    # every one-row partition of at most 6 points: a noncrossing one alone,
+    # and every one with the crossing added; the SHA-256 of all lines
+    digest = hashlib.sha256()
+    for n in range(7):
+        for p in enumerate_all(0, n):
+            runs = ([p], [p, crossing()]) if is_noncrossing(p) else ([p, crossing()],)
+            for gens in runs:
+                for line in classify_easy(gens).lines():
+                    digest.update(f"{line}\n".encode())
+    want = "6cefab2834caf94d0f6db7c74aab6e5099ac3f0737a14a63de6c870e3228352a"
+    assert digest.hexdigest() == want
 
 
 def test_classify_easy_crossing_goes_classical():

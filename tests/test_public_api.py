@@ -19,9 +19,7 @@ PUBLIC = [
     "category_predicate",
     "check_functor",
     "classical_rep",
-    "classify_classical",
     "classify_easy",
-    "classify_noncrossing",
     "closed_form",
     "compose",
     "count_moments",

@@ -9,12 +9,7 @@ import pytest
 
 import block_reference as ref
 from partcat import linmap
-from partcat.catalog import (
-    CLASSICAL_NAMES,
-    FREE_NAMES,
-    HALF_LIBERATED_NAMES,
-    category_predicate,
-)
+from partcat.catalog import RULED_NAMES, category_predicate
 from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
 from partcat.partition import Partition, canonical_text, partition_from_word
 
@@ -77,7 +72,7 @@ def test_tensor_matches_reference():
 
 def test_predicates_match_reference(all_upto_6):
     one_row = [partition_from_word(w) for n in range(9) for w in iter_words(n)]
-    for name in FREE_NAMES + CLASSICAL_NAMES + HALF_LIBERATED_NAMES:
+    for name in RULED_NAMES:
         pred, want = category_predicate(name), ref.PREDICATES[name]
         for p in one_row + all_upto_6:
             assert pred(p) == want(p), (name, str(p))
