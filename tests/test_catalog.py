@@ -315,19 +315,32 @@ def _membership(all_upto_6):
     return {n: frozenset(p for p in all_upto_6 if preds[n](p)) for n in RULED_NAMES}
 
 
-def _meet(a, b):
-    below_both = [c for c in RULED_NAMES if (c, a) in INCLUSIONS and (c, b) in INCLUSIONS]
-    tops = [c for c in below_both if all((d, c) in INCLUSIONS for d in below_both)]
+def _restrict(names):
+    return frozenset((a, b) for (a, b) in INCLUSIONS if a in names and b in names)
+
+
+def _meet(a, b, names, order):
+    below_both = [c for c in names if (c, a) in order and (c, b) in order]
+    tops = [c for c in below_both if all((d, c) in order for d in below_both)]
     assert len(tops) == 1
     return tops[0]
 
 
-def test_lattice_is_intersection_closed(all_upto_6):
+@pytest.mark.parametrize(
+    "names,order",
+    [
+        (FREE_NAMES, _restrict(FREE_NAMES)),
+        (CLASSICAL_NAMES, _restrict(CLASSICAL_NAMES)),
+        (RULED_NAMES, INCLUSIONS),
+    ],
+)
+def test_lattice_is_intersection_closed(names, order, all_upto_6):
     # the classifier's least name is only sound because the pointwise
-    # intersection of any two ruled categories, in any worlds, is again one
+    # intersection of any two ruled categories, within a world and across
+    # worlds, is again one
     membership = _membership(all_upto_6)
-    for a, b in itertools.combinations(RULED_NAMES, 2):
-        meet = _meet(a, b)
+    for a, b in itertools.combinations(names, 2):
+        meet = _meet(a, b, names, order)
         assert membership[a] & membership[b] == membership[meet], (a, b, meet)
 
 
