@@ -3,12 +3,12 @@
 ``CATALOG`` is the one table of the named categories (Weber's
 classification).  Each row gives a category's name, its world, the
 generators it is known by, whether its members are noncrossing, and its
-block rule on boundary words: a test on each block's (plus, minus) mark
-counts, plus meaning an even walk position, and a flag asking for an even
-number of points.  That flag is every global condition: for blocks of at
-most two points an even number of singletons is an even number of points
-(``B'``, ``B#``), and the number of odd blocks has the parity of the number
-of points (``S'``).
+block rule on boundary words, a ``BlockRule``: a test on each block's
+(plus, minus) mark counts, plus meaning an even walk position, and a flag
+asking for an even number of points.  That flag is every global condition:
+for blocks of at most two points an even number of singletons is an even
+number of points (``B'``, ``B#``), and the number of odd blocks has the
+parity of the number of points (``S'``).
 
 * ``Free7``:      ``O+ H+ S'+ S+ B#+ B'+ B+``, noncrossing plus a block rule
 * ``Classical6``: ``O  H  S'  S  B'  B``, the same block rules with crossings
@@ -17,9 +17,10 @@ of points (``S'``).
   generators only
 
 Everything else is read from the table: ``member_words``, the one stream of
-a category's words, ``category_predicate``, the name tuple of each world (in
-table order), ``RULED_NAMES``, the 16 names with a rule, and ``INCLUSIONS``,
-the one inclusion order over them.
+a category's words, ``member_counter``, their number by a recursion on the
+block rule that builds no word, ``category_predicate``, the name tuple of
+each world (in table order), ``RULED_NAMES``, the 16 names with a rule, and
+``INCLUSIONS``, the one inclusion order over them.
 ``catalog_entry`` resolves every name, a ``CATALOG`` row or ``H^(s)`` with
 s >= 3 spelled as the series prints it; every other name is a BadParamError.
 Only ``fatcross`` and ``H^(s)`` have no block rule, so only they raise
@@ -30,11 +31,12 @@ questions go through the closure engine instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from math import comb
 from typing import Callable, Iterator
 
-from .errors import BadParamError, NoPredicateError
-from .ops import check_enumeration_cap, iter_words
+from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
+from .ops import ENUMERATION_CAP, bell_number, check_enumeration_cap, iter_words
 from .partition import (
     Partition,
     Word,
@@ -152,7 +154,6 @@ def named_partition(name: str, *params: int) -> Partition:
 # membership predicates
 
 Predicate = Callable[[Partition], bool]
-WordRule = Callable[[Word], bool]
 BlockTest = Callable[[int, int], bool]
 
 
@@ -180,18 +181,100 @@ def _singleton_or_balanced_pair(plus: int, minus: int) -> bool:
     return plus + minus == 1 or plus == minus == 1
 
 
-def _make_rule(block: BlockTest | None, even_points: bool) -> WordRule:
-    """Every block's (plus, minus) marks pass ``block``; even length if ``even_points``."""
+@dataclass(frozen=True, slots=True)
+class BlockRule:
+    """A word rule as data: every block's (plus, minus) marks pass ``block``
+    (None passes every block), and the word has an even number of points if
+    ``even_points``.  Calling it tests one word."""
 
-    def rule(w: Word) -> bool:
-        if even_points and len(w) % 2:
+    block: BlockTest | None
+    even_points: bool
+
+    def __call__(self, w: Word) -> bool:
+        if self.even_points and len(w) % 2:
             return False
+        block = self.block
         if block is None:
             return True
-        plus, minus = w[::2], w[1::2]
-        return all(block(plus.count(x), minus.count(x)) for x in range(max(w, default=-1) + 1))
+        plus, minus, labels = w[::2], w[1::2], range(max(w, default=-1) + 1)
+        return all(map(block, map(plus.count, labels), map(minus.count, labels)))
 
-    return rule
+
+def _any_block(plus: int, minus: int) -> bool:
+    return True
+
+
+def _word_counter(rule: BlockRule, noncrossing: bool) -> Callable[[int], int]:
+    """The number of words on n points that pass ``rule``, as a function of
+    n >= 0, in the noncrossing world if ``noncrossing``.  It builds no word:
+    one exact recursion per world splits off a block, and its memo lives as
+    long as the returned function.
+
+    Classical (and half-liberated): ``marked(e, o)`` counts the partitions of
+    e plus and o minus points, by the block of the first plus point, or of the
+    first minus point when e = 0.  Noncrossing: ``interval(length, parity)``
+    counts an interval whose first point has that parity (0 = plus), by the
+    first point's block; ``legs(rest, parity, plus, minus)`` counts the ways to
+    finish that block, with ``rest`` points after its last leg, the next of
+    parity ``parity``, and ``plus``/``minus`` legs so far.  The block either
+    closes, leaving an interval, or its next leg follows a gap of g points,
+    itself an interval.
+    """
+    test = rule.block or _any_block
+
+    if noncrossing:
+
+        @cache
+        def interval(length: int, parity: int) -> int:
+            if length == 0:
+                return 1
+            return legs(length - 1, parity ^ 1, 1 - parity, parity)
+
+        @cache
+        def legs(rest: int, parity: int, plus: int, minus: int) -> int:
+            total = interval(rest, parity) if test(plus, minus) else 0
+            for gap in range(rest):
+                leg = parity ^ (gap & 1)
+                total += interval(gap, parity) * legs(
+                    rest - gap - 1, leg ^ 1, plus + (leg == 0), minus + leg
+                )
+            return total
+
+        def words(n: int) -> int:
+            return interval(n, 0)
+
+    else:
+
+        @cache
+        def marked(plus: int, minus: int) -> int:
+            if plus:
+                # the block of the first plus point: a - 1 more plus, b minus points
+                return sum(
+                    comb(plus - 1, a - 1) * comb(minus, b) * marked(plus - a, minus - b)
+                    for a in range(1, plus + 1)
+                    for b in range(minus + 1)
+                    if test(a, b)
+                )
+            if minus:
+                # no plus point left: the block of the first minus point
+                return sum(
+                    comb(minus - 1, b - 1) * marked(0, minus - b)
+                    for b in range(1, minus + 1)
+                    if test(0, b)
+                )
+            return 1
+
+        def words(n: int) -> int:
+            return marked((n + 1) // 2, n // 2)
+
+    def count(n_points: int) -> int:
+        if n_points < 0:
+            raise PointRangeError(f"point total must be nonnegative, got {n_points}")
+        if rule.even_points and n_points % 2:
+            return 0
+        return words(n_points)
+
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +299,7 @@ class CatalogEntry:
     world: str
     generators: tuple[Partition, ...]
     noncrossing: bool = False
-    rule: WordRule | None = None
+    rule: BlockRule | None = None
 
     @property
     def predicate(self) -> Predicate | None:
@@ -254,7 +337,7 @@ def _build_catalog() -> dict[str, CatalogEntry]:
         ("B#*", WORLD_HALF_LIBERATED, (hl, ss), False, _singleton_or_balanced_pair, True),
     ]
     entries = [
-        CatalogEntry(name, world, gens, noncrossing, _make_rule(block, even_points))
+        CatalogEntry(name, world, gens, noncrossing, BlockRule(block, even_points))
         for name, world, gens, noncrossing, block, even_points in ruled
     ]
     # known by its generators only
@@ -288,6 +371,16 @@ def member_words(name: str, n_points: int) -> Iterator[Word]:
     entry = _ruled_entry(name)
     check_enumeration_cap(n_points)
     return filter(entry.rule, iter_words(n_points, entry.noncrossing))
+
+
+def member_counter(name: str) -> Callable[[int], int]:
+    """The number of the category's words on n points, as a function of n.
+
+    The name is checked at once.  The counts come from the block recursion
+    of ``_word_counter``: they build no word, so no enumeration cap applies.
+    """
+    entry = _ruled_entry(name)
+    return _word_counter(entry.rule, entry.noncrossing)
 
 
 def category_predicate(name: str) -> Predicate:
@@ -331,8 +424,24 @@ def catalog_entry(name: str) -> CatalogEntry:
     raise BadParamError(f"unknown category {name!r}")
 
 
+# the most members enumerate_category lists: Bell(11) = 678,570
+LISTING_CAP = bell_number(ENUMERATION_CAP - 1)
+
+
 def enumerate_category(name: str, total_points: int) -> list[Partition]:
-    """All members of the category in P(0, total_points), canonical order."""
+    """All members of the category in P(0, total_points), canonical order.
+
+    Checks the name, then the enumeration cap, then that total_points is
+    nonnegative, then the number of members against ``LISTING_CAP``, all
+    before any word is built.
+    """
+    count = member_counter(name)
+    check_enumeration_cap(total_points)
+    if total_points >= 0 and (lines := count(total_points)) > LISTING_CAP:
+        raise CapExceededError(
+            f"{lines} members of {name} on {total_points} points exceed the "
+            f"listing cap Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
+        )
     return sorted_partitions(0, total_points, member_words(name, total_points))
 
 

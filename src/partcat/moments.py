@@ -1,8 +1,9 @@
 """Character-law moments: category counts, closed forms, cumulant sums.
 
 The k-th asymptotic moment of a category's character is the number of its
-members on k points in a row; ``count_moments`` computes these by exhaustive
-enumeration.  ``moments_from_cumulants`` evaluates moment sums over all
+members on k points in a row; ``count_moments`` computes these by the
+catalog's block recursion, which splits off one block at a time and builds
+no word.  ``moments_from_cumulants`` evaluates moment sums over all
 partitions (classical) or noncrossing partitions (free), with a block-value
 rule supplied by a :class:`CumulantSpec`; block shapes above the largest
 declared size count 0.  The sum visits every word but keeps, per call, a table
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Mapping
 
-from .catalog import member_words
+from .catalog import member_counter
 from .errors import BadParamError, UndefinedBlockValueError
 from .ops import bell_number, check_enumeration_cap, iter_words
 
@@ -32,13 +33,15 @@ CLASSICAL = "classical"
 def count_moments(category_name: str, k_max: int) -> tuple[int, ...]:
     """(m_1, ..., m_k_max), m_k = number of category members on k points.
 
-    Counts boundary words, builds no partition, and checks the name, then
-    ``k_max >= 0``, then the enumeration cap, before counting anything.
+    Checks the name, then ``k_max >= 0``, then the enumeration cap, and then
+    counts by the catalog's block recursion (``member_counter``), with one
+    memo for the call: no word or partition is built.
     """
-    member_words(category_name, max(k_max, 0))  # checks the name, then the cap
+    count = member_counter(category_name)
     if k_max < 0:
         raise BadParamError(f"k_max must be >= 0, got {k_max}")
-    return tuple(sum(1 for _ in member_words(category_name, k)) for k in range(1, k_max + 1))
+    check_enumeration_cap(k_max)
+    return tuple(count(k) for k in range(1, k_max + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The per-word moment-cumulant sum, kept only as a reference for tests.
+"""The per-word moment counts and sums, kept only as references for tests.
 
-``moments_from_cumulants`` below multiplies the block values of every word
+``count_moments`` below counts the words that ``member_words`` yields on
+each number of points; the package's ``count_moments`` must give the same
+tuple.  ``moments_from_cumulants`` below multiplies the block values of every word
 in ``Fraction`` arithmetic, block by block in label order, and stops at the
 first zero block.  The package's ``moments_from_cumulants`` must give the
 same tuple on every spec, or raise ``UndefinedBlockValueError`` with the
@@ -11,9 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from partcat.catalog import member_words
 from partcat.errors import BadParamError, UndefinedBlockValueError
 from partcat.moments import FREE, CumulantSpec
 from partcat.ops import check_enumeration_cap, iter_words
+
+
+def count_moments(category_name: str, k_max: int) -> tuple[int, ...]:
+    return tuple(sum(1 for _ in member_words(category_name, k)) for k in range(1, k_max + 1))
 
 
 def moments_from_cumulants(

@@ -9,6 +9,7 @@ from partcat.catalog import (
     CLASSICAL_NAMES,
     FREE_NAMES,
     INCLUSIONS,
+    LISTING_CAP,
     RULED_NAMES,
     block,
     catalog_entry,
@@ -21,6 +22,7 @@ from partcat.catalog import (
     h_series,
     half_lib,
     k_series,
+    member_counter,
     member_words,
     named_partition,
     pair_partition,
@@ -29,7 +31,7 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
-from partcat.errors import BadParamError, CapExceededError, NoPredicateError
+from partcat.errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from partcat.moments import count_moments
 from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
 from partcat.partition import parse_partition, partition_from_word
@@ -190,6 +192,47 @@ def test_enumerate_category_examples():
         "P(0,4): l1,l2; l3,l4",
         "P(0,4): l1,l4; l2,l3",
     ]
+
+
+def test_only_s_and_s_prime_on_twelve_points_exceed_the_listing_cap():
+    # every listing that fits the enumeration cap below 12 points stays listed
+    assert LISTING_CAP == 678_570
+    for name in RULED_NAMES:
+        count = member_counter(name)
+        assert all(count(n) <= LISTING_CAP for n in range(12)), name
+        assert (count(12) > LISTING_CAP) == (name in ("S", "S'")), name
+
+
+def test_enumerate_category_checks_the_listing_cap_last():
+    # the name, the enumeration cap and the sign of the point total come first
+    with pytest.raises(BadParamError, match="^unknown category 'X\\+'$"):
+        enumerate_category("X+", 12)
+    with pytest.raises(NoPredicateError):
+        enumerate_category("fatcross", 12)
+    with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):
+        enumerate_category("S", 13)
+    with pytest.raises(PointRangeError, match="^row sizes must be nonnegative"):
+        enumerate_category("S", -1)
+
+
+def test_enumerate_category_refuses_a_long_listing_before_building_a_word(monkeypatch):
+    def no_words(*args, **kwargs):
+        raise AssertionError("built a word before the listing cap")
+
+    monkeypatch.setattr(catalog, "iter_words", no_words)
+    monkeypatch.setattr(catalog, "member_words", no_words)
+    for name in ("S", "S'"):
+        message = (
+            f"^4213597 members of {re.escape(name)} on 12 points exceed the listing cap "
+            r"Bell\(11\) = 678570$"
+        )
+        with pytest.raises(CapExceededError, match=message):
+            enumerate_category(name, 12)
+
+
+def test_member_counter_refuses_a_negative_point_total():
+    with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
+        member_counter("S")(-1)
 
 
 def test_catalog_generators_satisfy_their_predicate():

@@ -125,6 +125,15 @@ def test_enumerate_negative_points_is_an_error(capsys):
     assert err == "error: row sizes must be nonnegative\n"
 
 
+def test_enumerate_over_the_listing_cap_is_refused(capsys):
+    code, out, err = run(capsys, "enumerate", "--category", "S", "--points", "12")
+    assert (code, out) == (2, [])
+    assert err == (
+        "budget: 4213597 members of S on 12 points exceed the listing cap "
+        "Bell(11) = 678570\n"
+    )
+
+
 def test_enumerate_no_predicate_is_an_error(capsys):
     code, _, err = run(capsys, "enumerate", "--category", "H^(3)", "--points", "4")
     assert code == 2 and "error:" in err

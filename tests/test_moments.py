@@ -3,18 +3,27 @@ import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import moments_reference
+import partcat.catalog as cat
 import partcat.moments as mo
-from partcat.catalog import enumerate_category
+from partcat.catalog import (
+    RULED_NAMES,
+    BlockRule,
+    _word_counter,
+    enumerate_category,
+    member_counter,
+)
 from partcat.errors import (
     BadParamError,
     CapExceededError,
     NoPredicateError,
     UndefinedBlockValueError,
 )
-from partcat.ops import enumerate_all
+from partcat.ops import enumerate_all, iter_words
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +65,62 @@ def test_negative_k_max_is_refused_after_the_name_and_before_the_cap():
 
 
 def test_count_moments_checks_the_cap_before_counting(monkeypatch):
-    monkeypatch.setattr(mo, "iter_words", _no_words)
+    def no_counts(n_points):
+        raise AssertionError("counted before the cap check")
+
+    monkeypatch.setattr(mo, "member_counter", lambda name: no_counts)
     with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):
         mo.count_moments("S", 13)
+
+
+def test_count_moments_builds_no_word(monkeypatch):
+    for module, name in ((cat, "iter_words"), (cat, "member_words"), (mo, "iter_words")):
+        monkeypatch.setattr(module, name, _no_words)
+    assert mo.count_moments("S", 12)[-1] == mo.closed_form(mo.BELL, 12)
+    assert mo.count_moments("S+", 12)[-1] == mo.closed_form(mo.CATALAN, 12)
+    for name in RULED_NAMES:
+        assert len(mo.count_moments(name, 12)) == 12
+
+
+@pytest.mark.parametrize("name", RULED_NAMES)
+def test_count_moments_match_the_enumeration(name):
+    assert mo.count_moments(name, 9) == moments_reference.count_moments(name, 9)
+
+
+# criterion 6's table: each name's closed form on every point count (_FULL),
+# or on the even ones with zeros between (_EVEN)
+_FULL = {"S+": mo.CATALAN, "B+": mo.MOTZKIN, "B": mo.INVOLUTIONS, "S": mo.BELL}
+_EVEN = {"O+": mo.CATALAN, "B#+": mo.B_FORMULA, "O": mo.DOUBLE_FACTORIAL, "O*": mo.FACTORIAL}
+
+
+@pytest.mark.parametrize("name", sorted(_FULL.keys() | _EVEN.keys()))
+def test_block_recursion_matches_the_closed_forms_far_past_the_cap(name):
+    # the counter has no cap; count_moments keeps the 12-point one
+    count = member_counter(name)
+    for k in range(31):
+        if name in _FULL:
+            want = mo.closed_form(_FULL[name], k)
+        else:
+            want = 0 if k % 2 else mo.closed_form(_EVEN[name], k // 2)
+        assert count(k) == want, k
+
+
+_BLOCKS = [(plus, minus) for plus in range(9) for minus in range(9) if 1 <= plus + minus <= 8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    allowed=st.frozensets(st.sampled_from(_BLOCKS)),
+    even_points=st.booleans(),
+    noncrossing=st.booleans(),
+)
+def test_block_recursion_matches_brute_force_on_random_rules(allowed, even_points, noncrossing):
+    # arbitrary block sets, closed under nothing, pin the parity bookkeeping
+    rule = BlockRule(lambda plus, minus: (plus, minus) in allowed, even_points)
+    count = _word_counter(rule, noncrossing)
+    for n in range(9):
+        want = sum(1 for w in iter_words(n, noncrossing) if rule(w))
+        assert count(n) == want, n
 
 
 def test_cumulant_sums_are_bounded_before_summing(monkeypatch):
