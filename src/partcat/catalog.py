@@ -17,8 +17,9 @@ parity of the number of points (``S'``).
   generators only
 
 Everything else is read from the table: ``member_words``, the one stream of
-a category's words, ``member_counter``, their number by a recursion on the
-block rule that builds no word, ``category_predicate``, the name tuple of
+a category's words, ``member_counter``, their number by ``block_sum`` (one
+weighted recursion over blocks, shared with the cumulant sums, that builds
+no word), ``category_predicate``, the name tuple of
 each world (in table order), ``RULED_NAMES``, the 16 names with a rule, and
 ``INCLUSIONS``, the one inclusion order over them.
 ``catalog_entry`` resolves every name, a ``CATALOG`` row or ``H^(s)`` with
@@ -31,8 +32,11 @@ questions go through the closure engine instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
-from math import comb
+from itertools import product
+from math import comb, prod
+from operator import sub
 from typing import Callable, Iterator
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
@@ -200,81 +204,90 @@ class BlockRule:
         return all(map(block, map(plus.count, labels), map(minus.count, labels)))
 
 
-def _any_block(plus: int, minus: int) -> bool:
-    return True
+# the most points a block sum takes: its memo grows as a power of the point total
+BLOCK_SUM_CAP = 64
 
 
-def _word_counter(rule: BlockRule, noncrossing: bool) -> Callable[[int], int]:
-    """The number of words on n points that pass ``rule``, as a function of
-    n >= 0, in the noncrossing world if ``noncrossing``.  It builds no word:
-    one exact recursion per world splits off a block, and its memo lives as
-    long as the returned function.
+def _check_block_sum_points(n_points: int) -> None:
+    if n_points < 0:
+        raise PointRangeError(f"point total must be nonnegative, got {n_points}")
+    if n_points > BLOCK_SUM_CAP:
+        raise CapExceededError(f"{n_points} points exceeds the block sum cap {BLOCK_SUM_CAP}")
 
-    Classical (and half-liberated): ``marked(e, o)`` counts the partitions of
-    e plus and o minus points, by the block of the first plus point, or of the
-    first minus point when e = 0.  Noncrossing: ``interval(length, parity)``
-    counts an interval whose first point has that parity (0 = plus), by the
-    first point's block; ``legs(rest, parity, plus, minus)`` counts the ways to
-    finish that block, with ``rest`` points after its last leg, the next of
-    parity ``parity``, and ``plus``/``minus`` legs so far.  The block either
-    closes, leaving an interval, or its next leg follows a gap of g points,
-    itself an interval.
+
+def block_sum(
+    unit: tuple[str, ...],
+    weight: Callable[[tuple[int, ...]], int | Fraction],
+    noncrossing: bool,
+) -> Callable[[int], int | Fraction]:
+    """The sum over the partitions of n points (the noncrossing ones if
+    ``noncrossing``) of the product of their block weights, as a function of
+    n; more than ``BLOCK_SUM_CAP`` points are refused before any work.
+
+    Point i carries the mark ``unit[i % len(unit)]``, and ``weight`` takes a
+    block's count of each mark, in sorted mark order.  One exact recursion
+    per world splits off a block and builds no word; its memo lives as long
+    as the returned function.  Classical (and half-liberated):
+    ``marked(left)`` splits off the block of the first point of the first
+    mark with points left.  Noncrossing: ``interval(length, start)`` starts
+    at offset ``start`` of the unit, and ``legs(rest, start, block)``
+    finishes its first point's block, with ``rest`` points after the last
+    leg: the block closes, or its next leg follows a gap that is itself an
+    interval.
     """
-    test = rule.block or _any_block
+    marks = sorted(set(unit))
+    period, index = len(unit), [marks.index(mark) for mark in unit]
+
+    def add_leg(block: tuple[int, ...], offset: int) -> tuple[int, ...]:
+        j = index[offset]
+        return block[:j] + (block[j] + 1,) + block[j + 1 :]
 
     if noncrossing:
 
         @cache
-        def interval(length: int, parity: int) -> int:
+        def interval(length: int, start: int) -> int | Fraction:
             if length == 0:
                 return 1
-            return legs(length - 1, parity ^ 1, 1 - parity, parity)
+            return legs(length - 1, (start + 1) % period, add_leg((0,) * len(marks), start))
 
         @cache
-        def legs(rest: int, parity: int, plus: int, minus: int) -> int:
-            total = interval(rest, parity) if test(plus, minus) else 0
+        def legs(rest: int, start: int, block: tuple[int, ...]) -> int | Fraction:
+            value = weight(block)
+            total = value * interval(rest, start) if value else 0
             for gap in range(rest):
-                leg = parity ^ (gap & 1)
-                total += interval(gap, parity) * legs(
-                    rest - gap - 1, leg ^ 1, plus + (leg == 0), minus + leg
-                )
+                if inner := interval(gap, start):
+                    leg = (start + gap) % period
+                    total += inner * legs(rest - gap - 1, (leg + 1) % period, add_leg(block, leg))
             return total
 
-        def words(n: int) -> int:
+        def points(n: int) -> int | Fraction:
             return interval(n, 0)
 
     else:
 
         @cache
-        def marked(plus: int, minus: int) -> int:
-            if plus:
-                # the block of the first plus point: a - 1 more plus, b minus points
-                return sum(
-                    comb(plus - 1, a - 1) * comb(minus, b) * marked(plus - a, minus - b)
-                    for a in range(1, plus + 1)
-                    for b in range(minus + 1)
-                    if test(a, b)
-                )
-            if minus:
-                # no plus point left: the block of the first minus point
-                return sum(
-                    comb(minus - 1, b - 1) * marked(0, minus - b)
-                    for b in range(1, minus + 1)
-                    if test(0, b)
-                )
-            return 1
+        def marked(left: tuple[int, ...]) -> int | Fraction:
+            first = next((j for j, r in enumerate(left) if r), None)
+            if first is None:
+                return 1
+            sizes = [range(r + 1) for r in left]
+            sizes[first] = range(1, left[first] + 1)
+            total = 0
+            for block in product(*sizes):
+                if value := weight(block):
+                    # choose the block's other points: comb(r - 1, b - 1) for the first mark
+                    ways = prod(map(comb, left, block)) * block[first] // left[first]
+                    total += ways * value * marked(tuple(map(sub, left, block)))
+            return total
 
-        def words(n: int) -> int:
-            return marked((n + 1) // 2, n // 2)
+        def points(n: int) -> int | Fraction:
+            return marked(tuple(map((unit * n)[:n].count, marks)))
 
-    def count(n_points: int) -> int:
-        if n_points < 0:
-            raise PointRangeError(f"point total must be nonnegative, got {n_points}")
-        if rule.even_points and n_points % 2:
-            return 0
-        return words(n_points)
+    def total(n_points: int) -> int | Fraction:
+        _check_block_sum_points(n_points)
+        return points(n_points)
 
-    return count
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +387,23 @@ def member_words(name: str, n_points: int) -> Iterator[Word]:
 
 
 def member_counter(name: str) -> Callable[[int], int]:
-    """The number of the category's words on n points, as a function of n.
+    """The number of the category's words on n points, as a function of
+    0 <= n <= ``BLOCK_SUM_CAP``.
 
-    The name is checked at once.  The counts come from the block recursion
-    of ``_word_counter``: they build no word, so no enumeration cap applies.
+    The name is checked at once.  The counts come from ``block_sum`` on the
+    unit ("+", "-") with the block test as a 0/1 weight, so they build no
+    word; an odd n of an ``even_points`` rule counts 0 without a sum.
     """
     entry = _ruled_entry(name)
-    return _word_counter(entry.rule, entry.noncrossing)
+    rule = entry.rule
+    test = rule.block or (lambda plus, minus: True)
+    words = block_sum(("+", "-"), lambda block: int(test(*block)), entry.noncrossing)
+
+    def count(n_points: int) -> int:
+        _check_block_sum_points(n_points)
+        return 0 if rule.even_points and n_points % 2 else words(n_points)
+
+    return count
 
 
 def category_predicate(name: str) -> Predicate:

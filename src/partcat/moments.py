@@ -6,25 +6,23 @@ catalog's block recursion, which splits off one block at a time and builds
 no word.  ``moments_from_cumulants`` evaluates moment sums over all
 partitions (classical) or noncrossing partitions (free), with a block-value
 rule supplied by a :class:`CumulantSpec`; block shapes above the largest
-declared size count 0.  The sum visits every word but keeps, per call, a table
-of block values keyed by the block's marks; it counts the words per multiset
-of block shapes and forms the rational products once per shape.  Its results
-and errors are those of a product formed word by word.  ``squeeze`` and
-``symmetrize`` reshape a sequence.  Everything here is exact integer /
-rational arithmetic; no floats.
+declared size count 0.  It values every block shape first and then sums by
+the same recursion, with the block values as weights, so it builds no word
+either.  ``squeeze`` and ``symmetrize`` reshape a sequence.  Everything here
+is exact integer / rational arithmetic; no floats.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .catalog import member_counter
+from .catalog import block_sum, member_counter
 from .errors import BadParamError, UndefinedBlockValueError
-from .ops import bell_number, check_enumeration_cap, iter_words
+from .ops import bell_number, check_enumeration_cap
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -214,48 +212,36 @@ def moments_from_cumulants(
     classical specs over all partitions.  The largest moment's point count,
     ``len(word_unit) * k_max``, must stay within the enumeration cap.
 
-    Every word of ``iter_words`` is visited.  Its blocks are read in label
-    order, each valued through a table local to the call that is keyed by
-    the block's marks in point order, and the scan stops at the first zero
-    block; ``spec.block_value`` runs only on a key's first sighting.  So an
-    undefined shape raises at the same word, with the same message, as a
-    product formed word by word, and a zero block ahead of an undefined one
-    raises nothing.  A word with no zero block is counted under its sorted
-    tuple of keys, and m_k sums count times the product of the key values
-    over these shapes.
+    First ``spec.block_value`` runs on every block shape that a partition
+    of the largest point set can hold, up to the largest declared size, in
+    ascending (size, sorted marks) order, so the least undefined shape
+    raises its own message whatever the other blocks are worth.  Then the
+    catalog's ``block_sum`` adds up the products of the block values, one
+    exact recursion per world that builds no word.
     """
     if not word_unit:
         raise BadParamError("the mark word must not be empty")
     if k_max < 0:
         raise BadParamError(f"k_max must be >= 0, got {k_max}")
     check_enumeration_cap(len(word_unit) * k_max)
-    noncrossing = spec.kind == FREE
-    block_values: dict[tuple[str, ...], int | Fraction] = {}
+    marks = sorted(set(word_unit))
+    held = [word_unit.count(mark) * k_max for mark in marks]
+    shapes = sorted(
+        (sum(block), tuple(m for m, n in zip(marks, block) for _ in range(n)), block)
+        for block in product(*(range(n + 1) for n in held))
+        if 0 < sum(block) <= spec._max_size
+    )
+    # a block above the largest declared size is worth 0
+    block_values = {block: spec.block_value(size, key) for size, key, block in shapes}
+    total = block_sum(word_unit, lambda block: block_values.get(block, 0), spec.kind == FREE)
     values = []
     for k in range(1, k_max + 1):
-        # one-tuples, so that a block's key is the concatenation of its marks
-        marks = [(mark,) for mark in word_unit * k]
-        shapes: Counter[tuple[tuple[str, ...], ...]] = Counter()
-        for w in iter_words(len(marks), noncrossing_only=noncrossing):
-            blocks = [()] * (max(w) + 1)
-            for lab, mark in zip(w, marks):
-                blocks[lab] += mark
-            for key in blocks:
-                value = block_values.get(key)
-                if value is None:
-                    value = block_values[key] = spec.block_value(len(key), key)
-                if not value:
-                    break
-            else:
-                shapes[tuple(sorted(blocks))] += 1
-        total = Fraction(0)
-        for shape, count in shapes.items():
-            total += count * prod((block_values[key] for key in shape), start=Fraction(1))
-        if total.denominator != 1 or total < 0:
+        m_k = total(len(word_unit) * k)
+        if m_k.denominator != 1 or m_k < 0:
             raise UndefinedBlockValueError(
-                f"moment m_{k} is not a nonnegative integer: {total}"
+                f"moment m_{k} is not a nonnegative integer: {m_k}"
             )
-        values.append(int(total))
+        values.append(int(m_k))
     return tuple(values)
 
 

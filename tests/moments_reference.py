@@ -4,9 +4,12 @@
 each number of points; the package's ``count_moments`` must give the same
 tuple.  ``moments_from_cumulants`` below multiplies the block values of every word
 in ``Fraction`` arithmetic, block by block in label order, and stops at the
-first zero block.  The package's ``moments_from_cumulants`` must give the
-same tuple on every spec, or raise ``UndefinedBlockValueError`` with the
-same message.
+first zero block.  On every spec that defines each block shape the largest
+point set can hold, up to the largest declared size, the package's
+``moments_from_cumulants`` must give the same tuple, or raise the same
+non-integer ``UndefinedBlockValueError``.  On any other spec the package
+raises for the least undefined shape before it sums, where this reference
+raises at the first word that meets an undefined shape before a zero one.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 import itertools
 import re
+from math import factorial
 
 import pytest
 
 import partcat.catalog as catalog
 from partcat.catalog import (
+    BLOCK_SUM_CAP,
     CATALOG,
     CLASSICAL_NAMES,
     FREE_NAMES,
@@ -12,6 +14,7 @@ from partcat.catalog import (
     LISTING_CAP,
     RULED_NAMES,
     block,
+    block_sum,
     catalog_entry,
     category_predicate,
     crossing,
@@ -233,6 +236,18 @@ def test_enumerate_category_refuses_a_long_listing_before_building_a_word(monkey
 def test_member_counter_refuses_a_negative_point_total():
     with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
         member_counter("S")(-1)
+
+
+def test_member_counter_refuses_more_points_than_the_block_sum_cap():
+    assert BLOCK_SUM_CAP >= 64
+    for name, n_points in (("S+", 400), ("S", 400), ("B#*", 600), ("B#*", 601)):
+        message = f"^{n_points} points exceeds the block sum cap {BLOCK_SUM_CAP}$"
+        with pytest.raises(CapExceededError, match=message):
+            member_counter(name)(n_points)
+    with pytest.raises(CapExceededError, match="^65 points exceeds the block sum cap 64$"):
+        block_sum(("a",), lambda block: 1, False)(BLOCK_SUM_CAP + 1)
+    # the cap itself is counted: pairings of 64 points into plus-minus pairs
+    assert member_counter("O*")(BLOCK_SUM_CAP) == factorial(BLOCK_SUM_CAP // 2)
 
 
 def test_catalog_generators_satisfy_their_predicate():

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import hypothesis.strategies as st
 import pytest
@@ -13,7 +13,7 @@ import partcat.moments as mo
 from partcat.catalog import (
     RULED_NAMES,
     BlockRule,
-    _word_counter,
+    block_sum,
     enumerate_category,
     member_counter,
 )
@@ -74,12 +74,22 @@ def test_count_moments_checks_the_cap_before_counting(monkeypatch):
 
 
 def test_count_moments_builds_no_word(monkeypatch):
-    for module, name in ((cat, "iter_words"), (cat, "member_words"), (mo, "iter_words")):
-        monkeypatch.setattr(module, name, _no_words)
+    for name in ("iter_words", "member_words"):
+        monkeypatch.setattr(cat, name, _no_words)
     assert mo.count_moments("S", 12)[-1] == mo.closed_form(mo.BELL, 12)
     assert mo.count_moments("S+", 12)[-1] == mo.closed_form(mo.CATALAN, 12)
     for name in RULED_NAMES:
         assert len(mo.count_moments(name, 12)) == 12
+
+
+def test_cumulant_sums_build_no_word(monkeypatch):
+    assert not hasattr(mo, "iter_words")
+    for name in ("iter_words", "member_words"):
+        monkeypatch.setattr(cat, name, _no_words)
+    gaussian = mo.moments_from_cumulants(mo.gaussian_spec(), ("a",), 12)
+    assert gaussian[-1] == mo.closed_form(mo.DOUBLE_FACTORIAL, 6)
+    circle = mo.moments_from_cumulants(mo.shifted_circular_spec(), ("d", "d*"), 6)
+    assert circle[-1] == mo.closed_form(mo.B_FORMULA, 6)
 
 
 @pytest.mark.parametrize("name", RULED_NAMES)
@@ -117,14 +127,35 @@ _BLOCKS = [(plus, minus) for plus in range(9) for minus in range(9) if 1 <= plus
 def test_block_recursion_matches_brute_force_on_random_rules(allowed, even_points, noncrossing):
     # arbitrary block sets, closed under nothing, pin the parity bookkeeping
     rule = BlockRule(lambda plus, minus: (plus, minus) in allowed, even_points)
-    count = _word_counter(rule, noncrossing)
+    words = block_sum(("+", "-"), lambda block: int(block in allowed), noncrossing)
     for n in range(9):
         want = sum(1 for w in iter_words(n, noncrossing) if rule(w))
-        assert count(n) == want, n
+        assert (0 if even_points and n % 2 else words(n)) == want, n
+
+
+def _law_sum(make_spec, noncrossing):
+    """A one-mark law's moments as a direct block sum, with no point cap of 12."""
+    spec = make_spec()
+    return block_sum(
+        ("a",), lambda block: spec.block_value(block[0], ("a",) * block[0]), noncrossing
+    )
+
+
+def test_cumulant_block_sums_match_the_closed_forms_far_past_the_cap():
+    semicircle = _law_sum(mo.semicircular_spec, True)
+    gaussian = _law_sum(mo.gaussian_spec, False)
+    shifted_semicircle = _law_sum(mo.shifted_semicircular_spec, True)
+    shifted_gaussian = _law_sum(mo.shifted_gaussian_spec, False)
+    for n in range(31):
+        even = 0 if n % 2 else 1
+        assert semicircle(n) == even * mo.closed_form(mo.CATALAN, n // 2), n
+        assert gaussian(n) == even * mo.closed_form(mo.DOUBLE_FACTORIAL, n // 2), n
+        assert shifted_semicircle(n) == mo.closed_form(mo.MOTZKIN, n), n
+        assert shifted_gaussian(n) == mo.closed_form(mo.INVOLUTIONS, n), n
 
 
 def test_cumulant_sums_are_bounded_before_summing(monkeypatch):
-    monkeypatch.setattr(mo, "iter_words", _no_words)
+    monkeypatch.setattr(mo, "block_sum", _no_words)
     spec = mo.shifted_circular_spec()
     # the seventh moment of a two-letter mark word has 14 points
     with pytest.raises(CapExceededError, match="^14 points exceeds the enumeration cap 12$"):
@@ -132,7 +163,7 @@ def test_cumulant_sums_are_bounded_before_summing(monkeypatch):
     with pytest.raises(CapExceededError, match="^13 points exceeds the enumeration cap 12$"):
         mo.moments_from_cumulants(mo.semicircular_spec(), ("a",), 13)
     # twelve points stay allowed
-    monkeypatch.setattr(mo, "iter_words", lambda n, noncrossing_only=False: iter(()))
+    monkeypatch.setattr(mo, "block_sum", lambda unit, weight, noncrossing: lambda n: 0)
     assert list(mo.moments_from_cumulants(spec, ("d", "d*"), 6)) == [0] * 6
 
 
@@ -275,6 +306,21 @@ def _outcome(fn, spec, unit, k_max):
         return f"error: {exc}"
 
 
+def _expected(spec, unit, k_max):
+    """The reference outcome if every block shape that the largest point set
+    can hold is defined up to the largest declared size; otherwise the error
+    of the least undefined shape, in (size, sorted marks) order."""
+    points = sorted(unit * k_max)
+    top = max((size for size, _ in spec.values), default=0)
+    for size in range(1, min(top, len(points)) + 1):
+        for marks in sorted(set(combinations(points, size))):
+            try:
+                spec.block_value(size, marks)
+            except UndefinedBlockValueError as exc:
+                return f"error: {exc}"
+    return _outcome(moments_reference.moments_from_cumulants, spec, unit, k_max)
+
+
 def _random_spec(rng, kind, unit):
     """Bare shapes up to a random largest size, each declared with
     probability 2/3, plus marked shapes of size <= 2 with probability 1/2;
@@ -298,7 +344,7 @@ def test_cumulant_sums_match_the_reference_on_random_specs():
         unit = rng.choice(_UNITS)
         spec = _random_spec(rng, kind, unit)
         k_max = 6 // len(unit)
-        want = _outcome(moments_reference.moments_from_cumulants, spec, unit, k_max)
+        want = _expected(spec, unit, k_max)
         assert _outcome(mo.moments_from_cumulants, spec, unit, k_max) == want, spec
         if isinstance(want, str):
             errors += 1
@@ -308,16 +354,43 @@ def test_cumulant_sums_match_the_reference_on_random_specs():
     assert errors >= 50 and values >= 50, (errors, values)
 
 
-def test_a_zero_block_before_an_undefined_one_raises_nothing():
-    # (1, ("d*",)) is undefined, but in the word (0, 1) on d d* the zero
-    # block of d comes first; m_2 raises at its word (0, 1, 0, 2)
+def test_a_zero_block_does_not_hide_an_undefined_one():
+    # (1, ("d*",)) is undefined; the word (0, 1) on d d* would meet the zero
+    # block of d first, but every shape is valued before the sum
     spec = mo.CumulantSpec(mo.CLASSICAL, {(1, ("d",)): 0, (2, ()): 1})
-    for fn in (moments_reference.moments_from_cumulants, mo.moments_from_cumulants):
-        assert fn(spec, ("d", "d*"), 1) == (1,)
+    for k_max in (1, 2):
         with pytest.raises(
             UndefinedBlockValueError, match=r"^no value for block shape \(1, \('d\*',\)\)$"
         ):
-            fn(spec, ("d", "d*"), 2)
+            mo.moments_from_cumulants(spec, ("d", "d*"), k_max)
+
+
+_THREE_MARK_UNITS = (("d", "d", "d*"), ("a", "b", "c"), ("d*", "d", "d"))
+
+
+@st.composite
+def _drawn_specs(draw):
+    """A unit of three marks and a spec on it: bare shapes up to size four
+    and marked shapes of size <= 2, each present or not."""
+    unit = draw(st.sampled_from(_THREE_MARK_UNITS))
+    keys = [(size, ()) for size in range(1, 5)]
+    keys += [
+        (size, marks)
+        for size in (1, 2)
+        for marks in combinations_with_replacement(sorted(set(unit)), size)
+    ]
+    values = draw(st.dictionaries(st.sampled_from(keys), st.sampled_from(_DRAWN_VALUES)))
+    return draw(st.sampled_from((mo.FREE, mo.CLASSICAL))), unit, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=_drawn_specs())
+def test_cumulant_sums_match_the_reference_on_three_mark_units(drawn):
+    kind, unit, values = drawn
+    spec = mo.CumulantSpec(kind, values)
+    k_max = 9 // len(unit)
+    want = _expected(spec, unit, k_max)
+    assert _outcome(mo.moments_from_cumulants, spec, unit, k_max) == want
 
 
 _NAMED_LAWS = {
