@@ -36,8 +36,17 @@ from partcat.catalog import (
 )
 from partcat.errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from partcat.moments import count_moments
-from partcat.ops import Rotation, compose, enumerate_all, involute, iter_words, rotate, tensor
-from partcat.partition import parse_partition, partition_from_word
+from partcat.ops import (
+    EMPTY,
+    Rotation,
+    compose,
+    enumerate_all,
+    involute,
+    iter_words,
+    rotate,
+    tensor,
+)
+from partcat.partition import lower, make_partition, parse_partition, partition_from_word, upper
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +59,107 @@ def test_named_partition_forms():
     assert str(h_series(3)) == "P(0,6): l1,l3,l5; l2,l4,l6"
     assert str(fat_crossing()) == "P(4,4): u1,u2,l3,l4; u3,u4,l1,l2"
     assert str(k_series(1)) == "P(3,3): u1,u3,l1,l3; u2,l2"
+
+
+# Every named partition as a validated point list, and as (k, l, word).  The
+# point lists are the reference forms: the catalog must build the same
+# partitions from their words.
+_PARAMS = range(1, 9)
+
+
+def _k_points(length: int) -> list[list]:
+    n = length + 2
+    return [[upper(1), lower(1), upper(n), lower(n)]] + [
+        [upper(i), lower(i)] for i in range(2, n)
+    ]
+
+
+_NAMED_POINT_FORMS = [
+    (("unit",), make_partition(1, 1, [[upper(1), lower(1)]]), (1, 1, (0, 0))),
+    (("pair",), make_partition(0, 2, [[lower(1), lower(2)]]), (0, 2, (0, 0))),
+    (("singleton",), make_partition(0, 1, [[lower(1)]]), (0, 1, (0,))),
+    (("double-singleton",), make_partition(0, 2, [[lower(1)], [lower(2)]]), (0, 2, (0, 1))),
+    (
+        ("four-block",),
+        make_partition(0, 4, [[lower(j) for j in range(1, 5)]]),
+        (0, 4, (0, 0, 0, 0)),
+    ),
+    (
+        ("positioner",),
+        make_partition(0, 4, [[lower(1)], [lower(2), lower(4)], [lower(3)]]),
+        (0, 4, (0, 1, 2, 1)),
+    ),
+    (
+        ("crossing",),
+        make_partition(2, 2, [[upper(1), lower(2)], [upper(2), lower(1)]]),
+        (2, 2, (0, 1, 0, 1)),
+    ),
+    (
+        ("half-lib",),
+        make_partition(3, 3, [[upper(1), lower(3)], [upper(2), lower(2)], [upper(3), lower(1)]]),
+        (3, 3, (0, 1, 2, 0, 1, 2)),
+    ),
+    (
+        ("fat-crossing",),
+        make_partition(
+            4,
+            4,
+            [[upper(1), upper(2), lower(3), lower(4)], [upper(3), upper(4), lower(1), lower(2)]],
+        ),
+        (4, 4, (0, 0, 1, 1, 0, 0, 1, 1)),
+    ),
+    *(
+        (
+            ("block", n),
+            make_partition(0, n, [[lower(j) for j in range(1, n + 1)]]),
+            (0, n, (0,) * n),
+        )
+        for n in _PARAMS
+    ),
+    *(
+        (
+            ("h", s),
+            make_partition(
+                0,
+                2 * s,
+                [
+                    [lower(j) for j in range(1, 2 * s + 1, 2)],
+                    [lower(j) for j in range(2, 2 * s + 1, 2)],
+                ],
+            ),
+            (0, 2 * s, (0, 1) * s),
+        )
+        for s in _PARAMS
+    ),
+    *(
+        (
+            ("k", n),
+            make_partition(n + 2, n + 2, _k_points(n)),
+            (n + 2, n + 2, (0, *range(1, n + 1), 0, 0, *range(n, 0, -1), 0)),
+        )
+        for n in _PARAMS
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, points, pinned",
+    _NAMED_POINT_FORMS,
+    ids=["-".join(map(str, call)) for call, _, _ in _NAMED_POINT_FORMS],
+)
+def test_named_partitions_match_point_forms(call, points, pinned):
+    p = named_partition(*call)
+    assert p == points
+    assert (p.upper_count, p.lower_count, p.word) == pinned
+
+
+def test_named_point_forms_cover_registry():
+    assert {call[0] for call, _, _ in _NAMED_POINT_FORMS} == set(catalog._NAMED)
+
+
+def test_empty_partition_form():
+    assert EMPTY == make_partition(0, 0, ())
+    assert (EMPTY.upper_count, EMPTY.lower_count, EMPTY.word) == (0, 0, ())
 
 
 def test_named_partition_identities():
