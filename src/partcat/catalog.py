@@ -41,41 +41,37 @@ from typing import Callable, Iterator
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from .ops import ENUMERATION_CAP, bell_number, check_enumeration_cap, iter_words
-from .partition import (
-    Partition,
-    Word,
-    lower,
-    make_partition,
-    sorted_partitions,
-    upper,
-    word_noncrossing,
-)
+from .partition import Partition, Word, partition_from_word, sorted_partitions, word_noncrossing
 
 # ---------------------------------------------------------------------------
 # named partitions
 
 
 def unit_partition() -> Partition:
-    return make_partition(1, 1, [[upper(1), lower(1)]])
+    """{u1,l1}: one vertical line."""
+    return partition_from_word((0, 0), 1)
 
 
 def pair_partition() -> Partition:
-    return make_partition(0, 2, [[lower(1), lower(2)]])
+    """{l1,l2}: one lower pair."""
+    return partition_from_word((0, 0))
 
 
 def singleton() -> Partition:
-    return make_partition(0, 1, [[lower(1)]])
+    """{l1}: one lower point."""
+    return partition_from_word((0,))
 
 
 def double_singleton() -> Partition:
-    return make_partition(0, 2, [[lower(1)], [lower(2)]])
+    """{l1}{l2}: two lower points, each a block."""
+    return partition_from_word((0, 1))
 
 
 def block(size: int) -> Partition:
     """A single block of the given size on the lower row."""
     if size < 1:
         raise BadParamError(f"block size must be >= 1, got {size}")
-    return make_partition(0, size, [[lower(j) for j in range(1, size + 1)]])
+    return partition_from_word((0,) * size)
 
 
 def four_block() -> Partition:
@@ -84,50 +80,37 @@ def four_block() -> Partition:
 
 def positioner() -> Partition:
     """{1}{2,4}{3}: a pair around a free middle point, plus an outer singleton."""
-    return make_partition(0, 4, [[lower(1)], [lower(2), lower(4)], [lower(3)]])
+    return partition_from_word((0, 1, 2, 1))
 
 
 def crossing() -> Partition:
     """The transposition diagram {u1,l2}{u2,l1}."""
-    return make_partition(2, 2, [[upper(1), lower(2)], [upper(2), lower(1)]])
+    return partition_from_word((0, 1, 0, 1), 2)
 
 
 def half_lib() -> Partition:
     """{1,3'}{2,2'}{3,1'}: the three-strand reversal diagram."""
-    return make_partition(
-        3, 3, [[upper(1), lower(3)], [upper(2), lower(2)], [upper(3), lower(1)]]
-    )
+    return partition_from_word((0, 1, 2, 0, 1, 2), 3)
 
 
 def h_series(s: int) -> Partition:
     """Two interleaved blocks {1,3,..,2s-1} and {2,4,..,2s} on 2s points."""
     if s < 1:
         raise BadParamError(f"h-series parameter must be >= 1, got {s}")
-    odds = [lower(j) for j in range(1, 2 * s + 1, 2)]
-    evens = [lower(j) for j in range(2, 2 * s + 1, 2)]
-    return make_partition(0, 2 * s, [odds, evens])
+    return partition_from_word((0, 1) * s)
 
 
 def k_series(length: int) -> Partition:
     """Four block on the outer columns of P(l+2, l+2), vertical pairs inside."""
     if length < 1:
         raise BadParamError(f"k-series parameter must be >= 1, got {length}")
-    n = length + 2
-    blocks: list[list] = [[upper(1), lower(1), upper(n), lower(n)]]
-    blocks += [[upper(i), lower(i)] for i in range(2, n)]
-    return make_partition(n, n, blocks)
+    inner = tuple(range(1, length + 1))
+    return partition_from_word((0, *inner, 0, 0, *inner[::-1], 0), length + 2)
 
 
 def fat_crossing() -> Partition:
     """{1,2,3',4'}{3,4,1',2'}: two crossing four blocks in P(4,4)."""
-    return make_partition(
-        4,
-        4,
-        [
-            [upper(1), upper(2), lower(3), lower(4)],
-            [upper(3), upper(4), lower(1), lower(2)],
-        ],
-    )
+    return partition_from_word((0, 0, 1, 1, 0, 0, 1, 1), 4)
 
 
 _NAMED: dict[str, Callable[..., Partition]] = {

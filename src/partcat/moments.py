@@ -213,9 +213,10 @@ def moments_from_cumulants(
     ``len(word_unit) * k_max``, must stay within the enumeration cap.
 
     First ``spec.block_value`` runs on every block shape that a partition
-    of the largest point set can hold, up to the largest declared size, in
-    ascending (size, sorted marks) order, so the least undefined shape
-    raises its own message whatever the other blocks are worth.  Then the
+    of the largest point set can hold, in ascending (size, sorted marks)
+    order, so the least undefined shape raises its own message whatever the
+    other blocks are worth: the shapes above the largest declared size come
+    last and are worth 0 without raising.  Then the
     catalog's ``block_sum`` adds up the products of the block values, one
     exact recursion per world that builds no word.
     """
@@ -229,11 +230,10 @@ def moments_from_cumulants(
     shapes = sorted(
         (sum(block), tuple(m for m, n in zip(marks, block) for _ in range(n)), block)
         for block in product(*(range(n + 1) for n in held))
-        if 0 < sum(block) <= spec._max_size
+        if any(block)
     )
-    # a block above the largest declared size is worth 0
     block_values = {block: spec.block_value(size, key) for size, key, block in shapes}
-    total = block_sum(word_unit, lambda block: block_values.get(block, 0), spec.kind == FREE)
+    total = block_sum(word_unit, block_values.__getitem__, spec.kind == FREE)
     values = []
     for k in range(1, k_max + 1):
         m_k = total(len(word_unit) * k)

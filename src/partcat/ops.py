@@ -29,16 +29,9 @@ from .errors import (
     EmptyRowError,
     PointRangeError,
 )
-from .partition import (
-    Partition,
-    Word,
-    glue,
-    make_partition,
-    partition_from_word,
-    sorted_partitions,
-)
+from .partition import Partition, Word, glue, partition_from_word, sorted_partitions
 
-EMPTY = make_partition(0, 0, ())
+EMPTY = partition_from_word(())
 
 
 def tensor(p: Partition, q: Partition) -> Partition:

@@ -16,8 +16,9 @@ reversal; composition and the tensor product are one gluing of words
 Text, order and :attr:`Partition.blocks` come from the word too: one walk
 (:func:`_group_blocks`) groups it by block in the canonical point order
 u1..uk, l1..ll, where u_i sits at walk position k - i and l_j at k + j - 1.
-:class:`Point` serves to validate input in :func:`make_partition`; no text
-or listing builds one, and only :attr:`Partition.blocks` still hands them out.
+:class:`Point` serves only to validate input in :func:`make_partition` and
+to hand out :attr:`Partition.blocks`; no text or listing builds one, and the
+catalog builds every named partition from its word.
 
 Partitions are immutable; all functions return fresh values.
 """
