@@ -216,9 +216,9 @@ def moments_from_cumulants(
     of the largest point set can hold, in ascending (size, sorted marks)
     order, so the least undefined shape raises its own message whatever the
     other blocks are worth: the shapes above the largest declared size come
-    last and are worth 0 without raising.  Then the
-    catalog's ``block_sum`` adds up the products of the block values, one
-    exact recursion per world that builds no word.
+    last and are worth 0 without raising.  Then the catalog's ``block_sum``
+    adds up the products of the block values, one exact recursion per world
+    that builds no word.
     """
     if not word_unit:
         raise BadParamError("the mark word must not be empty")
