@@ -131,6 +131,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify_tp(args: argparse.Namespace, seed: int) -> int:
     rep = lm.classical_rep(args.rep, args.n, sample_count=args.samples, seed=seed)
     lm.check_tensor_cap(args.n, args.points)
+    lm.check_table_cost(rep, args.points)
     partitions = enumerate_upto(args.points)
     table = lm.intertwiner_table(rep, partitions)
     for p in partitions:

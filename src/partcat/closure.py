@@ -227,14 +227,15 @@ class ClosureSet:
         )
 
     def members(self, upper_count: int, lower_count: int) -> list[Partition]:
-        """All stored elements of shape P(upper_count, lower_count)."""
+        """All stored elements of shape P(upper_count, lower_count), the
+        oversized ones included."""
         n = upper_count + lower_count
-        return sorted_partitions(
-            upper_count, lower_count, (w for w in self.words if len(w) == n)
-        )
+        pool = self.words if n <= self.point_budget else self.oversized_words
+        return sorted_partitions(upper_count, lower_count, (w for w in pool if len(w) == n))
 
     def dump_lines(self) -> list[str]:
-        """The texts of the one-row forms of all stored elements, sorted."""
+        """The texts of the one-row forms of the stored elements within the
+        point budget, sorted; the oversized words are not listed."""
         return sorted(canonical_text(partition_from_word(w)) for w in self.words)
 
 

@@ -9,8 +9,9 @@ sum (t_a - 1) * n^(k - a).
 ``t_matrix``, ``intertwiner_table`` and ``check_functor`` all start from
 xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary word w (legs
 u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant along every
-block, built by one function; ``t_matrix`` regroups its legs and returns the
-int64 matrix itself.  By Frobenius reciprocity, for orthogonal u,
+block, built by one function.  ``t_matrix`` builds xi of the word read in
+matrix order (l_1 .. l_l, then u_1 .. u_k), whose reshape is the int64
+matrix itself.  By Frobenius reciprocity, for orthogonal u,
 T_p u^{tensor k} = u^{tensor l} T_p exactly when u^{tensor m} xi_w = xi_w
 (Banica-Speicher, arXiv:0808.2628): one test per word, shared by every
 rotation of p, with u applied to one leg at a time.
@@ -47,11 +48,14 @@ from .errors import (
     IndexRangeError,
     MemoryCapError,
 )
-from .ops import compose, involute, tensor
+from .catalog import LISTING_CAP
+from .ops import ENUMERATION_CAP, bell_number, compose, involute, tensor
 from .partition import Partition
 
 # bytes of one xi_w or T_p (8 * n^points), of one chunk of xi_w's, of the samples
 T_BYTES_CAP = 1 << 26
+# work bound of one table over every partition of up to some points (check_table_cost)
+TABLE_WORK_CAP = 10**9
 
 KIND_SYMMETRIC = "symmetric-group"
 KIND_HYPEROCTAHEDRAL = "hyperoctahedral"
@@ -103,28 +107,21 @@ def _xi(word: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def t_matrix(p: Partition, n: int) -> np.ndarray:
-    """The 0/1 int64 matrix of p at dimension n, of shape (n^l, n^k): xi_w
-    with its legs regrouped."""
+    """The 0/1 int64 matrix of p at dimension n, of shape (n^l, n^k): xi of
+    p's word read in matrix order, rows l_1 .. l_l, then columns u_1 .. u_k."""
     if n < 1:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     k, l = p.upper_count, p.lower_count
     check_tensor_cap(n, k + l)
-    if n == 1:
-        # one entry; no reshape to one axis per leg, which numpy caps at 64
-        return np.ones((1, 1), np.int64)
-    # legs u_k .. u_1, l_1 .. l_l -> rows l_1 .. l_l, columns u_1 .. u_k
-    legs = _xi(p.word, n).reshape((n,) * (k + l))
-    legs = legs.transpose(*range(k, k + l), *reversed(range(k)))
-    return legs.reshape(n**l, n**k)
+    return _xi(p.word[k:] + p.word[:k][::-1], n).reshape(n**l, n**k)
 
 
 def _matches(
     r: Partition, shape: tuple[int, int], n: int, expected: np.ndarray, scale: int = 1
 ) -> bool:
-    """Whether r has the (upper, lower) ``shape``, compared as powers of n
-    as the shapes of T-matrices are, and ``scale * xi_r`` equals
-    ``expected`` entry by entry."""
-    if (n**r.upper_count, n**r.lower_count) != (n ** shape[0], n ** shape[1]):
+    """Whether r has the (upper, lower) ``shape`` and ``scale * xi_r``
+    equals ``expected`` entry by entry."""
+    if (r.upper_count, r.lower_count) != shape:
         return False
     return bool((scale * _xi(r.word, n) == expected.ravel()).all())
 
@@ -148,7 +145,7 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi_{p*} is
       xi_p with all its legs reversed, and likewise for q.
 
-    The shape of each operation's result is compared first, as powers of n.
+    The shape of each operation's result is compared first.
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
@@ -267,6 +264,33 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
             elements.append(t @ embedded @ t.T)
         return GroupRep(kind, n, tuple(elements), 1e-9)
     raise BadParamError(f"unknown representation kind {kind!r}")
+
+
+def check_table_cost(rep: GroupRep, points: int) -> None:
+    """Refuse the table of every partition of up to ``points`` points, one
+    line each, before anything is built: when its (m + 1) Bell(m) lines per
+    point count m exceed ``LISTING_CAP``, or its work bound exceeds
+    ``TABLE_WORK_CAP``.
+
+    The work bound is W = sum over m <= points of Bell(m) n^m m |elements|:
+    one xi_w of n^m entries per word of m points, each element applied to
+    its m legs one at a time.  The sums stop once over a cap.
+    """
+    lines = work = 0
+    for m in range(points + 1):
+        bell = bell_number(m)
+        lines += (m + 1) * bell
+        work += bell * rep.n**m * m * len(rep.elements)
+        if lines > LISTING_CAP:
+            raise CapExceededError(
+                f"the partitions of up to {points} points exceed the listing cap "
+                f"Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
+            )
+        if work > TABLE_WORK_CAP:
+            raise CapExceededError(
+                f"the table of partitions of up to {points} points at n={rep.n} over "
+                f"{len(rep.elements)} elements exceeds the work cap {TABLE_WORK_CAP}"
+            )
 
 
 def intertwiner_table(rep: GroupRep, partitions: list[Partition]) -> dict[Partition, bool]:

@@ -68,13 +68,8 @@ def compose(p: Partition, q: Partition) -> ComposeResult:
             f"cannot compose P({p.upper_count},{p.lower_count}) with "
             f"P({q.upper_count},{q.lower_count})"
         )
-    word, merges = glue(p.word, q.word, p.lower_count)
-    loops = _block_count(p.word) + _block_count(q.word) - merges - _block_count(word)
+    word, loops = glue(p.word, q.word, p.lower_count)
     return ComposeResult(Partition(p.upper_count, q.lower_count, word), loops)
-
-
-def _block_count(word: Word) -> int:
-    return max(word, default=-1) + 1
 
 
 def involute(p: Partition) -> Partition:

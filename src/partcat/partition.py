@@ -81,10 +81,8 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
     and q with c = p.lower_count this is the vertical composition of p over
     q, and on one-row words with c = 0 it is concatenation, the tensor
     product.  Both words must be normalized.  Returns the normalized word of
-    the surviving points and ``merges``, the number of gluings that joined
-    two different blocks.  A glued component that reaches no surviving point
-    is a removed loop, so there are
-    ``blocks(a) + blocks(b) - merges - blocks(result)`` of them.
+    the surviving points and the number of removed loops: the glued
+    components that reach no surviving point.
     """
     m = len(a)
     # union-find over block labels; a normalized word's labels are below its
@@ -111,7 +109,8 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
         while parent[x] != x:
             x = parent[x]
         out.append(first.setdefault(x, len(first)))
-    return tuple(out), merges
+    # blocks(a) + blocks(b) - merges components, of which len(first) survive
+    return tuple(out), max(a, default=-1) + max(b, default=-1) + 2 - merges - len(first)
 
 
 GLUE_CHUNK_CELLS = 1 << 14  # point cells per chunk of :func:`glue_rows`

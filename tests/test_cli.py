@@ -264,13 +264,28 @@ def test_verify_tp_over_the_byte_cap_exits_before_enumerating(capsys, monkeypatc
         assert err.startswith("budget:")
 
 
+def test_verify_tp_over_the_work_cap_exits_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before checking the work cap")
+
+    monkeypatch.setattr(cli, "enumerate_upto", no_enumeration)
+    # both pass the byte and listing caps; the second would run for hours
+    for rep, n, points in (("symmetric-group", "3", "9"), ("hyperoctahedral", "4", "8")):
+        code, out, err = run(capsys, "verify-tp", "--rep", rep, "--n", n, "--points", points)
+        assert (code, out) == (2, [])
+        assert err.startswith("budget:"), err
+
+
 def test_verify_tp_over_the_listing_cap_exits_before_enumerating(capsys, monkeypatch):
-    # the check lives in enumerate_upto, so the shapes' enumeration is patched
+    # the verb counts its lines before enumerate_upto runs, and enumerate_upto
+    # checks its size again, so the shapes' enumeration is patched
     def no_enumeration(*args):
         raise AssertionError("enumerated partitions before checking the cap")
 
     monkeypatch.setattr(ops, "enumerate_all", no_enumeration)
-    for points, prefix in (("11", "budget:"), ("12", "budget:"), ("-1", "error:")):
+    for points, prefix in (
+        ("10", "budget:"), ("11", "budget:"), ("12", "budget:"), ("-1", "error:")
+    ):
         code, out, err = run(
             capsys, "verify-tp", "--rep", "symmetric-group", "--n", "2", "--points", points
         )

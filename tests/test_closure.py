@@ -109,6 +109,15 @@ def test_oversized_generators_participate():
     assert c.contains(block(6)) is CONFIRMED
 
 
+def test_members_list_the_oversized_words_that_contains_confirms():
+    c = generate_closure([block(10)], 8, 16)
+    assert c.contains(block(10)) is CONFIRMED
+    assert c.members(0, 10) == [block(10)]
+    assert [str(p) for p in c.members(3, 7)] == ["P(3,7): u1,u2,u3,l1,l2,l3,l4,l5,l6,l7"]
+    # the dump stays within the point budget
+    assert c.dump_lines() == sorted(str(p) for n in range(9) for p in c.members(0, n))
+
+
 def test_early_stop_flags_unsaturated():
     c = generate_closure([four_block()], 8, 16, stop_when=[four_block()])
     assert not c.saturated

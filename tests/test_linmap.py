@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import block_reference as ref
+import partcat.acceptance as acceptance
 import partcat.linmap as lm
 import partcat.ops as ops
 from conftest import words
@@ -326,6 +327,19 @@ def test_check_intertwiner_memory_cap():
     rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 10, sample_count=2)
     with pytest.raises(MemoryCapError):
         lm.intertwiner_table(rep, [singleton(), block(8)])
+
+
+def test_table_cost_caps_admit_the_dictionary_tables():
+    # the tables of acceptance criterion 9, the largest H at n = 3 on 6 points
+    for _, kind, n, points, _ in acceptance._DICTIONARY:
+        lm.check_table_cost(lm.classical_rep(kind, n), points)
+    with pytest.raises(CapExceededError, match="work cap"):
+        lm.check_table_cost(lm.classical_rep(lm.KIND_SYMMETRIC, 3), 9)
+    # one sample keeps the work small, but 10 points list 1,533,308 lines
+    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 2, sample_count=1)
+    lm.check_table_cost(rep, 9)
+    with pytest.raises(CapExceededError, match="listing cap"):
+        lm.check_table_cost(rep, 10)
 
 
 def test_sample_count_must_be_positive():

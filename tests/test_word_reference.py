@@ -78,7 +78,7 @@ def test_predicates_match_reference(all_upto_6):
             assert pred(p) == want(p), (name, str(p))
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_t_matrix_matches_reference(n):
     for size, parts in _by_size(5).items():
         for p in parts:
