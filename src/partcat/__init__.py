@@ -14,10 +14,8 @@ Submodules:
 
 from .partition import (
     Partition,
-    Point,
     canonical_text,
     is_noncrossing,
-    make_partition,
     parse_partition,
 )
 from .ops import ComposeResult, Rotation, compose, enumerate_all, involute, rotate, tensor
@@ -58,7 +56,6 @@ __all__ = [
     "CumulantSpec",
     "GroupRep",
     "Partition",
-    "Point",
     "Rotation",
     "canonical_text",
     "category_predicate",
@@ -74,7 +71,6 @@ __all__ = [
     "generate_closure",
     "involute",
     "is_noncrossing",
-    "make_partition",
     "moments_from_cumulants",
     "named_partition",
     "parse_partition",

@@ -207,7 +207,7 @@ def block_sum(
     ``noncrossing``) of the product of their block weights, as a function of
     n; more than ``BLOCK_SUM_CAP`` points are refused before any work.
 
-    Point i carries the mark ``unit[i % len(unit)]``, and ``weight`` takes a
+    The point i carries the mark ``unit[i % len(unit)]``, and ``weight`` takes a
     block's count of each mark, in sorted mark order.  One exact recursion
     per world splits off a block and builds no word; its memo lives as long
     as the returned function.  Classical (and half-liberated):

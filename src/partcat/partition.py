@@ -16,9 +16,9 @@ reversal; composition and the tensor product are one gluing of words
 Text, order and :attr:`Partition.blocks` come from the word too: one walk
 (:func:`_group_blocks`) groups it by block in the canonical point order
 u1..uk, l1..ll, where u_i sits at walk position k - i and l_j at k + j - 1.
-:class:`Point` serves only to validate input in :func:`make_partition` and
-to hand out :attr:`Partition.blocks`; no text or listing builds one, and the
-catalog builds every named partition from its word.
+:func:`parse_partition` maps each point code of the text straight to that
+walk position, so the text is read into the word with no other form in
+between, and the catalog builds every named partition from its word.
 
 Partitions are immutable; all functions return fresh values.
 """
@@ -30,36 +30,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import CoverageError, OverlapError, ParseError, PointRangeError
 
-UPPER = "u"
-LOWER = "l"
-
 _SHOWN_UNCOVERED = 8  # uncovered points named in a coverage error
+_MAX_DIGITS = 18  # digits of a number in partition text, leading zeros included
+_QUOTED = 40  # characters of the input quoted in a parse error
 
 Word = tuple[int, ...]
-
-
-class Point(NamedTuple):
-    """One point of a two-row diagram: row is "u" or "l", index is 1-based."""
-
-    row: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.row}{self.index}"
-
-
-def upper(index: int) -> Point:
-    return Point(UPPER, index)
-
-
-def lower(index: int) -> Point:
-    return Point(LOWER, index)
 
 
 def normalize_word(labels: Iterable[int]) -> Word:
@@ -77,7 +58,7 @@ def normalize_word(labels: Iterable[int]) -> Word:
 def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
     """Glue the last c points of a to the first c points of b, dropping them.
 
-    Point a[-1] meets b[0], a[-2] meets b[1], and so on: on the words of p
+    The point a[-1] meets b[0], a[-2] meets b[1], and so on: on the words of p
     and q with c = p.lower_count this is the vertical composition of p over
     q, and on one-row words with c = 0 it is concatenation, the tensor
     product.  Both words must be normalized.  Returns the normalized word of
@@ -178,8 +159,8 @@ class Partition:
     by first occurrence, e.g. (0, 1, 0, 2).  Shape and word determine the
     partition, so two partitions are equal iff both are equal; the word is
     also the P(0, n) normal form used by the closure engine.  Build instances
-    through :func:`make_partition` or :func:`parse_partition`, which validate
-    point lists, or through :func:`partition_from_word`.
+    through :func:`parse_partition`, which validates text, or through
+    :func:`partition_from_word`.
     """
 
     upper_count: int
@@ -191,15 +172,15 @@ class Partition:
         return self.upper_count + self.lower_count
 
     @cached_property
-    def blocks(self) -> tuple[tuple[Point, ...], ...]:
-        """The blocks as points, in canonical form.
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        """The blocks as point codes in canonical form, the groups that
+        :func:`canonical_text` joins: ``(("l1",), ("l2", "l4"), ("l3",))``.
 
         Inside a block, points are sorted upper-before-lower and left to
         right; blocks are sorted by their least point.
         """
         k, l = self.upper_count, self.lower_count
-        points = [upper(i) for i in range(1, k + 1)] + [lower(j) for j in range(1, l + 1)]
-        return tuple(map(tuple, _group_blocks(k, self.word, points)))
+        return tuple(map(tuple, _group_blocks(k, self.word, _codes(k, l))))
 
     def __str__(self) -> str:
         return canonical_text(self)
@@ -213,31 +194,63 @@ def _check_shape(upper_count: int, lower_count: int) -> None:
         raise PointRangeError("row sizes must be nonnegative")
 
 
-def make_partition(
-    upper_count: int,
-    lower_count: int,
-    blocks: Iterable[Iterable[Point | tuple[str, int]]],
-) -> Partition:
-    """Validate a partition of P(upper_count, lower_count) given by its blocks.
+# [0-9], not \d: \d also takes other scripts' digits, which canonical_text never prints
+_HEAD_RE = re.compile(r"\s*P\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*:(.*)", re.DOTALL)
+_POINT_RE = re.compile(r"([ul])([0-9]+)")
 
-    Raises OverlapError / CoverageError / PointRangeError when the blocks are
-    not a partition of the declared point set.  Empty input blocks are
-    dropped.  P(0, 0) with no blocks is legal.  The work is bounded by the
-    size of ``blocks``, not by the declared shape.
+
+def _quote(text: str) -> str:
+    """``text`` as an error message quotes it: whole up to ``_QUOTED``
+    characters, else its first ``_QUOTED`` characters and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
+def _number(digits: str) -> int:
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(f"number {_quote(digits)} has more than {_MAX_DIGITS} digits")
+    return int(digits)
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse ``P(<k>,<l>): <block>; <block>; ...`` with blocks of u<i>/l<j> codes.
+
+    Whitespace-insensitive.  Inverse of :func:`canonical_text`.  A number has
+    at most ``_MAX_DIGITS`` (18) digits as written, leading zeros included.
+
+    The whole text is checked against the grammar first (:class:`ParseError`,
+    quoting at most ``_QUOTED`` (40) characters of the input).  Then each
+    code, in text order, must name a point of P(k, l) (PointRangeError) that
+    no earlier code named (OverlapError), and last every point must be named
+    (CoverageError).  The work is bounded by the length of the text, not by
+    the declared shape.
     """
-    k, l = upper_count, lower_count
-    _check_shape(k, l)
-    label: dict[int, int] = {}  # walk position -> input block
-    for b, raw_block in enumerate(blocks):
-        for raw in raw_block:
-            pt = Point(*raw)
-            limit = k if pt.row == UPPER else l
-            if pt.row not in (UPPER, LOWER) or not 1 <= pt.index <= limit:
-                raise PointRangeError(f"point {pt} outside P({k},{l})")
-            position = k - pt.index if pt.row == UPPER else k + pt.index - 1
-            if position in label:
-                raise OverlapError(f"point {pt} appears in two blocks")
-            label[position] = b
+    m = _HEAD_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"not a partition literal: {_quote(text)}")
+    k, l = _number(m.group(1)), _number(m.group(2))
+    body = m.group(3).strip()
+    codes: list[tuple[int, str, int]] = []  # (text block, row, index)
+    if body:
+        for b, chunk in enumerate(body.split(";")):
+            chunk = chunk.strip()
+            if not chunk:
+                raise ParseError("empty block in partition text")
+            for tok in chunk.split(","):
+                tok = "".join(tok.split())
+                pm = _POINT_RE.fullmatch(tok)
+                if pm is None:
+                    raise ParseError(f"bad point code {_quote(tok)}")
+                codes.append((b, pm.group(1), _number(pm.group(2))))
+    label: dict[int, int] = {}  # walk position -> text block
+    for b, row, index in codes:
+        if not 1 <= index <= (k if row == "u" else l):
+            raise PointRangeError(f"point {row}{index} outside P({k},{l})")
+        position = k - index if row == "u" else k + index - 1
+        if position in label:
+            raise OverlapError(f"point {row}{index} appears in two blocks")
+        label[position] = b
     uncovered = k + l - len(label)
     if uncovered:
         # name only the first few, in canonical point order u1..uk, l1..ll
@@ -247,38 +260,6 @@ def make_partition(
         more = f", ... ({uncovered} in all)" if uncovered > len(shown) else ""
         raise CoverageError(f"points not covered: {', '.join(shown)}{more}")
     return Partition(k, l, normalize_word(label[i] for i in range(k + l)))
-
-
-# [0-9], not \d: \d also takes other scripts' digits, which canonical_text never prints
-_HEAD_RE = re.compile(r"\s*P\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*:(.*)", re.DOTALL)
-_POINT_RE = re.compile(r"([ul])([0-9]+)")
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse ``P(<k>,<l>): <block>; <block>; ...`` with blocks of u<i>/l<j> codes.
-
-    Whitespace-insensitive.  Inverse of :func:`canonical_text`.
-    """
-    m = _HEAD_RE.fullmatch(text)
-    if m is None:
-        raise ParseError(f"not a partition literal: {text!r}")
-    k, l = int(m.group(1)), int(m.group(2))
-    body = m.group(3).strip()
-    blocks: list[list[Point]] = []
-    if body:
-        for chunk in body.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ParseError("empty block in partition text")
-            block: list[Point] = []
-            for tok in chunk.split(","):
-                tok = "".join(tok.split())
-                pm = _POINT_RE.fullmatch(tok)
-                if pm is None:
-                    raise ParseError(f"bad point code {tok!r}")
-                block.append(Point(pm.group(1), int(pm.group(2))))
-            blocks.append(block)
-    return make_partition(k, l, blocks)
 
 
 def _group_blocks(k: int, word: Word, points: list) -> list[list]:

@@ -1,24 +1,90 @@
-"""Block-and-point implementations of the canonical text, the category
-operations, the catalog predicates, the intertwiner matrix, the dense
-intertwiner check and the dense functor check, kept only as a reference for
-tests.
+"""Block-and-point implementations of point-list input, the canonical text,
+the category operations, the catalog predicates, the intertwiner matrix, the
+dense intertwiner check and the dense functor check, kept only as a reference
+for tests.
 
-The package computes all of these on boundary words.  The versions here walk
-the boundary as a list of ``Point``s, sort the canonical block form out of it
-by its definition, and move ``Point``s, as the package did before the word
-became its one representation; they rebuild partitions through the
-validating ``make_partition``.  The crossing test is an independent brute
+The package computes all of these on boundary words and reads text straight
+into the word.  The versions here keep the package's former point layer:
+``Point``, ``upper``, ``lower`` and the validating ``make_partition``, which
+checks a list of point blocks in order (range and overlap per point, then
+coverage) and is the oracle for ``parse_partition``'s errors.  They walk the
+boundary as a list of ``Point``s, sort the canonical block form out of it by
+its definition, and move ``Point``s, as the package did before the word
+became its one representation.  The crossing test is an independent brute
 force over four walk positions.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import chain, islice
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from partcat.errors import CoverageError, OverlapError, PointRangeError
 from partcat.ops import ComposeResult, Rotation
-from partcat.partition import LOWER, UPPER, Partition, Point, make_partition
+from partcat.partition import Partition, normalize_word
+
+UPPER = "u"
+LOWER = "l"
+
+_SHOWN_UNCOVERED = 8  # uncovered points named in a coverage error
+
+
+class Point(NamedTuple):
+    """One point of a two-row diagram: row is "u" or "l", index is 1-based."""
+
+    row: str
+    index: int
+
+    def __str__(self) -> str:
+        return f"{self.row}{self.index}"
+
+
+def upper(index: int) -> Point:
+    return Point(UPPER, index)
+
+
+def lower(index: int) -> Point:
+    return Point(LOWER, index)
+
+
+def make_partition(
+    upper_count: int,
+    lower_count: int,
+    blocks: Iterable[Iterable[Point | tuple[str, int]]],
+) -> Partition:
+    """Validate a partition of P(upper_count, lower_count) given by its blocks.
+
+    Raises OverlapError / CoverageError / PointRangeError when the blocks are
+    not a partition of the declared point set.  Empty input blocks are
+    dropped.  P(0, 0) with no blocks is legal.  The work is bounded by the
+    size of ``blocks``, not by the declared shape.
+    """
+    k, l = upper_count, lower_count
+    if k < 0 or l < 0:
+        raise PointRangeError("row sizes must be nonnegative")
+    label: dict[int, int] = {}  # walk position -> input block
+    for b, raw_block in enumerate(blocks):
+        for raw in raw_block:
+            pt = Point(*raw)
+            limit = k if pt.row == UPPER else l
+            if pt.row not in (UPPER, LOWER) or not 1 <= pt.index <= limit:
+                raise PointRangeError(f"point {pt} outside P({k},{l})")
+            position = k - pt.index if pt.row == UPPER else k + pt.index - 1
+            if position in label:
+                raise OverlapError(f"point {pt} appears in two blocks")
+            label[position] = b
+    uncovered = k + l - len(label)
+    if uncovered:
+        # name only the first few, in canonical point order u1..uk, l1..ll
+        order = chain(range(k - 1, -1, -1), range(k, k + l))
+        missing = islice((i for i in order if i not in label), _SHOWN_UNCOVERED)
+        shown = [f"u{k - i}" if i < k else f"l{i - k + 1}" for i in missing]
+        more = f", ... ({uncovered} in all)" if uncovered > len(shown) else ""
+        raise CoverageError(f"points not covered: {', '.join(shown)}{more}")
+    return Partition(k, l, normalize_word(label[i] for i in range(k + l)))
 
 
 def walk(p: Partition) -> list[Point]:

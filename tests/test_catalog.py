@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from block_reference import lower, make_partition, upper
 import partcat.catalog as catalog
 from partcat.catalog import (
     BLOCK_SUM_CAP,
@@ -46,7 +47,7 @@ from partcat.ops import (
     rotate,
     tensor,
 )
-from partcat.partition import lower, make_partition, parse_partition, partition_from_word, upper
+from partcat.partition import parse_partition, partition_from_word
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +62,9 @@ def test_named_partition_forms():
     assert str(k_series(1)) == "P(3,3): u1,u3,l1,l3; u2,l2"
 
 
-# Every named partition as a validated point list, and as (k, l, word).  The
-# point lists are the reference forms: the catalog must build the same
-# partitions from their words.
+# Every named partition as a point list validated by the reference's
+# make_partition, and as (k, l, word).  The point lists are the reference
+# forms: the catalog must build the same partitions from their words.
 _PARAMS = range(1, 9)
 
 

@@ -45,6 +45,21 @@ def test_parse_huge_uncovered_shape_exits_with_error(capsys):
     assert err.endswith("(999999999 in all)\n")
 
 
+def test_parse_refuses_a_number_of_5000_digits(capsys):
+    code, out, err = run(capsys, "parse", "P(1" + "0" * 5000 + ",0): u1")
+    assert (code, out) == (2, [])
+    assert err.startswith("error: number '1000")
+    assert err.endswith("has more than 18 digits\n")
+
+
+def test_parse_error_for_a_long_literal_is_short(capsys):
+    # a message quotes at most 40 characters of the input
+    code, out, err = run(capsys, "parse", "P(0,1): l1 " + "x" * 100_000)
+    assert (code, out) == (2, [])
+    assert err.startswith("error: bad point code")
+    assert len(err) < 128
+
+
 def test_op_compose_prints_result_and_loops(capsys):
     code, out, _ = run(capsys, "op", "compose", "P(0,2): l1,l2", "P(2,0): u1,u2")
     assert code == 0

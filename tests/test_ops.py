@@ -36,14 +36,7 @@ from partcat.ops import (
     rotate,
     tensor,
 )
-from partcat.partition import (
-    is_noncrossing,
-    lower,
-    make_partition,
-    parse_partition,
-    upper,
-    word_noncrossing,
-)
+from partcat.partition import is_noncrossing, parse_partition, word_noncrossing
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +88,7 @@ def test_compose_closed_circle():
 
 def test_compose_erases_nested_points():
     # nested diagram: erasing everything but the outer block leaves a three block
-    p = make_partition(
-        0,
-        7,
-        [
-            [lower(1), lower(6), lower(7)],
-            [lower(2), lower(5)],
-            [lower(3), lower(4)],
-        ],
-    )
+    p = parse_partition("P(0,7): l1,l6,l7; l2,l5; l3,l4")
     q = parse_partition("P(7,3): u1,l1; u2,u3; u4,u5; u6,l2; u7,l3")
     res = compose(p, q)
     assert res.result == block(3)

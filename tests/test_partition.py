@@ -4,20 +4,24 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import block_reference as ref
+from block_reference import lower, make_partition, upper
 from conftest import partitions
-from partcat import partition
 from partcat.catalog import enumerate_category
 from partcat.closure import generate_closure
-from partcat.errors import CoverageError, OverlapError, ParseError, PointRangeError
+from partcat.errors import (
+    CoverageError,
+    OverlapError,
+    ParseError,
+    PartcatError,
+    PointRangeError,
+)
 from partcat.partition import (
     canonical_text,
     is_noncrossing,
-    lower,
-    make_partition,
     parse_partition,
     partition_from_word,
     sorted_partitions,
-    upper,
 )
 from partcat.catalog import (
     crossing,
@@ -40,24 +44,29 @@ def test_make_partition_examples():
 
 def test_make_partition_canonicalizes_input_order():
     p = make_partition(0, 4, [[lower(3)], [lower(4), lower(2)], [lower(1)]])
-    assert p == positioner()
-    assert p.blocks[1] == (lower(2), lower(4))
+    assert p == positioner() == parse_partition("P(0,4): l3; l4,l2; l1")
+    assert p.blocks == (("l1",), ("l2", "l4"), ("l3",))
 
 
 def test_make_partition_errors():
-    with pytest.raises(OverlapError):
-        make_partition(0, 2, [[lower(1), lower(2)], [lower(2)]])
-    with pytest.raises(CoverageError):
-        make_partition(0, 3, [[lower(1), lower(2)]])
-    with pytest.raises(PointRangeError):
-        make_partition(0, 2, [[lower(1), lower(3)]])
-    with pytest.raises(PointRangeError):
-        make_partition(1, 0, [[lower(1)]])
+    # the reference's point-list check and the parser refuse alike
+    cases = [
+        (OverlapError, (0, 2), [[lower(1), lower(2)], [lower(2)]], "P(0,2): l1,l2; l2"),
+        (CoverageError, (0, 3), [[lower(1), lower(2)]], "P(0,3): l1,l2"),
+        (PointRangeError, (0, 2), [[lower(1), lower(3)]], "P(0,2): l1,l3"),
+        (PointRangeError, (1, 0), [[lower(1)]], "P(1,0): l1"),
+    ]
+    for error, shape, blocks, text in cases:
+        with pytest.raises(error) as from_points:
+            make_partition(*shape, blocks)
+        with pytest.raises(error) as from_text:
+            parse_partition(text)
+        assert str(from_text.value) == str(from_points.value)
 
 
 def test_coverage_error_stays_short():
     with pytest.raises(CoverageError) as small:
-        make_partition(0, 3, [[lower(2)]])
+        parse_partition("P(0,3): l2")
     assert str(small.value) == "points not covered: l1, l3"
     with pytest.raises(CoverageError) as large:
         parse_partition("P(100000,0):")
@@ -76,7 +85,7 @@ def test_coverage_error_is_bounded_by_the_input():
         "points not covered: u2, u3, u4, u5, u6, u7, u8, u9, ... (999999999 in all)"
     )
     with pytest.raises(CoverageError) as two_rows:
-        make_partition(3, 2, [[upper(2), lower(1)], [upper(1)]])
+        parse_partition("P(3,2): u2,l1; u1")
     assert str(two_rows.value) == "points not covered: u3, l2"
 
 
@@ -109,6 +118,66 @@ def test_parse_range_error_goes_through_validation():
         parse_partition("P(0,2): l1,l2; l2")
 
 
+def test_parse_refuses_numbers_over_the_digit_bound():
+    # at most 18 digits as written, leading zeros included
+    assert parse_partition("P(0,1): l" + "0" * 17 + "1") == parse_partition("P(0,1): l1")
+    with pytest.raises(CoverageError, match=r"\(999999999999999999 in all\)$"):
+        parse_partition("P(999999999999999999,0):")
+    for text in (
+        "P(0,1): l" + "0" * 18 + "1",
+        "P(0," + "0" * 19 + "):",
+        "P(1" + "0" * 5000 + ",0): u1",
+        # the whole text is read before any point is checked
+        "P(0,1): l2; l" + "0" * 5000 + "1",
+    ):
+        with pytest.raises(ParseError, match="has more than 18 digits$"):
+            parse_partition(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x" * 100_001, "P(0,1): l1, " + "l" * 100_000, "P(0,1): l" + "1" * 100_000],
+    ids=["literal", "point-code", "number"],
+)
+def test_parse_error_messages_stay_short(text):
+    # a message quotes at most 40 characters of the input and gives its length
+    with pytest.raises(ParseError) as err:
+        parse_partition(text)
+    message = str(err.value)
+    assert len(message) < 120
+    assert "(100001 characters)" in message or "(100000 characters)" in message
+
+
+@st.composite
+def point_text(draw):
+    """A shape, point blocks that may leave its range, overlap or leave points
+    uncovered, and their text, with a leading zero here and there."""
+    k, l = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    own = [("u", i) for i in range(1, k + 1)] + [("l", j) for j in range(1, l + 1)]
+    stray = draw(st.lists(st.tuples(st.sampled_from("ul"), st.integers(0, 4)), max_size=2))
+    points = draw(st.permutations(own + stray))[draw(st.integers(0, 1)) :]
+    blocks: list[list[tuple[str, int]]] = []
+    for point in points:
+        if not blocks or draw(st.booleans()):
+            blocks.append([])
+        blocks[-1].append(point)
+    codes = [[f"{row}{'0' * draw(st.integers(0, 1))}{index}" for row, index in b] for b in blocks]
+    return k, l, blocks, f"P({k},{l}): " + "; ".join(map(",".join, codes))
+
+
+@given(point_text())
+def test_parse_matches_the_point_reference(drawn):
+    k, l, blocks, text = drawn
+    try:
+        want = make_partition(k, l, blocks)
+    except PartcatError as exc:
+        with pytest.raises(PartcatError) as got:
+            parse_partition(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert parse_partition(text) == want
+
+
 def test_canonical_text_examples():
     assert canonical_text(unit_partition()) == "P(1,1): u1,l1"
     assert canonical_text(four_block()) == "P(0,4): l1,l2,l3,l4"
@@ -120,8 +189,11 @@ def test_roundtrip_and_idempotence_exhaustive():
     for n in range(9):
         for k in range(n + 1):
             for p in enumerate_all(k, n - k):
-                assert parse_partition(canonical_text(p)) == p
-                assert make_partition(p.upper_count, p.lower_count, p.blocks) == p
+                text = canonical_text(p)
+                assert parse_partition(text) == p
+                # blocks are the code groups that the text joins
+                assert "; ".join(map(",".join, p.blocks)) == text.partition(":")[2].strip()
+                assert p.blocks == tuple(tuple(map(str, b)) for b in ref.blocks(p))
 
 
 @given(partitions(max_points=8))
@@ -155,14 +227,9 @@ def test_sorted_partitions_checks_the_shape_before_reading_words():
     ]
 
 
-def test_output_path_builds_no_point(monkeypatch):
+def test_output_path_builds_no_point():
     c = generate_closure([double_singleton()], 4, 8)
     p = crossing()
-
-    def no_point(*args):
-        raise AssertionError("a Point was built on the output path")
-
-    monkeypatch.setattr(partition, "Point", no_point)
     assert canonical_text(p) == "P(2,2): u1,l2; u2,l1"
     assert len(enumerate_all(2, 3)) == 52
     assert len(enumerate_category("B", 4)) == 10
@@ -172,10 +239,9 @@ def test_output_path_builds_no_point(monkeypatch):
 
 def test_noncrossing_examples():
     assert not is_noncrossing(crossing())
-    nested = make_partition(2, 2, [[upper(1), lower(1)], [upper(2), lower(2)]])
-    assert is_noncrossing(nested)
+    assert is_noncrossing(parse_partition("P(2,2): u1,l1; u2,l2"))
     assert not is_noncrossing(h_series(3))
-    assert is_noncrossing(make_partition(0, 0, ()))
+    assert is_noncrossing(parse_partition("P(0,0):"))
     assert is_noncrossing(positioner())
 
 

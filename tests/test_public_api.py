@@ -13,7 +13,6 @@ PUBLIC = [
     "CumulantSpec",
     "GroupRep",
     "Partition",
-    "Point",
     "Rotation",
     "canonical_text",
     "category_predicate",
@@ -29,7 +28,6 @@ PUBLIC = [
     "generate_closure",
     "involute",
     "is_noncrossing",
-    "make_partition",
     "moments_from_cumulants",
     "named_partition",
     "parse_partition",
