@@ -29,6 +29,14 @@ the batch starts would be skipped by the loop as well; the others are
 replayed in the loop's glue order, with the cap and the target stop
 checked before each glue as the loop checks them.
 
+The engine counts the stored words of each length against the number of
+all words of that length: Catalan(k) when every generator is noncrossing
+(the pair seed and every move keep words noncrossing), Bell(k) otherwise.
+A batch does not compute the glues whose results have a length that is
+complete when it starts.  The loop would make them and find each result
+already stored, so the skip is exact: the glues still count in
+``fusion_ops``, against the fusion cap and in the replay, as if made.
+
 A bounded closure is a *lower bound* of the true category restricted to the
 point budget: every stored word is honestly derivable from the generators,
 but absence only means "not found within budget".  ``stop_reason`` says
@@ -41,11 +49,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import BadParamError, BudgetError
+from .ops import bell_number
 from .partition import (
     Partition,
     Word,
@@ -54,6 +64,7 @@ from .partition import (
     normalize_word,
     partition_from_word,
     sorted_partitions,
+    word_noncrossing,
 )
 
 DEFAULT_POINT_BUDGET = 8
@@ -73,6 +84,12 @@ def _orbit(w: Word) -> tuple[list[Word], list[Word]]:
     turns, mirrored = _rotations(w), _rotations(w[::-1])
     orbit = sorted(set(turns) | set(mirrored))
     return (turns if turns[0] <= mirrored[0] else mirrored), orbit
+
+
+def _universe(length: int, noncrossing: bool) -> int:
+    """The number of words of the given length: the noncrossing ones,
+    Catalan(length), or all, Bell(length)."""
+    return comb(2 * length, length) // (length + 1) if noncrossing else bell_number(length)
 
 
 def _contract(w: Word, i: int) -> Word:
@@ -142,6 +159,7 @@ def _pair_batch(
     qi: int,
     point_budget: int,
     stored: set[Word],
+    complete: set[int],
 ) -> tuple[int, list[tuple[int, Word]]]:
     """All glues of representative w = ``queue[qi]`` at once.
 
@@ -150,7 +168,9 @@ def _pair_batch(
     representative when w is its own mirror image), then the first operand
     a over the rotations of w's representative, at the width c fixed by the
     two lengths.  Returns the number of glues and, sorted by j, (j, word)
-    for the first glue of each word that is not in ``stored``.
+    for the first glue of each word that is not in ``stored``.  The glues
+    whose results have a length in ``complete``, all of whose words are
+    stored, are counted but not computed.
     """
     m, slot = queue[qi]
     firsts = by_length[m].turns.group(slot)
@@ -179,6 +199,8 @@ def _pair_batch(
     candidates = []
     for group, rows, seconds, c in parts:
         total += r_count * len(seconds)
+        if m + seconds.shape[1] - 2 * c in complete:
+            continue
         for i, word in _new_rows(glue_rows(firsts, seconds, c), stored):
             s, r = divmod(i, r_count)
             candidates.append((r_count * position(group, rows, s) + r, word))
@@ -278,6 +300,11 @@ def generate_closure(
     whenever ``c <= min(|a|, |b|)``.  That is the narrowest glue that fits
     the point budget: wider ones are its contractions, and every other
     pairing of the two orbits gives a shift or reversal of one of these.
+    Once every word of a length is stored (Catalan(k) of them when every
+    generator is noncrossing, Bell(k) otherwise), the glues whose results
+    have that length are no longer computed: each would find its result
+    stored.  They still count in ``fusion_ops`` and against the fusion cap,
+    so every result field is the same as if they were made.
 
     Every glued word fits the point budget.  The oversized words are the
     generators above it and their contractions; ``intermediate_budget`` only
@@ -304,6 +331,11 @@ def generate_closure(
 
     stored: set[Word] = set()
     big: set[Word] = set()
+    # per length within the point budget: the words not stored yet, and the
+    # lengths with none left
+    noncrossing = all(word_noncrossing(g.word) for g in gens)
+    missing: dict[int, int] = {}
+    complete: set[int] = set()
     # the queue holds (length, slot in the length's _Orbits) per orbit
     queue: list[tuple[int, int]] = []
     by_length: dict[int, _Orbits] = {}
@@ -328,6 +360,13 @@ def generate_closure(
                 continue
             turns, orbit = _orbit(w)
             pool.update(orbit)
+            if pool is stored:
+                n = len(w)
+                if n not in missing:
+                    missing[n] = _universe(n, noncrossing)
+                missing[n] -= len(orbit)
+                if not missing[n]:
+                    complete.add(n)
             found.update(targets.intersection(orbit))
             group = by_length.get(len(w))
             if group is None:
@@ -345,7 +384,7 @@ def generate_closure(
     stop_reason: StopReason = "saturated"
     qi = 0
     while qi < len(queue):  # the queue grows meanwhile
-        total, candidates = _pair_batch(queue, by_length, qi, pb, stored)
+        total, candidates = _pair_batch(queue, by_length, qi, pb, stored, complete)
         qi += 1
         # replay the batch in glue order: stop before glue j once the cap is
         # reached or every target has been found

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -182,6 +182,13 @@ class Partition:
         k, l = self.upper_count, self.lower_count
         return tuple(map(tuple, _group_blocks(k, self.word, _codes(k, l))))
 
+    @cached_property
+    def _canonical_text(self) -> str:
+        """The text :func:`canonical_text` returns, built once per instance;
+        :func:`sorted_partitions` stores the text it sorts by here."""
+        k, l = self.upper_count, self.lower_count
+        return _text(k, l, self.word, _codes(k, l))
+
     def __str__(self) -> str:
         return canonical_text(self)
 
@@ -282,8 +289,7 @@ def _text(k: int, l: int, word: Word, codes: list[str]) -> str:
 
 def canonical_text(p: Partition) -> str:
     """Deterministic text form; equal partitions give identical text."""
-    k, l = p.upper_count, p.lower_count
-    return _text(k, l, p.word, _codes(k, l))
+    return p._canonical_text
 
 
 def sorted_partitions(upper_count: int, lower_count: int, words: Iterable[Word]) -> list[Partition]:
@@ -293,9 +299,14 @@ def sorted_partitions(upper_count: int, lower_count: int, words: Iterable[Word])
     k, l = upper_count, lower_count
     _check_shape(k, l)
     codes = _codes(k, l)
-    keyed = [(_text(k, l, w, codes), Partition(k, l, w)) for w in words]
-    keyed.sort(key=itemgetter(0))
-    return [p for _, p in keyed]
+    out = []
+    for w in words:
+        p = Partition(k, l, w)
+        # fill the cached text, with the codes built once per shape
+        object.__setattr__(p, "_canonical_text", _text(k, l, w, codes))
+        out.append(p)
+    out.sort(key=attrgetter("_canonical_text"))
+    return out
 
 
 def word_noncrossing(word: Word) -> bool:

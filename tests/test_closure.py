@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import closure_reference
-from partcat import partition
+from partcat import closure, partition
 from partcat.catalog import (
     FREE_NAMES,
     RULED_NAMES,
@@ -257,7 +257,7 @@ def test_glue_rows_matches_glue(monkeypatch, chunk_cells):
     # of its own, 64 cells split the larger stacks unevenly
     import numpy as np
 
-    from partcat import partition
+    from partcat import closure, partition
 
     if chunk_cells is not None:
         monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", chunk_cells)
@@ -598,6 +598,60 @@ def test_engine_matches_sequential_reference_on_random_generator_sets():
 def test_engine_matches_sequential_reference_above_twenty_points():
     _assert_same_run([singleton()], 22, 44, max_fusion_ops=2000)
     _assert_same_run([h_series(11)], 22, 44, max_fusion_ops=2000)
+
+
+# ---------------------------------------------------------------------------
+# complete lengths: glues counted, not computed
+
+
+def test_universe_counts_every_word_of_each_length():
+    for k in range(11):
+        assert closure._universe(k, False) == sum(1 for _ in iter_words(k)), k
+        assert closure._universe(k, True) == sum(1 for _ in iter_words(k, noncrossing_only=True)), k
+
+
+def _count_glued_pairs(monkeypatch) -> list[int]:
+    """Make ``closure.glue_rows`` add the number of pairs it is handed to
+    the one-item list returned."""
+    glued = [0]
+    glue_rows = closure.glue_rows
+
+    def counting(firsts, seconds, c):
+        glued[0] += len(firsts) * len(seconds)
+        return glue_rows(firsts, seconds, c)
+
+    monkeypatch.setattr(closure, "glue_rows", counting)
+    return glued
+
+
+@pytest.mark.parametrize("name", ["S", "S+"])
+def test_glues_of_complete_lengths_are_counted_not_computed(monkeypatch, name):
+    # S completes every length under the Bell bound, S+ under the Catalan one
+    glued = _count_glued_pairs(monkeypatch)
+    c = generate_closure(catalog_entry(name).generators, 6, 12)
+    assert c.saturated
+    assert 0 < glued[0] < c.fusion_ops / 4, (glued[0], c.fusion_ops)
+
+
+def test_glues_are_computed_while_their_length_is_incomplete(monkeypatch):
+    # only length 0 completes here: the empty word, a contraction of the
+    # pair seed, is all of it, so the one glue skipped is the empty word
+    # with itself
+    glued = _count_glued_pairs(monkeypatch)
+    c = generate_closure([half_lib(), four_block(), h_series(3)], 8, 16)
+    assert c.saturated
+    assert glued[0] == c.fusion_ops - 1
+
+
+@pytest.mark.parametrize("name,complete_from", [("S", 5969), ("S+", 1106)])
+def test_engine_matches_sequential_reference_across_complete_lengths(name, complete_from):
+    # the first skipped glues fall within the first 30 (lengths 0 to 2);
+    # every length up to the point budget is complete from glue
+    # complete_from on, at the start of a batch, S under the Bell bound and
+    # S+ under the Catalan bound
+    gens = catalog_entry(name).generators
+    for cap in [*range(30), *range(complete_from - 40, complete_from + 80, 3)]:
+        _assert_same_run(gens, 6, 12, max_fusion_ops=cap)
 
 
 # ---------------------------------------------------------------------------

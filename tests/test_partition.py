@@ -227,6 +227,23 @@ def test_sorted_partitions_checks_the_shape_before_reading_words():
     ]
 
 
+def test_sorted_partitions_build_each_text_once(monkeypatch):
+    # the listing verbs print the text that sorting built
+    from partcat import partition
+    from partcat.ops import iter_words
+
+    listed = sorted_partitions(2, 3, iter_words(5))
+    want = [canonical_text(partition_from_word(p.word, 2, 3)) for p in listed]
+    assert want == sorted(want)
+
+    def no_text(*args):
+        raise AssertionError("a text was built twice")
+
+    monkeypatch.setattr(partition, "_text", no_text)
+    assert [canonical_text(p) for p in listed] == want
+    assert [str(p) for p in listed] == want
+
+
 def test_output_path_builds_no_point():
     c = generate_closure([double_singleton()], 4, 8)
     p = crossing()
