@@ -40,7 +40,7 @@ from operator import sub
 from typing import Callable, Iterator
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
-from .ops import ENUMERATION_CAP, bell_number, check_enumeration_cap, iter_words
+from .ops import ENUMERATION_CAP, LISTING_CAP, check_enumeration_cap, iter_words
 from .partition import Partition, Word, partition_from_word, sorted_partitions, word_noncrossing
 
 # ---------------------------------------------------------------------------
@@ -428,10 +428,6 @@ def catalog_entry(name: str) -> CatalogEntry:
         if name == f"H^({s})":
             return series_entry(s)
     raise BadParamError(f"unknown category {name!r}")
-
-
-# the most members enumerate_category lists: Bell(11) = 678,570
-LISTING_CAP = bell_number(ENUMERATION_CAP - 1)
 
 
 def enumerate_category(name: str, total_points: int) -> list[Partition]:

@@ -49,13 +49,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import BadParamError, BudgetError
-from .ops import bell_number
+from .ops import bell_number, catalan_number
 from .partition import (
     Partition,
     Word,
@@ -89,7 +88,7 @@ def _orbit(w: Word) -> tuple[list[Word], list[Word]]:
 def _universe(length: int, noncrossing: bool) -> int:
     """The number of words of the given length: the noncrossing ones,
     Catalan(length), or all, Bell(length)."""
-    return comb(2 * length, length) // (length + 1) if noncrossing else bell_number(length)
+    return catalan_number(length) if noncrossing else bell_number(length)
 
 
 def _contract(w: Word, i: int) -> Word:

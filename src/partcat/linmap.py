@@ -27,16 +27,17 @@ dense check on T-matrices and ``np.kron`` is kept in
 against.
 
 Four concrete orthogonal representations are provided to exercise the
-partition <-> relation dictionary: all permutation matrices, all signed
-permutation matrices, row/column-stochastic conjugates of orthogonal
-matrices, and seeded random orthogonal samples.  The first two are exact
-integer matrices; the last two are floating point with an explicit
+partition <-> relation dictionary: generators of the permutation matrices
+S_n, generators of the signed permutation matrices H_n, row/column-stochastic
+conjugates of orthogonal matrices, and seeded random orthogonal samples.
+The first two are exact integer matrices: u -> u^{tensor m} is a
+homomorphism, so xi_w is fixed by the whole group exactly when it is fixed
+by each generator.  The last two are floating point with an explicit
 tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,10 @@ from .errors import (
     IndexRangeError,
     MemoryCapError,
 )
-from .catalog import LISTING_CAP
-from .ops import ENUMERATION_CAP, bell_number, compose, involute, tensor
+from .ops import bell_number, check_listing_size, compose, involute, tensor
 from .partition import Partition
 
-# bytes of one xi_w or T_p (8 * n^points), of one chunk of xi_w's, of the samples
+# bytes of one xi_w or T_p (8 * n^points), of one chunk of xi_w's, of one family of matrices
 T_BYTES_CAP = 1 << 26
 # work bound of one table over every partition of up to some points (check_table_cost)
 TABLE_WORK_CAP = 10**9
@@ -61,9 +61,6 @@ KIND_SYMMETRIC = "symmetric-group"
 KIND_HYPEROCTAHEDRAL = "hyperoctahedral"
 KIND_BISTOCHASTIC = "bistochastic"
 KIND_ORTHOGONAL = "orthogonal-sample"
-
-_SYMMETRIC_MAX_N = 6
-_HYPEROCTAHEDRAL_MAX_N = 4
 
 
 def check_tensor_cap(n: int, points: int) -> None:
@@ -171,10 +168,11 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupRep:
-    """A finite family of orthogonal n x n matrices.
+    """A finite family of orthogonal n x n matrices: generators of the group
+    for the exact kinds, samples of it for the others.
 
-    ``tolerance`` is 0 for exactly enumerated integer families and a small
-    float for sampled ones.
+    ``tolerance`` is 0 for the exact integer generators, checked with ``==``,
+    and a small float for sampled families.
     """
 
     kind: str
@@ -185,16 +183,6 @@ class GroupRep:
     @property
     def exact(self) -> bool:
         return self.tolerance == 0
-
-
-def _permutation_matrices(n: int) -> list[np.ndarray]:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        m = np.zeros((n, n), dtype=np.int64)
-        for j, image in enumerate(perm):
-            m[image, j] = 1
-        out.append(m)
-    return out
 
 
 def _bistochastic_conjugator(n: int) -> np.ndarray:
@@ -215,34 +203,35 @@ def check_seed(seed: int) -> None:
 def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> GroupRep:
     """Build one of the four concrete representations at dimension n.
 
-    Exact kinds enumerate the whole group; sampled kinds draw
-    ``sample_count`` matrices from a generator seeded with ``seed``.
-    Row/column sums of every bistochastic element are 1: they are conjugates
-    T (1 + u') T^t of orthogonal u' at dimension n-1, where T maps the first
-    basis vector to the normalized all-ones vector.
+    Exact kinds give generators of the group: the transposition (1 2) and
+    the n-cycle for S_n (one matrix at n = 2), and also diag(-1, 1, .., 1)
+    for H_n.  Sampled kinds draw ``sample_count`` matrices from a generator
+    seeded with ``seed``.  Row/column sums of every bistochastic element are
+    1: they are conjugates T (1 + u') T^t of orthogonal u' at dimension n-1,
+    where T maps the first basis vector to the normalized all-ones vector.
+    The family is checked against ``T_BYTES_CAP`` before any matrix is built.
     """
     if n < 2:
         raise BadParamError(f"representations need n >= 2, got {n}")
-    if kind == KIND_SYMMETRIC:
-        if n > _SYMMETRIC_MAX_N:
-            raise CapExceededError(f"n! too large at n={n} (at most {_SYMMETRIC_MAX_N})")
-        return GroupRep(kind, n, tuple(_permutation_matrices(n)), 0.0)
-    if kind == KIND_HYPEROCTAHEDRAL:
-        if n > _HYPEROCTAHEDRAL_MAX_N:
-            raise CapExceededError(f"2^n n! too large at n={n} (at most {_HYPEROCTAHEDRAL_MAX_N})")
-        elements = []
-        for perm_matrix in _permutation_matrices(n):
-            for signs in itertools.product((1, -1), repeat=n):
-                elements.append(perm_matrix * np.array(signs)[None, :])
-        return GroupRep(kind, n, tuple(elements), 0.0)
-    if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
+    exact = kind in (KIND_SYMMETRIC, KIND_HYPEROCTAHEDRAL)
+    if exact:
+        family = 3  # at most three generators
+    elif kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
         if sample_count < 1:
             raise BadParamError(f"sample count must be >= 1, got {sample_count}")
         check_seed(seed)
-        if 8 * n * n * sample_count > T_BYTES_CAP:
-            raise MemoryCapError(
-                f"{sample_count} samples of {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap"
-            )
+        family = sample_count
+    else:
+        raise BadParamError(f"unknown representation kind {kind!r}")
+    if 8 * n * n * family > T_BYTES_CAP:
+        raise MemoryCapError(f"{family} {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap")
+    if exact:
+        eye = np.eye(n, dtype=np.int64)
+        swap, cycle = eye[[1, 0, *range(2, n)]], np.roll(eye, 1, axis=0)
+        elements = [swap] if n == 2 else [swap, cycle]
+        if kind == KIND_HYPEROCTAHEDRAL:
+            elements.append(eye * ([-1] + [1] * (n - 1)))  # diag(-1, 1, .., 1)
+        return GroupRep(kind, n, tuple(elements), 0.0)
     if kind == KIND_ORTHOGONAL:
         rng = np.random.default_rng(seed)
         elements = []
@@ -250,42 +239,33 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
             q, r = np.linalg.qr(rng.standard_normal((n, n)))
             elements.append(q * np.sign(np.diag(r)))
         return GroupRep(kind, n, tuple(elements), 1e-9)
-    if kind == KIND_BISTOCHASTIC:
-        if n == 2:
-            # O(1) = {1, -1}
-            small = [np.array([[1.0]]), np.array([[-1.0]])][:sample_count]
-        else:
-            small = classical_rep(KIND_ORTHOGONAL, n - 1, sample_count, seed).elements
-        t = _bistochastic_conjugator(n)
-        elements = []
-        for u_small in small:
-            embedded = np.eye(n)
-            embedded[1:, 1:] = u_small
-            elements.append(t @ embedded @ t.T)
-        return GroupRep(kind, n, tuple(elements), 1e-9)
-    raise BadParamError(f"unknown representation kind {kind!r}")
+    if n == 2:
+        # O(1) = {1, -1}
+        small = [np.array([[1.0]]), np.array([[-1.0]])][:sample_count]
+    else:
+        small = classical_rep(KIND_ORTHOGONAL, n - 1, sample_count, seed).elements
+    t = _bistochastic_conjugator(n)
+    elements = []
+    for u_small in small:
+        embedded = np.eye(n)
+        embedded[1:, 1:] = u_small
+        elements.append(t @ embedded @ t.T)
+    return GroupRep(kind, n, tuple(elements), 1e-9)
 
 
 def check_table_cost(rep: GroupRep, points: int) -> None:
     """Refuse the table of every partition of up to ``points`` points, one
-    line each, before anything is built: when its (m + 1) Bell(m) lines per
-    point count m exceed ``LISTING_CAP``, or its work bound exceeds
-    ``TABLE_WORK_CAP``.
+    line each, before anything is built: when its lines fail
+    ``check_listing_size``, or its work bound exceeds ``TABLE_WORK_CAP``.
 
     The work bound is W = sum over m <= points of Bell(m) n^m m |elements|:
-    one xi_w of n^m entries per word of m points, each element applied to
-    its m legs one at a time.  The sums stop once over a cap.
+    one xi_w of n^m entries per word of m points, each generator or sample
+    applied to its m legs one at a time.  The sum stops once over the cap.
     """
-    lines = work = 0
+    check_listing_size(points)
+    work = 0
     for m in range(points + 1):
-        bell = bell_number(m)
-        lines += (m + 1) * bell
-        work += bell * rep.n**m * m * len(rep.elements)
-        if lines > LISTING_CAP:
-            raise CapExceededError(
-                f"the partitions of up to {points} points exceed the listing cap "
-                f"Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
-            )
+        work += bell_number(m) * rep.n**m * m * len(rep.elements)
         if work > TABLE_WORK_CAP:
             raise CapExceededError(
                 f"the table of partitions of up to {points} points at n={rep.n} over "

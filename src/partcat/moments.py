@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .catalog import block_sum, member_counter
 from .errors import BadParamError, UndefinedBlockValueError
-from .ops import bell_number, check_enumeration_cap
+from .ops import bell_number, catalan_number, check_enumeration_cap
 
 FREE = "free"
 CLASSICAL = "classical"
@@ -60,7 +60,7 @@ def closed_form(name: str, k: int) -> int:
     if k < 0:
         raise BadParamError("sequence index must be >= 0")
     if name == CATALAN:
-        return comb(2 * k, k) // (k + 1)
+        return catalan_number(k)
     if name == BELL:
         return bell_number(k)
     if name == MOTZKIN:

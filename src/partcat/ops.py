@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterator
 
 from .errors import (
@@ -147,6 +148,29 @@ def bell_number(k: int) -> int:
     return row[0]
 
 
+def catalan_number(k: int) -> int:
+    """Catalan(k), the number of noncrossing partitions of k points."""
+    return comb(2 * k, k) // (k + 1)
+
+
+# the most partitions one listing may hold: Bell(11) = 678,570
+LISTING_CAP = bell_number(ENUMERATION_CAP - 1)
+
+
+def check_listing_size(total_points: int) -> None:
+    """Refuse the listing of every partition of every shape with at most
+    ``total_points`` points, sum over n of (n + 1) Bell(n), above
+    ``LISTING_CAP``; the sum stops once over it."""
+    size = 0
+    for n in range(total_points + 1):
+        size += (n + 1) * bell_number(n)
+        if size > LISTING_CAP:
+            raise CapExceededError(
+                f"the partitions of up to {total_points} points exceed the listing cap "
+                f"Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
+            )
+
+
 def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     """All partition words of n_points points (restricted growth strings), in
     lexicographic order; with ``noncrossing_only`` the noncrossing ones only.
@@ -190,19 +214,15 @@ def enumerate_upto(total_points: int) -> list[Partition]:
     """Every partition of every shape with at most ``total_points`` points,
     by point count, then upper count, then text.
 
-    The listing holds sum over n of (n + 1) Bell(n) partitions; it may be no
-    longer than the largest single shape the enumeration cap admits,
-    Bell(``ENUMERATION_CAP``).  Both checks run before anything is built.
+    The size is checked by ``check_listing_size`` before anything is built;
+    the words of each point count are listed once and shared by its shapes.
     """
     if total_points < 0:
         raise PointRangeError(f"point total must be nonnegative, got {total_points}")
-    size, limit = 0, bell_number(ENUMERATION_CAP)
+    check_listing_size(total_points)
+    out = []
     for n in range(total_points + 1):
-        size += (n + 1) * bell_number(n)
-        if size > limit:
-            raise CapExceededError(
-                f"the partitions of up to {total_points} points exceed the cap "
-                f"Bell({ENUMERATION_CAP}) = {limit}"
-            )
-    shapes = [(k, n - k) for n in range(total_points + 1) for k in range(n + 1)]
-    return [p for k, l in shapes for p in enumerate_all(k, l)]
+        words = list(iter_words(n))
+        for k in range(n + 1):
+            out += sorted_partitions(k, n - k, words)
+    return out

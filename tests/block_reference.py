@@ -1,7 +1,7 @@
 """Block-and-point implementations of point-list input, the canonical text,
 the category operations, the catalog predicates, the intertwiner matrix, the
-dense intertwiner check and the dense functor check, kept only as a reference
-for tests.
+dense intertwiner check, the dense functor check and the whole groups S_n and
+H_n, kept only as a reference for tests.
 
 The package computes all of these on boundary words and reads text straight
 into the word.  The versions here keep the package's former point layer:
@@ -11,7 +11,8 @@ coverage) and is the oracle for ``parse_partition``'s errors.  They walk the
 boundary as a list of ``Point``s, sort the canonical block form out of it by
 its definition, and move ``Point``s, as the package did before the word
 became its one representation.  The crossing test is an independent brute
-force over four walk positions.
+force over four walk positions.  ``whole_group`` lists every element of a
+finite group, as the package did before it kept only generators.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from partcat.errors import CoverageError, OverlapError, PointRangeError
+from partcat.linmap import KIND_SYMMETRIC, GroupRep
 from partcat.ops import ComposeResult, Rotation
 from partcat.partition import Partition, normalize_word
 
@@ -324,6 +326,21 @@ def kron_power(u: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k):
         out = np.kron(out, u)
     return out
+
+
+def whole_group(kind: str, n: int) -> GroupRep:
+    """Every element of S_n (n! permutation matrices) or of H_n (2^n n!
+    signed permutation matrices), for comparison with the generators of
+    ``classical_rep``."""
+    signs = (1,) if kind == KIND_SYMMETRIC else (1, -1)
+    elements = []
+    for perm in itertools.permutations(range(n)):
+        for chosen in itertools.product(signs, repeat=n):
+            m = np.zeros((n, n), dtype=np.int64)
+            for j, (image, sign) in enumerate(zip(perm, chosen)):
+                m[image, j] = sign
+            elements.append(m)
+    return GroupRep(kind, n, tuple(elements), 0.0)
 
 
 def check_intertwiner(rep, p: Partition) -> bool:

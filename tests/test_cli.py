@@ -2,6 +2,7 @@ import pytest
 
 import partcat.acceptance as acceptance
 import partcat.cli as cli
+import partcat.linmap as lm
 import partcat.ops as ops
 from partcat.cli import main
 
@@ -284,7 +285,7 @@ def test_verify_tp_over_the_work_cap_exits_before_enumerating(capsys, monkeypatc
         raise AssertionError("enumerated partitions before checking the work cap")
 
     monkeypatch.setattr(cli, "enumerate_upto", no_enumeration)
-    # both pass the byte and listing caps; the second would run for hours
+    # both pass the byte and listing caps
     for rep, n, points in (("symmetric-group", "3", "9"), ("hyperoctahedral", "4", "8")):
         code, out, err = run(capsys, "verify-tp", "--rep", rep, "--n", n, "--points", points)
         assert (code, out) == (2, [])
@@ -292,12 +293,10 @@ def test_verify_tp_over_the_work_cap_exits_before_enumerating(capsys, monkeypatc
 
 
 def test_verify_tp_over_the_listing_cap_exits_before_enumerating(capsys, monkeypatch):
-    # the verb counts its lines before enumerate_upto runs, and enumerate_upto
-    # checks its size again, so the shapes' enumeration is patched
     def no_enumeration(*args):
         raise AssertionError("enumerated partitions before checking the cap")
 
-    monkeypatch.setattr(ops, "enumerate_all", no_enumeration)
+    monkeypatch.setattr(ops, "iter_words", no_enumeration)
     for points, prefix in (
         ("10", "budget:"), ("11", "budget:"), ("12", "budget:"), ("-1", "error:")
     ):
@@ -309,12 +308,18 @@ def test_verify_tp_over_the_listing_cap_exits_before_enumerating(capsys, monkeyp
 
 
 def test_verify_tp_group_too_large_is_a_budget_error(capsys, monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("built a matrix before checking the byte cap")
+
     def no_enumeration(*args):
         raise AssertionError("enumerated partitions before building the group")
 
     monkeypatch.setattr(cli, "enumerate_upto", no_enumeration)
-    for rep, n in (("symmetric-group", "7"), ("hyperoctahedral", "5")):
-        code, out, err = run(capsys, "verify-tp", "--rep", rep, "--n", n, "--points", "2")
+    monkeypatch.setattr(lm.np, "eye", no_matrix)
+    monkeypatch.setattr(lm.np.random, "default_rng", no_matrix)
+    # the family of every kind at n = 50,000 exceeds the byte cap
+    for rep in ("symmetric-group", "hyperoctahedral", "orthogonal-sample", "bistochastic"):
+        code, out, err = run(capsys, "verify-tp", "--rep", rep, "--n", "50000", "--points", "1")
         assert (code, out) == (2, [])
         assert err.startswith("budget:"), err
     code, out, err = run(

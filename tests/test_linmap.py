@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -207,28 +208,64 @@ def test_check_functor_matches_the_dense_check_on_larger_pairs(pair):
 # representations
 
 
+def closure_under_products(rep) -> set[tuple[int, ...]]:
+    """Every product of the generators, as flattened integer matrices."""
+    seen = {tuple(np.eye(rep.n, dtype=np.int64).ravel().tolist())}
+    frontier = list(seen)
+    while frontier:
+        step = []
+        for flat in frontier:
+            m = np.array(flat, dtype=np.int64).reshape(rep.n, rep.n)
+            for u in rep.elements:
+                key = tuple((m @ u).ravel().tolist())
+                if key not in seen:
+                    seen.add(key)
+                    step.append(key)
+        frontier = step
+    return seen
+
+
+def whole_group_keys(kind: str, n: int) -> set[tuple[int, ...]]:
+    return {tuple(u.ravel().tolist()) for u in ref.whole_group(kind, n).elements}
+
+
 def test_symmetric_group_enumeration():
-    rep = lm.classical_rep(lm.KIND_SYMMETRIC, 3)
-    assert len(rep.elements) == 6
-    assert rep.exact
-    for u in rep.elements:
-        assert np.array_equal(u @ u.T, np.eye(3, dtype=int))
+    for n in (2, 3, 4, 5):
+        rep = lm.classical_rep(lm.KIND_SYMMETRIC, n)
+        assert rep.exact
+        assert len(rep.elements) == (1 if n == 2 else 2)
+        for u in rep.elements:
+            assert u.dtype == np.int64
+            assert np.array_equal(u @ u.T, np.eye(n, dtype=int))
+        group = closure_under_products(rep)
+        assert len(group) == math.factorial(n)
+        assert group == whole_group_keys(lm.KIND_SYMMETRIC, n)
 
 
 def test_hyperoctahedral_enumeration():
-    rep = lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, 2)
-    assert len(rep.elements) == 8
-    mats = {tuple(u.ravel().tolist()) for u in rep.elements}
-    assert len(mats) == 8
-    for u in rep.elements:
-        assert np.array_equal(u @ u.T, np.eye(2, dtype=int))
+    for n in (2, 3, 4):
+        rep = lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, n)
+        assert rep.exact
+        assert len(rep.elements) == (2 if n == 2 else 3)
+        for u in rep.elements:
+            assert u.dtype == np.int64
+            assert np.array_equal(u @ u.T, np.eye(n, dtype=int))
+        group = closure_under_products(rep)
+        assert len(group) == 2**n * math.factorial(n)
+        assert group == whole_group_keys(lm.KIND_HYPEROCTAHEDRAL, n)
 
 
-def test_enumeration_caps():
-    with pytest.raises(CapExceededError):
-        lm.classical_rep(lm.KIND_SYMMETRIC, 7)
-    with pytest.raises(CapExceededError):
-        lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, 5)
+def test_enumeration_caps(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("built a matrix before checking the byte cap")
+
+    monkeypatch.setattr(lm.np, "eye", no_matrix)
+    monkeypatch.setattr(lm.np.random, "default_rng", no_matrix)
+    for kind in (
+        lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL, lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC
+    ):
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 50_000)
     with pytest.raises(BadParamError):
         lm.classical_rep(lm.KIND_SYMMETRIC, 1)
     with pytest.raises(BadParamError):
@@ -309,6 +346,17 @@ def test_intertwiner_table_matches_single_checks():
             assert list(table) == parts
             for p in parts:
                 assert table[p] == ref.check_intertwiner(rep, p), (rep.kind, n, str(p))
+
+
+@pytest.mark.parametrize("kind,n", [
+    *((lm.KIND_SYMMETRIC, n) for n in (2, 3, 4, 5)),
+    *((lm.KIND_HYPEROCTAHEDRAL, n) for n in (2, 3, 4)),
+])
+def test_generators_decide_as_the_whole_group_does(kind, n):
+    # u -> u^{tensor m} is a homomorphism: fixed by the generators is fixed by the group
+    parts = enumerate_upto(5)
+    whole = lm.intertwiner_table(ref.whole_group(kind, n), parts)
+    assert lm.intertwiner_table(lm.classical_rep(kind, n), parts) == whole
 
 
 def test_intertwiner_table_is_the_same_in_small_chunks(monkeypatch):

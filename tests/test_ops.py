@@ -297,13 +297,13 @@ def test_enumerate_upto_checks_its_size_before_enumerating(monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumerated partitions before checking the size")
 
-    monkeypatch.setattr(ops, "enumerate_all", no_enumeration)
+    monkeypatch.setattr(ops, "iter_words", no_enumeration)
     with pytest.raises(PointRangeError, match="nonnegative"):
         enumerate_upto(-1)
-    # 9,676,148 partitions at 11 points; Bell(12) = 4,213,597 is the cap
-    for total in (11, 12, 10**9):
-        with pytest.raises(CapExceededError, match="4213597"):
+    # 1,533,308 partitions at 10 points; Bell(11) = 678,570 is the listing cap
+    for total in (10, 11, 12, 10**9):
+        with pytest.raises(CapExceededError, match="678570"):
             enumerate_upto(total)
-    # 1,533,308 partitions at 10 points pass the check
-    monkeypatch.setattr(ops, "enumerate_all", lambda k, l: [])
-    assert enumerate_upto(10) == []
+    # 257,583 partitions at 9 points pass the check
+    monkeypatch.setattr(ops, "iter_words", lambda n: iter(()))
+    assert enumerate_upto(9) == []
