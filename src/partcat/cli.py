@@ -1,7 +1,7 @@
 """Command-line surface: parse, operate, close, classify, enumerate, count, verify.
 
 All output is line-oriented plain text or CSV and deterministic for fixed
-flags and seed.  Budget and cap violations exit with code 2 and a message
+flags.  Budget and cap violations exit with code 2 and a message
 prefixed ``budget:``; usage and data errors exit with code 2 as well but
 other prefixes, so logical failures (exit 1) stay distinguishable.
 """
@@ -34,7 +34,6 @@ _LAWS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="partcat", description=__doc__)
-    top.add_argument("--seed", type=int, default=0, help="seed for sampled orthogonal matrices")
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("parse", help="echo the canonical form of a partition")
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
 
     p = sub.add_parser("moments", help="moment sequence of a named law")
     p.add_argument("--law", required=True, choices=sorted(_LAWS))
@@ -128,8 +126,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_tp(args: argparse.Namespace, seed: int) -> int:
-    rep = lm.classical_rep(args.rep, args.n, sample_count=args.samples, seed=seed)
+def _cmd_verify_tp(args: argparse.Namespace) -> int:
+    rep = lm.classical_rep(args.rep, args.n)
     lm.check_tensor_cap(args.n, args.points)
     lm.check_table_cost(rep, args.points)
     partitions = enumerate_upto(args.points)
@@ -162,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{args.category},{k},{value}")
             return 0
         if args.verb == "verify-tp":
-            return _cmd_verify_tp(args, args.seed)
+            return _cmd_verify_tp(args)
         if args.verb == "moments":
             spec_fn, unit = _LAWS[args.law]
             seq = mo.moments_from_cumulants(spec_fn(), unit, args.kmax)
@@ -170,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{k},{value}")
             return 0
         if args.verb == "report":
-            results = acceptance.run_all(seed=args.seed)
+            results = acceptance.run_all()
             print(acceptance.format_report(results))
             return 0 if all(r.passed for r in results) else 1
     except (BudgetError, CapExceededError, MemoryCapError) as exc:

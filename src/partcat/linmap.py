@@ -26,14 +26,13 @@ dense check on T-matrices and ``np.kron`` is kept in
 ``tests/block_reference.py`` as the reference its verdicts are tested
 against.
 
-Four concrete orthogonal representations are provided to exercise the
-partition <-> relation dictionary: generators of the permutation matrices
-S_n, generators of the signed permutation matrices H_n, row/column-stochastic
-conjugates of orthogonal matrices, and seeded random orthogonal samples.
-The first two are exact integer matrices: u -> u^{tensor m} is a
-homomorphism, so xi_w is fixed by the whole group exactly when it is fixed
-by each generator.  The last two are floating point with an explicit
-tolerance.
+Four concrete orthogonal groups exercise the partition <-> relation
+dictionary: the permutation matrices S_n, the signed permutation matrices
+H_n, the orthogonal group O_n and the bistochastic group B_n.  Each is given
+by exact int64 generators, and every verdict is an int64 ``==``
+comparison: a group generator u must fix xi_w under u^{tensor m}, and a
+generator X of the Lie algebra of O_n or B_n must kill it under the sum
+over legs of X on one leg.
 """
 
 from __future__ import annotations
@@ -168,89 +167,61 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupRep:
-    """A finite family of orthogonal n x n matrices: generators of the group
-    for the exact kinds, samples of it for the others.
-
-    ``tolerance`` is 0 for the exact integer generators, checked with ``==``,
-    and a small float for sampled families.
-    """
+    """A group of orthogonal n x n matrices given by exact int64 generators:
+    ``elements`` generate it together with the identity component, which
+    ``lie`` generates as a Lie algebra (empty for a finite group)."""
 
     kind: str
     n: int
     elements: tuple[np.ndarray, ...]
-    tolerance: float
-
-    @property
-    def exact(self) -> bool:
-        return self.tolerance == 0
+    lie: tuple[np.ndarray, ...] = ()
 
 
-def _bistochastic_conjugator(n: int) -> np.ndarray:
-    """A fixed orthogonal T with first column (1, .., 1)/sqrt(n)."""
-    basis = np.eye(n)
-    basis[:, 0] = 1.0
-    q, r = np.linalg.qr(basis)
-    q = q * np.sign(np.diag(r))
-    return q
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a negative seed for the sampled kinds."""
-    if seed < 0:
-        raise BadParamError(f"seed must be >= 0, got {seed}")
+def _rotation(n: int, i: int, j: int) -> np.ndarray:
+    """E_ij - E_ji, the infinitesimal rotation of the (i, j) plane."""
+    x = np.zeros((n, n), dtype=np.int64)
+    x[i, j], x[j, i] = 1, -1
+    return x
 
 
 def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> GroupRep:
-    """Build one of the four concrete representations at dimension n.
+    """The generators of one of the four concrete groups at dimension n.
 
-    Exact kinds give generators of the group: the transposition (1 2) and
-    the n-cycle for S_n (one matrix at n = 2), and also diag(-1, 1, .., 1)
-    for H_n.  Sampled kinds draw ``sample_count`` matrices from a generator
-    seeded with ``seed``.  Row/column sums of every bistochastic element are
-    1: they are conjugates T (1 + u') T^t of orthogonal u' at dimension n-1,
-    where T maps the first basis vector to the normalized all-ones vector.
-    The family is checked against ``T_BYTES_CAP`` before any matrix is built.
+    S_n: the transposition (1 2) and the n-cycle (one matrix at n = 2); H_n:
+    also diag(-1, 1, .., 1).  O_n: diag(-1, 1, .., 1) and, generating so(n)
+    as a Lie algebra, the n - 1 rotations E_{i,i+1} - E_{i+1,i}.  B_n, the
+    stabilizer of the all-ones vector, isomorphic to O_{n-1}
+    (Banica-Speicher, arXiv:0808.2628): (1 2) and the n - 2 triangles
+    (E_{i,i+1} - E_{i+1,i}) + (E_{i+1,i+2} - E_{i+2,i+1}) + (E_{i+2,i} -
+    E_{i,i+2}); B_2 is S_2.  ``sample_count`` and ``seed`` have no effect.
+    The family, 8 n^2 bytes per matrix, is checked against ``T_BYTES_CAP``
+    before any matrix is built.
     """
     if n < 2:
         raise BadParamError(f"representations need n >= 2, got {n}")
-    exact = kind in (KIND_SYMMETRIC, KIND_HYPEROCTAHEDRAL)
-    if exact:
-        family = 3  # at most three generators
-    elif kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC):
-        if sample_count < 1:
-            raise BadParamError(f"sample count must be >= 1, got {sample_count}")
-        check_seed(seed)
-        family = sample_count
-    else:
+    # matrices in the family: at most three for the finite kinds
+    family = {
+        KIND_SYMMETRIC: 3, KIND_HYPEROCTAHEDRAL: 3, KIND_ORTHOGONAL: n, KIND_BISTOCHASTIC: n - 1
+    }.get(kind)
+    if family is None:
         raise BadParamError(f"unknown representation kind {kind!r}")
     if 8 * n * n * family > T_BYTES_CAP:
         raise MemoryCapError(f"{family} {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap")
-    if exact:
-        eye = np.eye(n, dtype=np.int64)
-        swap, cycle = eye[[1, 0, *range(2, n)]], np.roll(eye, 1, axis=0)
-        elements = [swap] if n == 2 else [swap, cycle]
-        if kind == KIND_HYPEROCTAHEDRAL:
-            elements.append(eye * ([-1] + [1] * (n - 1)))  # diag(-1, 1, .., 1)
-        return GroupRep(kind, n, tuple(elements), 0.0)
+    eye = np.eye(n, dtype=np.int64)
+    swap, reflection = eye[[1, 0, *range(2, n)]], eye * ([-1] + [1] * (n - 1))
     if kind == KIND_ORTHOGONAL:
-        rng = np.random.default_rng(seed)
-        elements = []
-        for _ in range(sample_count):
-            q, r = np.linalg.qr(rng.standard_normal((n, n)))
-            elements.append(q * np.sign(np.diag(r)))
-        return GroupRep(kind, n, tuple(elements), 1e-9)
-    if n == 2:
-        # O(1) = {1, -1}
-        small = [np.array([[1.0]]), np.array([[-1.0]])][:sample_count]
-    else:
-        small = classical_rep(KIND_ORTHOGONAL, n - 1, sample_count, seed).elements
-    t = _bistochastic_conjugator(n)
-    elements = []
-    for u_small in small:
-        embedded = np.eye(n)
-        embedded[1:, 1:] = u_small
-        elements.append(t @ embedded @ t.T)
-    return GroupRep(kind, n, tuple(elements), 1e-9)
+        rotations = tuple(_rotation(n, i, i + 1) for i in range(n - 1))
+        return GroupRep(kind, n, (reflection,), rotations)
+    if kind == KIND_BISTOCHASTIC:
+        triangles = tuple(
+            _rotation(n, i, i + 1) + _rotation(n, i + 1, i + 2) + _rotation(n, i + 2, i)
+            for i in range(n - 2)
+        )
+        return GroupRep(kind, n, (swap,), triangles)
+    elements = [swap] if n == 2 else [swap, np.roll(eye, 1, axis=0)]
+    if kind == KIND_HYPEROCTAHEDRAL:
+        elements.append(reflection)
+    return GroupRep(kind, n, tuple(elements))
 
 
 def check_table_cost(rep: GroupRep, points: int) -> None:
@@ -258,26 +229,30 @@ def check_table_cost(rep: GroupRep, points: int) -> None:
     line each, before anything is built: when its lines fail
     ``check_listing_size``, or its work bound exceeds ``TABLE_WORK_CAP``.
 
-    The work bound is W = sum over m <= points of Bell(m) n^m m |elements|:
-    one xi_w of n^m entries per word of m points, each generator or sample
-    applied to its m legs one at a time.  The sum stops once over the cap.
+    The work bound is W = sum over m <= points of Bell(m) n^m m |family|,
+    with |family| = |elements| + |lie|: one xi_w of n^m entries per word of
+    m points, each generator applied to its m legs one at a time.  The sum
+    stops once over the cap.
     """
     check_listing_size(points)
+    family = len(rep.elements) + len(rep.lie)
     work = 0
     for m in range(points + 1):
-        work += bell_number(m) * rep.n**m * m * len(rep.elements)
+        work += bell_number(m) * rep.n**m * m * family
         if work > TABLE_WORK_CAP:
             raise CapExceededError(
                 f"the table of partitions of up to {points} points at n={rep.n} over "
-                f"{len(rep.elements)} elements exceeds the work cap {TABLE_WORK_CAP}"
+                f"{family} generators exceeds the work cap {TABLE_WORK_CAP}"
             )
 
 
 def intertwiner_table(rep: GroupRep, partitions: list[Partition]) -> dict[Partition, bool]:
-    """Whether T_p u^{tensor k} = u^{tensor l} T_p for every element u, per p.
+    """Whether T_p u^{tensor k} = u^{tensor l} T_p for every u in the group, per p.
 
-    Tested as u^{tensor m} xi_w = xi_w, once per distinct word w; exactly for
-    the exact kinds, within ``rep.tolerance`` entrywise for the sampled ones.
+    Tested once per distinct word w: u^{tensor m} xi_w = xi_w for each element
+    u, and the sum over legs of X on one leg kills xi_w for each Lie
+    generator X.  A connected group fixes xi_w exactly when its Lie algebra
+    kills it, and Xxi = Yxi = 0 gives [X, Y]xi = 0.
     """
     by_length: dict[int, list[tuple[int, ...]]] = {}
     for word in dict.fromkeys(p.word for p in partitions):
@@ -293,27 +268,48 @@ def intertwiner_table(rep: GroupRep, partitions: list[Partition]) -> dict[Partit
     return {p: fixed[p.word] for p in partitions}
 
 
+def _on_leg(x: np.ndarray, rows: np.ndarray, legs_after: int) -> np.ndarray:
+    """The n x n matrix x applied to one leg of every row, the leg with
+    ``legs_after`` legs after it.  Slot i of that leg becomes the sum of
+    x[i, j] times slot j: one pass over a slice per nonzero entry, as every
+    generator is sparse."""
+    n = x.shape[0]
+    v = rows.reshape(len(rows), -1, n, n**legs_after)
+    out = np.empty_like(v)
+    for i, row in enumerate(x):
+        cols = np.flatnonzero(row)
+        if not len(cols):
+            out[:, :, i] = 0
+            continue
+        np.multiply(v[:, :, cols[0]], row[cols[0]], out=out[:, :, i])
+        for j in cols[1:]:
+            out[:, :, i] += row[j] * v[:, :, j]
+    return out.reshape(rows.shape)
+
+
 def _fixed_by_all(rep: GroupRep, words: list[tuple[int, ...]]) -> np.ndarray:
-    """For words of one length m: is xi_w fixed by u^{tensor m} for every u."""
+    """For words of one length m: is xi_w fixed by every generator, all in
+    int64.  Each generator sees only the rows that every earlier one fixed."""
     n, m = rep.n, len(words[0])
-    xi = np.zeros((len(words), n**m))
-    for row, word in zip(xi, words):
+    rows = np.zeros((len(words), n**m), dtype=np.int64)
+    for row, word in zip(rows, words):
         row[...] = _xi(word, n)
-    alive = np.ones(len(words), dtype=bool)
-    for u in rep.elements:
-        if not alive.any():
+    kept = np.arange(len(words))
+    for x, is_lie in [(u, False) for u in rep.elements] + [(g, True) for g in rep.lie]:
+        if not len(kept):
             break
-        idx = np.flatnonzero(alive)
-        before = xi[idx]
-        after = before
-        for _ in range(m):
-            # u on the last leg, then that leg moved to the front: after m
-            # steps every leg has met u once and the legs are back in order
-            after = (after.reshape(-1, n) @ u.T).reshape(len(idx), -1, n)
-            after = after.transpose(0, 2, 1).reshape(len(idx), -1)
-        if rep.exact:
-            good = (after == before).all(axis=1)
+        if is_lie:
+            moved = np.zeros_like(rows)
+            for leg in range(m):
+                moved += _on_leg(x, rows, leg)
+            good = (moved == 0).all(axis=1)
         else:
-            good = np.abs(after - before).max(axis=1) <= rep.tolerance
-        alive[idx[~good]] = False
-    return alive
+            after = rows
+            for leg in range(m):
+                after = _on_leg(x, after, leg)
+            good = (after == rows).all(axis=1)
+        if not good.all():
+            rows, kept = rows[good], kept[good]
+    fixed = np.zeros(len(words), dtype=bool)
+    fixed[kept] = True
+    return fixed

@@ -1,7 +1,8 @@
 """Block-and-point implementations of point-list input, the canonical text,
 the category operations, the catalog predicates, the intertwiner matrix, the
-dense intertwiner check, the dense functor check and the whole groups S_n and
-H_n, kept only as a reference for tests.
+dense intertwiner check (Kronecker powers of the group generators and
+Kronecker sums of the Lie generators), the dense functor check and the whole
+groups S_n and H_n, kept only as a reference for tests.
 
 The package computes all of these on boundary words and reads text straight
 into the word.  The versions here keep the package's former point layer:
@@ -340,25 +341,31 @@ def whole_group(kind: str, n: int) -> GroupRep:
             for j, (image, sign) in enumerate(zip(perm, chosen)):
                 m[image, j] = sign
             elements.append(m)
-    return GroupRep(kind, n, tuple(elements), 0.0)
+    return GroupRep(kind, n, tuple(elements))
+
+
+def kron_sum(x: np.ndarray, k: int) -> np.ndarray:
+    """The Lie action of x on k legs: sum over a of I^{(x)a} (x) x (x) I^{(x)(k-1-a)}."""
+    n = x.shape[0]
+    total = np.zeros((n**k, n**k), dtype=x.dtype)
+    for a in range(k):
+        left, right = np.eye(n**a, dtype=x.dtype), np.eye(n ** (k - 1 - a), dtype=x.dtype)
+        total += np.kron(np.kron(left, x), right)
+    return total
 
 
 def check_intertwiner(rep, p: Partition) -> bool:
-    """True iff T_p u^{tensor k} = u^{tensor l} T_p for every element u.
-
-    The two sides are dense products with the Kronecker powers of u, compared
-    exactly for the exact kinds and entrywise within ``rep.tolerance`` for
-    the sampled ones.
+    """True iff T_p u^{tensor k} = u^{tensor l} T_p for every element u, and
+    T_p dX^(k) = dX^(l) T_p for every Lie generator X, where dX^(k) is the
+    dense Kronecker sum ``kron_sum(X, k)``; both sides are compared exactly.
     """
     k, l = p.upper_count, p.lower_count
     tp = t_matrix(p, rep.n)
     for u in rep.elements:
-        lhs = tp @ kron_power(u, k)
-        rhs = kron_power(u, l) @ tp
-        if rep.exact:
-            if not np.array_equal(lhs, rhs):
-                return False
-        elif np.max(np.abs(lhs - rhs)) > rep.tolerance:
+        if not np.array_equal(tp @ kron_power(u, k), kron_power(u, l) @ tp):
+            return False
+    for x in rep.lie:
+        if not np.array_equal(tp @ kron_sum(x, k), kron_sum(x, l) @ tp):
             return False
     return True
 

@@ -47,7 +47,7 @@ def test_criterion_08_moment_cumulant_identities():
 
 
 def test_criterion_09_intertwiner_dictionary():
-    _check(acceptance.criterion_9(seed=0))
+    _check(acceptance.criterion_9())
 
 
 def test_criterion_10_functor_law():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,6 +14,7 @@ import partcat.ops as ops
 from conftest import words
 from partcat.catalog import (
     block,
+    category_predicate,
     four_block,
     pair_partition,
     positioner,
@@ -232,7 +234,7 @@ def whole_group_keys(kind: str, n: int) -> set[tuple[int, ...]]:
 def test_symmetric_group_enumeration():
     for n in (2, 3, 4, 5):
         rep = lm.classical_rep(lm.KIND_SYMMETRIC, n)
-        assert rep.exact
+        assert rep.lie == ()
         assert len(rep.elements) == (1 if n == 2 else 2)
         for u in rep.elements:
             assert u.dtype == np.int64
@@ -245,7 +247,7 @@ def test_symmetric_group_enumeration():
 def test_hyperoctahedral_enumeration():
     for n in (2, 3, 4):
         rep = lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, n)
-        assert rep.exact
+        assert rep.lie == ()
         assert len(rep.elements) == (2 if n == 2 else 3)
         for u in rep.elements:
             assert u.dtype == np.int64
@@ -255,51 +257,106 @@ def test_hyperoctahedral_enumeration():
         assert group == whole_group_keys(lm.KIND_HYPEROCTAHEDRAL, n)
 
 
+class Built(Exception):
+    """Raised by a patched ``np.eye``: the request passed the byte cap."""
+
+
 def test_enumeration_caps(monkeypatch):
     def no_matrix(*args, **kwargs):
-        raise AssertionError("built a matrix before checking the byte cap")
+        raise Built
 
     monkeypatch.setattr(lm.np, "eye", no_matrix)
-    monkeypatch.setattr(lm.np.random, "default_rng", no_matrix)
     for kind in (
         lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL, lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC
     ):
         with pytest.raises(MemoryCapError):
             lm.classical_rep(kind, 50_000)
+    # O_n and B_n have n and n - 1 generators: 8 n^2 |family| <= 2^26 up to n = 203
+    for kind in (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC):
+        with pytest.raises(Built):
+            lm.classical_rep(kind, 203)
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 204)
     with pytest.raises(BadParamError):
         lm.classical_rep(lm.KIND_SYMMETRIC, 1)
     with pytest.raises(BadParamError):
         lm.classical_rep("unitary", 3)
 
 
-def test_sampled_kinds_refuse_a_negative_seed():
-    for kind, n in ((lm.KIND_ORTHOGONAL, 2), (lm.KIND_BISTOCHASTIC, 3)):
-        with pytest.raises(BadParamError, match="^seed must be >= 0, got -1$"):
-            lm.classical_rep(kind, n, seed=-1)
-    # exact kinds ignore the seed
-    for kind in (lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL):
-        a, b = lm.classical_rep(kind, 2, seed=-1), lm.classical_rep(kind, 2)
-        assert np.array_equal(a.elements, b.elements)
+LIE_KINDS = (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC)
+
+
+def test_sample_count_and_seed_have_no_effect():
+    # kept as keywords for callers of the former sampled kinds; every kind is exact
+    for kind in (*LIE_KINDS, lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL):
+        a, b = lm.classical_rep(kind, 4), lm.classical_rep(kind, 4, sample_count=0, seed=-1)
+        assert len(a.elements) == len(b.elements) and len(a.lie) == len(b.lie)
+        for u, v in zip(a.elements + a.lie, b.elements + b.lie):
+            assert np.array_equal(u, v)
+
+
+def test_lie_generators_are_antisymmetric_integer_matrices():
+    for kind in LIE_KINDS:
+        for n in range(2, 8):
+            rep = lm.classical_rep(kind, n)
+            assert len(rep.lie) == (n - 1 if kind == lm.KIND_ORTHOGONAL else n - 2)
+            for x in rep.lie:
+                assert x.dtype == np.int64 and x.shape == (n, n)
+                assert np.array_equal(x.T, -x)
 
 
 def test_bistochastic_rows_and_columns_sum_to_one():
-    rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, 3, sample_count=5, seed=0)
-    assert len(rep.elements) == 5
-    for u in rep.elements:
-        assert np.allclose(u.sum(axis=0), 1.0, atol=1e-9)
-        assert np.allclose(u.sum(axis=1), 1.0, atol=1e-9)
-        assert np.allclose(u @ u.T, np.eye(3), atol=1e-9)
+    # the component generator fixes the all-ones vector and the Lie generators kill it
+    for n in range(2, 8):
+        rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, n)
+        for u in rep.elements:
+            assert u.sum(axis=0).tolist() == u.sum(axis=1).tolist() == [1] * n
+        for x in rep.lie:
+            assert x.sum(axis=0).tolist() == x.sum(axis=1).tolist() == [0] * n
 
 
-def test_orthogonal_samples_seeded():
-    a = lm.classical_rep(lm.KIND_ORTHOGONAL, 3, sample_count=4, seed=7)
-    b = lm.classical_rep(lm.KIND_ORTHOGONAL, 3, sample_count=4, seed=7)
-    c = lm.classical_rep(lm.KIND_ORTHOGONAL, 3, sample_count=4, seed=8)
-    for u, v in zip(a.elements, b.elements):
-        assert np.array_equal(u, v)
-    assert not np.allclose(a.elements[0], c.elements[0])
-    for u in a.elements:
-        assert np.allclose(u @ u.T, np.eye(3), atol=1e-12)
+def lie_algebra_dimension(generators: tuple[np.ndarray, ...]) -> int:
+    """The dimension of the Lie algebra the generators generate, exactly:
+    right-normed brackets [g, y] of a generator g with a basis element y
+    span it, each reduced over the rationals against the basis so far."""
+    echelon: list[tuple[int, list[Fraction]]] = []
+
+    def independent(m: np.ndarray) -> bool:
+        v = [Fraction(int(t)) for t in m.ravel()]
+        for col, row in echelon:
+            if v[col]:
+                v = [a - v[col] * b for a, b in zip(v, row)]
+        col = next((i for i, a in enumerate(v) if a), None)
+        if col is not None:
+            echelon.append((col, [a / v[col] for a in v]))
+        return col is not None
+
+    frontier = [g for g in generators if independent(g)]
+    while frontier:
+        brackets = [g @ y - y @ g for y in frontier for g in generators]
+        frontier = [b for b in brackets if independent(b)]
+    return len(echelon)
+
+
+def test_lie_generators_span_the_lie_algebra():
+    # so(n) has dimension C(n, 2); B_n is O_{n-1}, of dimension C(n - 1, 2)
+    for n in range(2, 8):
+        rep = lm.classical_rep(lm.KIND_ORTHOGONAL, n)
+        assert lie_algebra_dimension(rep.lie) == math.comb(n, 2)
+        rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, n)
+        assert lie_algebra_dimension(rep.lie) == math.comb(n - 1, 2)
+
+
+def test_component_generators_are_reflections():
+    # one orthogonal integer matrix of determinant -1 reaches the other component
+    for kind in LIE_KINDS:
+        for n in range(2, 8):
+            (u,) = lm.classical_rep(kind, n).elements
+            assert u.dtype == np.int64
+            assert np.array_equal(u @ u.T, np.eye(n, dtype=np.int64))
+            assert round(np.linalg.det(u)) == -1
+            if kind == lm.KIND_BISTOCHASTIC:
+                assert (u @ np.ones(n, dtype=np.int64)).tolist() == [1] * n
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +379,13 @@ def test_hyperoctahedral_requires_even_blocks():
 
 
 def test_orthogonal_sample_pair_yes_singleton_no():
-    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 3, sample_count=20, seed=0)
+    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 3)
     assert holds(rep, pair_partition())
     assert not holds(rep, singleton())
 
 
 def test_bistochastic_fixes_singleton():
-    rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, 3, sample_count=20, seed=0)
+    rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, 3)
     assert holds(rep, singleton())
     assert holds(rep, pair_partition())
     assert not holds(rep, four_block())
@@ -338,14 +395,32 @@ def test_intertwiner_table_matches_single_checks():
     # the one-row table against the dense two-row check, partition by partition
     parts = [p for t in range(6) for k in range(t + 1) for p in enumerate_all(k, t - k)]
     for n in (2, 3):
-        reps = [lm.classical_rep(lm.KIND_SYMMETRIC, n), lm.classical_rep(lm.KIND_HYPEROCTAHEDRAL, n)]
-        for kind in (lm.KIND_BISTOCHASTIC, lm.KIND_ORTHOGONAL):
-            reps += [lm.classical_rep(kind, n, sample_count=20, seed=seed) for seed in (0, 1, 2)]
-        for rep in reps:
+        for kind in (
+            lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL, lm.KIND_BISTOCHASTIC, lm.KIND_ORTHOGONAL
+        ):
+            rep = lm.classical_rep(kind, n)
             table = lm.intertwiner_table(rep, parts)
             assert list(table) == parts
             for p in parts:
-                assert table[p] == ref.check_intertwiner(rep, p), (rep.kind, n, str(p))
+                assert table[p] == ref.check_intertwiner(rep, p), (kind, n, str(p))
+
+
+@pytest.mark.parametrize("kind,name", [
+    (lm.KIND_ORTHOGONAL, "O"), (lm.KIND_BISTOCHASTIC, "B"),
+], ids=["O", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_lie_kind_table_is_the_catalog_rule(kind, name, n):
+    # members pass and non-members fail, on every partition of up to 5 points
+    parts = enumerate_upto(5)
+    member = category_predicate(name)
+    assert lm.intertwiner_table(lm.classical_rep(kind, n), parts) == {p: member(p) for p in parts}
+
+
+def test_bistochastic_at_two_is_the_symmetric_group():
+    # B_2 = S_2: no triangle, and the transposition (1 2)
+    parts = enumerate_upto(5)
+    b2 = lm.intertwiner_table(lm.classical_rep(lm.KIND_BISTOCHASTIC, 2), parts)
+    assert b2 == lm.intertwiner_table(lm.classical_rep(lm.KIND_SYMMETRIC, 2), parts)
 
 
 @pytest.mark.parametrize("kind,n", [
@@ -372,7 +447,7 @@ def test_intertwiner_table_is_the_same_in_small_chunks(monkeypatch):
 
 def test_check_intertwiner_memory_cap():
     # 8 * 10^8 bytes for one vector: refused before any vector is built
-    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 10, sample_count=2)
+    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 10)
     with pytest.raises(MemoryCapError):
         lm.intertwiner_table(rep, [singleton(), block(8)])
 
@@ -383,28 +458,8 @@ def test_table_cost_caps_admit_the_dictionary_tables():
         lm.check_table_cost(lm.classical_rep(kind, n), points)
     with pytest.raises(CapExceededError, match="work cap"):
         lm.check_table_cost(lm.classical_rep(lm.KIND_SYMMETRIC, 3), 9)
-    # one sample keeps the work small, but 10 points list 1,533,308 lines
-    rep = lm.classical_rep(lm.KIND_ORTHOGONAL, 2, sample_count=1)
+    # one generator keeps the work small, but 10 points list 1,533,308 lines
+    rep = lm.classical_rep(lm.KIND_BISTOCHASTIC, 2)
     lm.check_table_cost(rep, 9)
     with pytest.raises(CapExceededError, match="listing cap"):
         lm.check_table_cost(rep, 10)
-
-
-def test_sample_count_must_be_positive():
-    for kind in (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC):
-        for n in (2, 3):
-            for count in (0, -1):
-                with pytest.raises(BadParamError):
-                    lm.classical_rep(kind, n, sample_count=count)
-
-
-def test_sampled_matrices_are_bounded_before_drawing(monkeypatch):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew matrices before checking the cap")
-
-    monkeypatch.setattr(lm.np.random, "default_rng", no_draw)
-    for kind in (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC):
-        with pytest.raises(MemoryCapError):
-            lm.classical_rep(kind, 50_000)
-        with pytest.raises(MemoryCapError):
-            lm.classical_rep(kind, 3, sample_count=10**7)
