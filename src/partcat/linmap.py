@@ -187,15 +187,15 @@ def _rotation(n: int, i: int, j: int) -> np.ndarray:
 def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> GroupRep:
     """The generators of one of the four concrete groups at dimension n.
 
-    S_n: the transposition (1 2) and the n-cycle (one matrix at n = 2); H_n:
-    also diag(-1, 1, .., 1).  O_n: diag(-1, 1, .., 1) and, generating so(n)
-    as a Lie algebra, the n - 1 rotations E_{i,i+1} - E_{i+1,i}.  B_n, the
-    stabilizer of the all-ones vector, isomorphic to O_{n-1}
-    (Banica-Speicher, arXiv:0808.2628): (1 2) and the n - 2 triangles
-    (E_{i,i+1} - E_{i+1,i}) + (E_{i+1,i+2} - E_{i+2,i+1}) + (E_{i+2,i} -
-    E_{i,i+2}); B_2 is S_2.  ``sample_count`` and ``seed`` have no effect.
-    The family, 8 n^2 bytes per matrix, is checked against ``T_BYTES_CAP``
-    before any matrix is built.
+    S_n: the transposition (1 2) and the n-cycle (one matrix at n = 2); H_n: also
+    diag(-1, 1, .., 1).  O_n: diag(-1, 1, .., 1) and, generating so(n) as a Lie
+    algebra, the n - 1 rotations E_{i,i+1} - E_{i+1,i}.  B_n, the stabilizer of
+    the all-ones vector, isomorphic to O_{n-1} (Banica-Speicher, arXiv:0808.2628):
+    (1 2) and the n - 2 triangles (E_{i,i+1} - E_{i+1,i}) + (E_{i+1,i+2} -
+    E_{i+2,i+1}) + (E_{i+2,i} - E_{i,i+2}); B_2 is S_2.  ``sample_count`` and
+    ``seed`` have no effect, but O and B refuse a count below 1 and a negative
+    seed, as when they sampled.  The family, 8 n^2 bytes per matrix, is checked
+    against ``T_BYTES_CAP`` before any matrix is built.
     """
     if n < 2:
         raise BadParamError(f"representations need n >= 2, got {n}")
@@ -205,6 +205,10 @@ def classical_rep(kind: str, n: int, sample_count: int = 20, seed: int = 0) -> G
     }.get(kind)
     if family is None:
         raise BadParamError(f"unknown representation kind {kind!r}")
+    if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC) and sample_count < 1:
+        raise BadParamError(f"sample count must be >= 1, got {sample_count}")
+    if kind in (KIND_ORTHOGONAL, KIND_BISTOCHASTIC) and seed < 0:
+        raise BadParamError(f"seed must be >= 0, got {seed}")
     if 8 * n * n * family > T_BYTES_CAP:
         raise MemoryCapError(f"{family} {n}x{n} matrices exceed the {T_BYTES_CAP}-byte cap")
     eye = np.eye(n, dtype=np.int64)

@@ -2,6 +2,8 @@
 
 import types
 
+import pytest
+
 from partcat import acceptance
 
 
@@ -21,6 +23,17 @@ def test_a_criterion_within_its_budget_passes(monkeypatch):
     monkeypatch.setattr(acceptance, "time", _clock(0.0, 119.5))
     result = acceptance.criterion_3()
     assert result.passed and result.details == []
+
+
+def _never_run(*args, **kwargs):
+    raise AssertionError("a criterion ran")
+
+
+def test_a_negative_seed_is_refused_before_any_criterion(monkeypatch):
+    # no criterion samples: the runner takes no seed at all
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", (_never_run,) * 10)
+    with pytest.raises(TypeError, match="seed"):
+        acceptance.run_all(seed=-1)
 
 
 def test_no_budget_means_no_runtime_gate(monkeypatch):

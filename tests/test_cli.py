@@ -222,13 +222,8 @@ def test_verify_tp_lines(capsys):
     assert len(out) == 9 and all(line.startswith("pass") for line in out)
 
 
-@pytest.mark.parametrize("argv", [
-    ("--seed", "1", "verify-tp", "--rep", "orthogonal-sample", "--n", "3", "--points", "2"),
-    ("verify-tp", "--rep", "bistochastic", "--n", "3", "--points", "2", "--samples", "5"),
-    ("--seed", "-1", "report"),
-], ids=["seed", "samples", "report-seed"])
-def test_seed_and_samples_are_usage_errors(capsys, monkeypatch, argv):
-    # every kind is exact: neither option exists, and nothing runs
+def usage_error(capsys, monkeypatch, *argv):
+    """Run argv, which argparse must refuse before any request runs."""
     def never_run(*args, **kwargs):
         raise AssertionError("the request ran")
 
@@ -236,14 +231,48 @@ def test_seed_and_samples_are_usage_errors(capsys, monkeypatch, argv):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (never_run,) * 10)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
-    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "usage:" in captured.err
+    return exc.value.code, captured.out, captured.err
+
+
+def test_verify_tp_deterministic_under_seed(capsys, monkeypatch):
+    # every kind is exact: no seed reaches the verdicts, and none is accepted
+    args = ("verify-tp", "--rep", "orthogonal-sample", "--n", "3", "--points", "3")
+    code_a, out_a, _ = run(capsys, *args)
+    code_b, out_b, _ = run(capsys, *args)
+    assert code_a == code_b == 0
+    assert out_a == out_b
+    failing = [line for line in out_a if line.startswith("fail")]
+    assert any("P(0,1): l1" in line for line in failing)
+    code, out, err = usage_error(capsys, monkeypatch, "--seed", "3", *args)
+    assert (code, out) == (2, "") and "usage:" in err
+
+
+@pytest.mark.parametrize("rep, n", [("orthogonal-sample", "2"), ("bistochastic", "3")])
+def test_verify_tp_negative_seed_is_an_error(capsys, monkeypatch, rep, n):
+    args = ("--seed", "-1", "verify-tp", "--rep", rep, "--n", n, "--points", "2")
+    code, out, err = usage_error(capsys, monkeypatch, *args)
+    assert (code, out) == (2, "") and "usage:" in err
+
+
+def test_report_refuses_a_negative_seed_before_any_criterion(capsys, monkeypatch):
+    code, out, err = usage_error(capsys, monkeypatch, "--seed", "-1", "report")
+    assert (code, out) == (2, "") and "usage:" in err
 
 
 def test_unknown_verb_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_verify_tp_refuses_no_samples(capsys, monkeypatch):
+    # there is no --samples option: every count is a usage error
+    for count in ("0", "-3", "5"):
+        code, out, err = usage_error(
+            capsys, monkeypatch, "verify-tp", "--rep", "orthogonal-sample", "--n", "3",
+            "--points", "1", "--samples", count,
+        )
+        assert (code, out) == (2, "") and "usage:" in err
 
 
 def test_verify_tp_over_the_byte_cap_exits_before_enumerating(capsys, monkeypatch):

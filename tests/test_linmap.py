@@ -289,10 +289,47 @@ LIE_KINDS = (lm.KIND_ORTHOGONAL, lm.KIND_BISTOCHASTIC)
 def test_sample_count_and_seed_have_no_effect():
     # kept as keywords for callers of the former sampled kinds; every kind is exact
     for kind in (*LIE_KINDS, lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL):
-        a, b = lm.classical_rep(kind, 4), lm.classical_rep(kind, 4, sample_count=0, seed=-1)
+        a, b = lm.classical_rep(kind, 4), lm.classical_rep(kind, 4, sample_count=1, seed=7)
         assert len(a.elements) == len(b.elements) and len(a.lie) == len(b.lie)
         for u, v in zip(a.elements + a.lie, b.elements + b.lie):
             assert np.array_equal(u, v)
+
+
+def test_sample_count_must_be_positive():
+    for kind in LIE_KINDS:
+        for n in (2, 3):
+            for count in (0, -1):
+                with pytest.raises(BadParamError):
+                    lm.classical_rep(kind, n, sample_count=count)
+
+
+def test_sampled_kinds_refuse_a_negative_seed():
+    for kind, n in ((lm.KIND_ORTHOGONAL, 2), (lm.KIND_BISTOCHASTIC, 3)):
+        with pytest.raises(BadParamError, match="^seed must be >= 0, got -1$"):
+            lm.classical_rep(kind, n, seed=-1)
+    # the finite kinds never took a seed and ignore it
+    for kind in (lm.KIND_SYMMETRIC, lm.KIND_HYPEROCTAHEDRAL):
+        a, b = lm.classical_rep(kind, 2, seed=-1), lm.classical_rep(kind, 2)
+        assert all(np.array_equal(u, v) for u, v in zip(a.elements, b.elements))
+
+
+def test_sampled_matrices_are_bounded_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random matrix")
+
+    def no_matrix(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(lm.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(lm.np, "eye", no_matrix)
+    for kind in LIE_KINDS:
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 50_000)
+        # the bound counts generators, not samples
+        with pytest.raises(MemoryCapError):
+            lm.classical_rep(kind, 204, sample_count=1)
+        with pytest.raises(Built):
+            lm.classical_rep(kind, 3, sample_count=10**7)
 
 
 def test_lie_generators_are_antisymmetric_integer_matrices():
