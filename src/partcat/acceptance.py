@@ -175,21 +175,23 @@ def criterion_5() -> CriterionResult:
         res = classify_easy(cat.catalog_entry(name).generators)
         if res.category_name != name or res.world != cat.CATALOG[name].world:
             failures.append(f"{name}: classified as {res.world}/{res.category_name}")
-    hl, fb = cat.half_lib(), cat.four_block()
-    # label, series lengths of the generators and of the members to confirm,
-    # budgets and fusion cap; both cases generate H^(3)
-    for label, gens, confirm, budgets, cap in (
-        ("series", (3,), (3,), (8, 16), DEFAULT_MAX_FUSION_OPS),
-        ("gcd", (6, 9), (3, 6), (12, 24), 400_000),
+    hl, fb, h = cat.half_lib(), cat.four_block(), cat.h_series
+    # label, generators, budgets and fusion cap, and the series parameter s
+    # of the answer; its generators, those of H^(s), must be Confirmed
+    for label, gens, budgets, cap, s in (
+        ("series", (hl, fb, h(3)), (8, 16), DEFAULT_MAX_FUSION_OPS, 3),
+        ("gcd", (hl, fb, h(6), h(9)), (12, 24), 400_000, 3),
+        ("h(6)", (hl, fb, h(6)), (8, 16), DEFAULT_MAX_FUSION_OPS, 6),
+        ("no four-block", (hl, h(4)), (6, 12), DEFAULT_MAX_FUSION_OPS, 4),
     ):
-        res = classify_easy([hl, fb, *map(cat.h_series, gens)], *budgets, max_fusion_ops=cap)
+        res = classify_easy(gens, *budgets, max_fusion_ops=cap)
         confirmed = {w for w, note in res.evidence if note == Containment.CONFIRMED.value}
-        if (res.world, res.series_parameter) != ("Series", 3):
+        if (res.world, res.series_parameter) != ("Series", s):
             failures.append(f"{label} generators: got {res.world}/{res.category_name}")
         else:
             failures += [
                 f"{label}: membership of {p} not Confirmed"
-                for p in [hl, fb, *map(cat.h_series, confirm)] if str(p) not in confirmed
+                for p in cat.series_entry(s).generators if str(p) not in confirmed
             ]
     return _result(5, "13 nonhyperoctahedral names and the series gcd rule", t0, failures)
 

@@ -13,20 +13,21 @@ parity of the number of points (``S'``).
 * ``Free7``:      ``O+ H+ S'+ S+ B#+ B'+ B+``, noncrossing plus a block rule
 * ``Classical6``: ``O  H  S'  S  B'  B``, the same block rules with crossings
 * ``HalfLib``:    ``O* H* B#*``, crossings allowed and mark rules that bite
-* ``Series``:     ``fatcross`` and the parametrized ``H^(s)``, known by their
-  generators only
+* ``Series``:     ``fatcross``, known by its generators only, and the
+  parametrized ``H^(s)``: every block's imbalance, its plus marks minus its
+  minus marks, is a multiple of s, on an even number of points
 
 Everything else is read from the table: ``member_words``, the one stream of
 a category's words, ``member_counter``, their number by ``block_sum`` (one
 weighted recursion over blocks, shared with the cumulant sums, that builds
 no word), ``category_predicate``, the name tuple of
-each world (in table order), ``RULED_NAMES``, the 16 names with a rule, and
-``INCLUSIONS``, the one inclusion order over them.
+each world (in table order), ``RULED_NAMES``, the 16 ruled rows, and
+``included``, the one inclusion order of the ruled names.
 ``catalog_entry`` resolves every name, a ``CATALOG`` row or ``H^(s)`` with
 s >= 3 spelled as the series prints it; every other name is a BadParamError.
-Only ``fatcross`` and ``H^(s)`` have no block rule, so only they raise
-NoPredicateError when asked for a predicate or words; their membership
-questions go through the closure engine instead.
+Only ``fatcross`` has no block rule, so only it raises NoPredicateError when
+asked for a predicate or words; its membership questions go through the
+closure engine instead.
 """
 
 from __future__ import annotations
@@ -168,6 +169,13 @@ def _singleton_or_balanced_pair(plus: int, minus: int) -> bool:
     return plus + minus == 1 or plus == minus == 1
 
 
+def block_marks(w: Word) -> tuple[Iterator[int], Iterator[int]]:
+    """Each block's count of plus marks and each block's count of minus marks
+    in ``w``, block by block: plus at even walk positions, minus at odd ones."""
+    plus, minus, labels = w[::2], w[1::2], range(max(w, default=-1) + 1)
+    return map(plus.count, labels), map(minus.count, labels)
+
+
 @dataclass(frozen=True, slots=True)
 class BlockRule:
     """A word rule as data: every block's (plus, minus) marks pass ``block``
@@ -183,8 +191,7 @@ class BlockRule:
         block = self.block
         if block is None:
             return True
-        plus, minus, labels = w[::2], w[1::2], range(max(w, default=-1) + 1)
-        return all(map(block, map(plus.count, labels), map(minus.count, labels)))
+        return all(map(block, *block_marks(w)))
 
 
 # the most points a block sum takes: its memo grows as a power of the point total
@@ -396,12 +403,15 @@ def category_predicate(name: str) -> Predicate:
 class _SeriesEntry(CatalogEntry):
     """The entry of ``H^(s)``.  Its generator h(s) has 2s points, so it is
     built when the generators are first read, not when the name is resolved:
-    resolving a name costs the same for every s."""
+    resolving a name, and every question its rule answers, costs the same
+    for every s."""
 
     def __init__(self, s: int) -> None:
-        # noncrossing and rule keep their class defaults, False and None
+        # noncrossing keeps its class default, False
         object.__setattr__(self, "name", f"H^({s})")
         object.__setattr__(self, "world", WORLD_SERIES)
+        rule = BlockRule(lambda plus, minus: (plus - minus) % s == 0, even_points=True)
+        object.__setattr__(self, "rule", rule)
         object.__setattr__(self, "_s", s)
 
     @cached_property
@@ -449,15 +459,14 @@ def enumerate_category(name: str, total_points: int) -> list[Partition]:
 
 # ---------------------------------------------------------------------------
 # inclusion order of the ruled names
-#
-# A category contains the category generated by G iff it contains G
-# (Banica-Speicher), so a is included in b iff b's predicate accepts every
-# catalog generator of a.  The order is reflexive and transitive, across
-# worlds as within one.
 
-INCLUSIONS = {
-    (a, b)
-    for a in RULED_NAMES
-    for b in RULED_NAMES
-    if all(CATALOG[b].predicate(g) for g in CATALOG[a].generators)
-}
+
+def included(a: str, b: str) -> bool:
+    """Whether the category named a is included in the one named b, both
+    names with a rule: b's predicate accepts every catalog generator of a.
+
+    A category contains the category generated by G iff it contains G
+    (Banica-Speicher), so this is the inclusion of the categories; the order
+    is reflexive and transitive, across worlds as within one.
+    """
+    return all(map(category_predicate(b), catalog_entry(a).generators))

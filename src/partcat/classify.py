@@ -1,33 +1,32 @@
 """Classification of generator sets against the named categories.
 
-``classify_easy`` is the one classifier.  Where its answer is a free or a
-classical name, that name is the least of the catalog's ruled names, under
-its one inclusion order ``INCLUSIONS``, whose predicate every generator
-satisfies: at once for a noncrossing generator set, and for the generators
-plus the crossing once a bounded closure has found the crossing.  Everything
-else is decided by the bounded closure (see :mod:`partcat.closure`), and
-each conclusion that rests on it carries its budgets and its evidence.
+``classify_easy`` is the one classifier, with one rule for every world.  Its
+upper bound L is the least name, under the one inclusion order
+``catalog.included``, whose predicate every generator satisfies.  The
+candidates are the 16 ruled names and ``H^(g)``, where g >= 3 is the gcd of
+the block imbalances of all generators; every name but ``fatcross`` has a
+rule.  Noncrossing generators generate L itself.  Otherwise a bounded
+closure (see :mod:`partcat.closure`) looks for L's generators, or for the
+crossing when L is classical, and the answer is L once it has found them
+all; each conclusion that rests on it carries its budgets and its evidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .catalog import (
-    CATALOG,
-    INCLUSIONS,
     RULED_NAMES,
-    WORLD_HALF_LIBERATED,
+    WORLD_CLASSICAL,
     WORLD_SERIES,
+    block_marks,
+    catalog_entry,
     category_predicate,
     crossing,
-    double_singleton,
-    four_block,
-    h_series,
-    half_lib,
-    series_entry,
+    included,
 )
 from .closure import (
     DEFAULT_INTERMEDIATE_BUDGET,
@@ -38,7 +37,6 @@ from .closure import (
     check_fusion_cap,
     generate_closure,
 )
-from .errors import BadParamError
 from .partition import Partition, canonical_text, is_noncrossing
 
 WORLD_UNDETERMINED = "Undetermined"
@@ -63,28 +61,34 @@ class Classification:
         return out
 
 
-def _least_satisfied(generators: Sequence[Partition]) -> Classification:
-    """The least ruled name under ``INCLUSIONS`` whose predicate every
-    generator satisfies, in its own world; the evidence lists, for every
-    generator, the satisfied names of that world.
+def _upper_bound(generators: Sequence[Partition]) -> tuple[str, int, tuple[tuple[str, str], ...]]:
+    """L, the least name under ``included`` whose predicate every generator
+    satisfies; g, the gcd of all block imbalances of all generators; and, for
+    every generator, the satisfied names of L's world.
 
-    Noncrossing generators generate their least free name, and generators
-    with the crossing their least classical name (the two classifications);
-    every satisfied name, in any world, contains that category, so the least
-    of all 16 is a free or a classical name.
+    The candidates are the 16 ruled names and ``H^(g)`` for g >= 3: every
+    generator lies in ``H^(g)``, whose rule asks each block's imbalance to
+    be a multiple of g.  The names are closed under intersection, so the
+    least one is unique.
     """
-    satisfied = [
-        name
-        for name in RULED_NAMES
-        if all(category_predicate(name)(g) for g in generators)
-    ]
-    least = [a for a in satisfied if all((a, b) in INCLUSIONS for b in satisfied)]
-    if len(least) != 1:  # pragma: no cover - the lattice is intersection-closed
+    g = math.gcd(*(d for p in generators for d in map(sub, *block_marks(p.word))))
+    candidates = RULED_NAMES + ((f"H^({g})",) if g >= 3 else ())
+    satisfied = [n for n in candidates if all(map(category_predicate(n), generators))]
+    least = [a for a in satisfied if all(included(a, b) for b in satisfied)]
+    if len(least) != 1:  # pragma: no cover - the names are intersection-closed
         raise AssertionError(f"no unique least category among {satisfied}")
-    world = CATALOG[least[0]].world
-    note = "satisfies " + ", ".join(n for n in satisfied if CATALOG[n].world == world)
-    evidence = tuple((canonical_text(g), note) for g in generators)
-    return Classification(world, least[0], evidence=evidence)
+    world = catalog_entry(least[0]).world
+    note = "satisfies " + ", ".join(n for n in satisfied if catalog_entry(n).world == world)
+    return least[0], g, tuple((canonical_text(p), note) for p in generators)
+
+
+def _stop_targets(name: str) -> tuple[Partition, ...]:
+    """The partitions whose presence makes ``name`` the exact answer when it
+    is the upper bound: the crossing for a classical name, since a category
+    that holds the crossing is one of the six (Banica-Speicher), and the
+    catalog generators of every other name."""
+    entry = catalog_entry(name)
+    return (crossing(),) if entry.world == WORLD_CLASSICAL else entry.generators
 
 
 def classify_easy(
@@ -94,65 +98,48 @@ def classify_easy(
     *,
     max_fusion_ops: int = DEFAULT_MAX_FUSION_OPS,
 ) -> Classification:
-    """Decision cascade over all named worlds.
+    """Classify the category the generators generate, between two bounds.
 
-    Noncrossing generator sets are classified exactly.  Otherwise a bounded
-    closure decides: crossing present -> classical; half-liberating diagram
-    present -> one of the half-liberated names or the h-series (parameter =
-    gcd of the visible series lengths).  A half-liberated name is given only
-    if every generator satisfies that category's predicate; otherwise the
-    answer is Undetermined.  Conclusions that rest on bounded search are
-    budget-qualified in the evidence; Undetermined is a value, not an error.
-    A negative ``max_fusion_ops`` or a bad budget is refused up front.
+    The upper bound L is the least name whose predicate every generator
+    satisfies (a ruled name, or ``H^(g)`` with the gcd g of the block
+    imbalances).  Noncrossing generator sets generate L, so the answer is L
+    at once.  Otherwise a bounded closure runs until it finds the stop
+    targets of L (``_stop_targets``): if it finds them all, the answer is L
+    (with series parameter g for ``H^(g)``), and the evidence confirms each
+    target and gives, for each generator, the names of L's world that it
+    satisfies.  If not, the answer is Undetermined, and its evidence lists
+    each missing target and one line that names L as the upper bound.
+    Conclusions that rest on bounded search carry their budgets;
+    Undetermined is a value, not an error.  A negative ``max_fusion_ops`` or
+    a bad budget is refused up front.
     """
     check_fusion_cap(max_fusion_ops)
     check_budgets(point_budget, intermediate_budget)
     gens = tuple(generators)
-    if all(is_noncrossing(g) for g in gens):
-        return _least_satisfied(gens)
+    name, g, upper = _upper_bound(gens)
+    world = catalog_entry(name).world
+    if all(is_noncrossing(p) for p in gens):
+        return Classification(world, name, evidence=upper)
 
+    targets = _stop_targets(name)
     closure = generate_closure(
         gens,
         point_budget,
         intermediate_budget,
-        stop_when=[crossing()],
+        stop_when=targets,
         max_fusion_ops=max_fusion_ops,
     )
+    confirmed = Containment.CONFIRMED.value
     missing = Containment.NOT_FOUND_WITHIN_BUDGET.value
     if not closure.saturated:
         missing += " (search stopped before saturation)"
-    evidence: list[tuple[str, str]] = []
-
-    def probe(p: Partition) -> bool:
-        hit = closure.contains_word(p.word)
-        evidence.append((canonical_text(p), Containment.CONFIRMED.value if hit else missing))
-        return hit
-
-    def result(world: str, name: str | None, series: int | None = None, more=()) -> Classification:
-        if world == WORLD_HALF_LIBERATED:
-            rule = category_predicate(name)
-            failing = next((g for g in gens if not rule(g)), None)
-            if failing is not None:
-                evidence.append((canonical_text(failing), f"fails {name}"))
-                world, name = WORLD_UNDETERMINED, None
-        budgets = (point_budget, intermediate_budget)
-        return Classification(world, name, series, tuple(evidence) + more, budgets)
-
-    if probe(crossing()):
-        base = _least_satisfied(gens + (crossing(),))
-        return result(base.world, base.category_name, more=base.evidence)
-    if not probe(half_lib()):
-        return result(WORLD_UNDETERMINED, None)
-    if not probe(four_block()):
-        return result(WORLD_HALF_LIBERATED, "B#*" if probe(double_singleton()) else "O*")
-    found = [t for t in range(3, point_budget // 2 + 1) if probe(h_series(t))]
-    if found:
-        g = math.gcd(*found)
-        try:
-            name = series_entry(g).name
-        except BadParamError as exc:
-            # h(1) and h(2) lead to the classical world, which the search did not reach
-            evidence.append((canonical_text(h_series(g)), str(exc)))
-            return result(WORLD_UNDETERMINED, None)
-        return result(WORLD_SERIES, name, g)
-    return result(WORLD_HALF_LIBERATED, "H*")
+    absent = tuple(
+        (canonical_text(t), missing) for t in targets if not closure.contains_word(t.word)
+    )
+    budgets = (point_budget, intermediate_budget)
+    if absent:
+        evidence = absent + ((name, "upper bound"),)
+        return Classification(WORLD_UNDETERMINED, None, evidence=evidence, budgets=budgets)
+    lower = tuple((canonical_text(t), confirmed) for t in targets)
+    series = g if world == WORLD_SERIES else None
+    return Classification(world, name, series, lower + upper, budgets)

@@ -11,7 +11,6 @@ from partcat.catalog import (
     CATALOG,
     CLASSICAL_NAMES,
     FREE_NAMES,
-    INCLUSIONS,
     LISTING_CAP,
     RULED_NAMES,
     block,
@@ -25,6 +24,7 @@ from partcat.catalog import (
     four_block,
     h_series,
     half_lib,
+    included,
     k_series,
     member_counter,
     member_words,
@@ -35,6 +35,7 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
+from partcat.closure import generate_closure
 from partcat.errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from partcat.moments import count_moments
 from partcat.ops import (
@@ -214,8 +215,7 @@ def test_half_liberated_rules():
 
 
 def test_no_predicate_for_series():
-    with pytest.raises(NoPredicateError):
-        category_predicate("H^(3)")
+    # of the series world only fatcross is known by its generators alone
     with pytest.raises(NoPredicateError):
         category_predicate("fatcross")
     with pytest.raises(BadParamError):
@@ -254,25 +254,66 @@ def test_series_names_the_series_does_not_print_are_unknown(name):
 
 
 def test_series_names_resolve_without_building_the_generator(monkeypatch):
-    # h(s) has 2s points: it is built when the generators are read, not before
+    # h(s) has 2s points: it is built when the generators are read, not
+    # before, and the rule answers every question without it
     def no_h_series(s):
         raise AssertionError(f"built h({s}) to resolve a name")
 
     monkeypatch.setattr(catalog, "h_series", no_h_series)
-    for ask in (*_RULE_QUESTIONS, lambda name: member_words(name, 3)):
-        with pytest.raises(NoPredicateError, match="has no membership predicate"):
-            ask("H^(1000000000)")
+    name = "H^(1000000000)"
+    # only the pair, and the four-point words of balanced blocks
+    assert count_moments(name, 3) == (0, 1, 0)
+    assert [str(p) for p in enumerate_category(name, 4)] == [
+        "P(0,4): l1,l2,l3,l4",
+        "P(0,4): l1,l2; l3,l4",
+        "P(0,4): l1,l4; l2,l3",
+    ]
+    assert list(member_words(name, 3)) == []
+    assert category_predicate(name)(half_lib())
+    assert not category_predicate(name)(double_singleton())
     monkeypatch.undo()
     gens = (half_lib(), four_block(), h_series(5))
     assert series_entry(5).generators == gens
     assert catalog_entry("H^(5)").generators == gens
 
 
-@pytest.mark.parametrize("name", ["H^(3)", "fatcross"])
+@pytest.mark.parametrize("name", ["fatcross"])
 def test_entries_without_a_rule_have_no_predicate(name):
     for ask in _RULE_QUESTIONS:
         with pytest.raises(NoPredicateError, match="has no membership predicate"):
             ask(name)
+
+
+# the largest block of the finite closure check of the series rules
+_CHECKED_BLOCK = 32
+
+
+@pytest.mark.parametrize("s", range(3, 13))
+def test_series_rule_meets_the_finite_closure_conditions(s):
+    # a block test T kept by every category move, for blocks of up to 32
+    # points: (a) the pair passes, (b) T(p, m) = T(m, p), (c) a cap inside
+    # one block keeps T, (d) a cap that joins two blocks keeps T
+    rule = catalog_entry(f"H^({s})").rule
+    test = rule.block
+    assert rule.even_points  # a shift of an even word flips every mark
+    sizes = [(p, m) for p in range(_CHECKED_BLOCK + 1) for m in range(_CHECKED_BLOCK + 1 - p)]
+    passing = [(p, m) for p, m in sizes if test(p, m)]
+    assert test(1, 1)
+    assert all(test(p, m) == test(m, p) for p, m in sizes)
+    assert all(test(p - 1, m - 1) for p, m in passing if p and m)
+    for (p1, m1), (p2, m2) in itertools.product(passing, repeat=2):
+        if p1 and m2 and p1 + m1 + p2 + m2 - 2 <= _CHECKED_BLOCK:
+            assert test(p1 + p2 - 1, m1 + m2 - 1), (s, p1, m1, p2, m2)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+def test_series_closure_is_its_rule(s):
+    # the saturated closure of <half-lib, four-block, h(s)> at 8/16 holds
+    # exactly the words of H^(s)'s rule
+    name = f"H^({s})"
+    c = generate_closure(catalog_entry(name).generators, 8, 16)
+    assert c.saturated
+    assert c.words == {w for n in range(9) for w in member_words(name, n)}
 
 
 def test_member_words_are_the_words_the_predicate_accepts():
@@ -464,19 +505,23 @@ def _reflexive_transitive(edges, names):
 def test_inclusion_order_is_the_papers_hasse_diagram(names, edges):
     # the Hasse diagrams of the free and classical worlds, typed from the
     # paper, against the one order restricted to the world
-    within = {(a, b) for a, b in INCLUSIONS if a in names and b in names}
-    assert within == _reflexive_transitive(edges, names)
+    assert _restrict(names) == _reflexive_transitive(edges, names)
 
 
 def test_inclusion_tables():
-    assert ("O+", "S+") in INCLUSIONS
-    assert ("S+", "O+") not in INCLUSIONS
-    assert ("B'", "S'") in INCLUSIONS
-    assert ("H", "B") not in INCLUSIONS
-    # across worlds
-    assert ("O*", "O") in INCLUSIONS
-    assert ("H+", "H*") in INCLUSIONS
-    assert ("O", "O*") not in INCLUSIONS
+    assert included("O+", "S+")
+    assert not included("S+", "O+")
+    assert included("B'", "S'")
+    assert not included("H", "B")
+    # across worlds, the series included
+    assert included("O*", "O")
+    assert included("H+", "H*")
+    assert not included("O", "O*")
+    assert included("H*", "H^(3)")
+    assert included("H^(6)", "H^(3)")
+    assert not included("H^(3)", "H^(6)")
+    assert included("H^(4)", "H")
+    assert not included("H^(3)", "H")
 
 
 def _membership(all_upto_6):
@@ -485,7 +530,7 @@ def _membership(all_upto_6):
 
 
 def _restrict(names):
-    return frozenset((a, b) for (a, b) in INCLUSIONS if a in names and b in names)
+    return frozenset((a, b) for a in names for b in names if included(a, b))
 
 
 def _meet(a, b, names, order):
@@ -500,7 +545,7 @@ def _meet(a, b, names, order):
     [
         (FREE_NAMES, _restrict(FREE_NAMES)),
         (CLASSICAL_NAMES, _restrict(CLASSICAL_NAMES)),
-        (RULED_NAMES, INCLUSIONS),
+        (RULED_NAMES, _restrict(RULED_NAMES)),
     ],
 )
 def test_lattice_is_intersection_closed(names, order, all_upto_6):
@@ -520,4 +565,4 @@ def test_inclusion_tables_match_membership(all_upto_6):
     for a in RULED_NAMES:
         for b in RULED_NAMES:
             subset = membership[a] <= membership[b]
-            assert ((a, b) in INCLUSIONS) == subset, (a, b)
+            assert included(a, b) == subset, (a, b)

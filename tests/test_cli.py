@@ -151,7 +151,7 @@ def test_enumerate_over_the_listing_cap_is_refused(capsys):
 
 
 def test_enumerate_no_predicate_is_an_error(capsys):
-    code, _, err = run(capsys, "enumerate", "--category", "H^(3)", "--points", "4")
+    code, _, err = run(capsys, "enumerate", "--category", "fatcross", "--points", "4")
     assert code == 2 and "error:" in err
 
 

@@ -38,11 +38,14 @@ VERBATIM = [
         "name: H^(3)\n"
         "series-parameter: 3\n"
         "budgets: 8/16\n"
-        "evidence: P(2,2): u1,l2; u2,l1 :: NotFoundWithinBudget\n"
+        # the lower bound: the closure confirms H^(3)'s generators; the
+        # upper bound: every generator satisfies H^(3)
         "evidence: P(3,3): u1,l3; u2,l2; u3,l1 :: Confirmed\n"
         "evidence: P(0,4): l1,l2,l3,l4 :: Confirmed\n"
         "evidence: P(0,6): l1,l3,l5; l2,l4,l6 :: Confirmed\n"
-        "evidence: P(0,8): l1,l3,l5,l7; l2,l4,l6,l8 :: NotFoundWithinBudget\n",
+        "evidence: P(3,3): u1,l3; u2,l2; u3,l1 :: satisfies H^(3)\n"
+        "evidence: P(0,4): l1,l2,l3,l4 :: satisfies H^(3)\n"
+        "evidence: P(0,6): l1,l3,l5; l2,l4,l6 :: satisfies H^(3)\n",
         0,
         "",
     ),
@@ -181,8 +184,7 @@ VERBATIM += [
     for name, counts in COUNTS.items()
 ]
 # the classical path, appended last so that the cases above keep their ids:
-# the crossing is probed, then classified as a generator and once more as
-# the appended crossing
+# the crossing is the stop target, and the one generator satisfies O
 VERBATIM.append(
     (
         ("classify", "--gen", CROSSING),
@@ -190,7 +192,6 @@ VERBATIM.append(
         "name: O\n"
         "budgets: 8/16\n"
         "evidence: P(2,2): u1,l2; u2,l1 :: Confirmed\n"
-        "evidence: P(2,2): u1,l2; u2,l1 :: satisfies O, H, S', S, B', B\n"
         "evidence: P(2,2): u1,l2; u2,l1 :: satisfies O, H, S', S, B', B\n",
         0,
         "",

@@ -1,10 +1,13 @@
 import hashlib
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import closure_reference
+from conftest import words
 from partcat import closure, partition
 from partcat.catalog import (
     FREE_NAMES,
@@ -24,9 +27,9 @@ from partcat.catalog import (
     singleton,
     unit_partition,
 )
-from partcat.classify import classify_easy
+from partcat.classify import _stop_targets, _upper_bound, classify_easy
 from partcat.closure import Containment, generate_closure
-from partcat.errors import BadParamError, BudgetError, NoPredicateError
+from partcat.errors import BadParamError, BudgetError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
     glue,
@@ -39,6 +42,9 @@ from partcat.partition import (
 
 CONFIRMED = Containment.CONFIRMED
 NOT_FOUND = Containment.NOT_FOUND_WITHIN_BUDGET
+HALF_LIB = "P(3,3): u1,l3; u2,l2; u3,l1"
+FOUR_BLOCK = "P(0,4): l1,l2,l3,l4"
+CROSSING = "P(2,2): u1,l2; u2,l1"
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +684,9 @@ def test_classify_easy_examples():
     assert (res.world, res.category_name) == ("HalfLib", "B#*")
     res = classify_easy([half_lib(), four_block(), h_series(3)])
     assert (res.world, res.category_name, res.series_parameter) == ("Series", "H^(3)", 3)
+    # h(6) is a generator, so the series name needs no glue
+    res = classify_easy([half_lib(), four_block(), h_series(6)], 8, 16)
+    assert (res.world, res.category_name, res.series_parameter) == ("Series", "H^(6)", 6)
 
 
 def test_classify_easy_lines_are_pinned():
@@ -690,7 +699,7 @@ def test_classify_easy_lines_are_pinned():
             for gens in runs:
                 for line in classify_easy(gens).lines():
                     digest.update(f"{line}\n".encode())
-    want = "6cefab2834caf94d0f6db7c74aab6e5099ac3f0737a14a63de6c870e3228352a"
+    want = "f4308ef66c960ae6d6d064c50cb5760b80f67ce452edf7ac743e79985fd0ce48"
     assert digest.hexdigest() == want
 
 
@@ -701,9 +710,15 @@ def test_classify_easy_crossing_goes_classical():
 
 
 def test_classify_easy_undetermined_for_fat_crossing():
+    # its blocks are balanced: the upper bound is H*, whose generator
+    # half-lib is not in the saturated closure
     res = classify_easy([fat_crossing(), four_block()], max_fusion_ops=100_000)
-    assert res.world == "Undetermined"
-    assert res.category_name is None
+    assert (res.world, res.category_name) == ("Undetermined", None)
+    assert res.evidence == (
+        (HALF_LIB, "NotFoundWithinBudget"),
+        ("H*", "upper bound"),
+    )
+    assert "name: -" in res.lines()
 
 
 def test_classify_easy_noncrossing_generators_stay_exact():
@@ -723,37 +738,39 @@ def test_classify_easy_refuses_bad_budgets(gens, budgets, message):
 
 
 def test_classify_easy_refuses_a_half_liberated_name_a_generator_fails():
-    # h(4) has unbalanced blocks and h(5) odd ones: neither lies in H*
-    h4_text = "P(0,8): l1,l3,l5,l7; l2,l4,l6,l8"
-    res = classify_easy([half_lib(), h_series(4)], 6, 12)
-    assert (res.world, res.category_name) == ("Undetermined", None)
-    assert res.evidence == (
-        ("P(2,2): u1,l2; u2,l1", "NotFoundWithinBudget"),
-        ("P(3,3): u1,l3; u2,l2; u3,l1", "Confirmed"),
-        ("P(0,4): l1,l2,l3,l4", "Confirmed"),
-        ("P(0,6): l1,l3,l5; l2,l4,l6", "NotFoundWithinBudget"),
-        (h4_text, "fails H*"),
-    )
-    for budgets in ((6, 12), (8, 16)):
-        res = classify_easy([half_lib(), h_series(5)], *budgets)
-        assert (res.world, res.category_name) == ("Undetermined", None), budgets
-        assert res.evidence[-1] == ("P(0,10): l1,l3,l5,l7,l9; l2,l4,l6,l8,l10", "fails H*")
-    # once the closure reaches h(4) itself, the series name stands
-    res = classify_easy([half_lib(), h_series(4)], 8, 16)
-    assert (res.world, res.category_name, res.series_parameter) == ("Series", "H^(4)", 4)
-    assert res.evidence[-1] == (h4_text, "Confirmed")
+    # h(4) has unbalanced blocks and h(5) odd ones: neither lies in H*, so
+    # the upper bound is the series name, and the closure finds its three
+    # generators (four-block from the contractions of h(s)) at any budget
+    for s in (4, 5):
+        h = h_series(s)
+        want = (
+            (HALF_LIB, "Confirmed"),
+            (FOUR_BLOCK, "Confirmed"),
+            (str(h), "Confirmed"),
+            (HALF_LIB, f"satisfies H^({s})"),
+            (str(h), f"satisfies H^({s})"),
+        )
+        for budgets in ((6, 12), (8, 16)):
+            res = classify_easy([half_lib(), h], *budgets)
+            assert (res.world, res.category_name, res.series_parameter) == (
+                "Series", f"H^({s})", s
+            ), budgets
+            assert res.evidence == want, budgets
 
 
 def test_classify_easy_names_no_series_below_the_range():
-    # with no glue at all, h(4) and h(6) are found but the crossing is not;
-    # their gcd 2 names no series member, so the answer stays open
+    # the block imbalances of h(4) and h(6) have gcd 2, which names no
+    # series member: the upper bound is H, and with no glue at all the
+    # crossing is not found, so the answer stays open
     gens = [half_lib(), four_block(), h_series(4), h_series(6)]
     res = classify_easy(gens, 12, 24, max_fusion_ops=0)
     assert (res.world, res.category_name, res.series_parameter) == ("Undetermined", None, None)
-    assert res.evidence[0] == (
-        "P(2,2): u1,l2; u2,l1", "NotFoundWithinBudget (search stopped before saturation)"
+    assert res.evidence == (
+        (CROSSING, "NotFoundWithinBudget (search stopped before saturation)"),
+        ("H", "upper bound"),
     )
-    assert res.evidence[-1] == ("P(0,4): l1,l3; l2,l4", "series parameter must be >= 3, got 2")
+    res = classify_easy(gens, 12, 24, max_fusion_ops=400_000)
+    assert (res.world, res.category_name, res.series_parameter) == ("Classical6", "H", None)
 
 
 def test_classify_easy_names_only_categories_every_generator_satisfies():
@@ -762,13 +779,31 @@ def test_classify_easy_names_only_categories_every_generator_satisfies():
     for w in crossing_words:
         gens = [half_lib(), partition_from_word(w)]
         res = classify_easy(gens, 6, 12)
-        if res.category_name is None:
-            continue
-        try:
+        if res.category_name is not None:
             rule = category_predicate(res.category_name)
-        except NoPredicateError:
-            continue
-        assert all(rule(g) for g in gens), (w, res.category_name)
+            assert all(rule(g) for g in gens), (w, res.category_name)
+
+
+@st.composite
+def _generator_sets(draw):
+    """One to three one-row partitions of up to 6 points."""
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3))
+    return [partition_from_word(draw(words(n))) for n in lengths]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_upper_bound_holds_the_closure(gens):
+    # the closure never leaves the upper bound; a named answer rests on
+    # finding all its stop targets, and every generator satisfies it
+    cap = 50_000
+    rule = category_predicate(_upper_bound(gens)[0])
+    c = generate_closure(gens, 6, 12, max_fusion_ops=cap)
+    assert all(rule(partition_from_word(w)) for w in c.words | c.oversized_words)
+    res = classify_easy(gens, 6, 12, max_fusion_ops=cap)
+    if res.category_name is not None:
+        assert all(c.contains_word(t.word) for t in _stop_targets(res.category_name))
+        assert all(map(category_predicate(res.category_name), gens))
 
 
 def test_classification_report_lines():
