@@ -17,6 +17,7 @@ HALF_LIB = "P(3,3): u1,l3; u2,l2; u3,l1"
 FOUR_BLOCK = "P(0,4): l1,l2,l3,l4"
 H3 = "P(0,6): l1,l3,l5; l2,l4,l6"
 CROSSING = "P(2,2): u1,l2; u2,l1"
+SINGLETON = "P(0,1): l1"
 
 CYCLE_ERROR = "error: cyclic rotation needs a one-row partition\n"
 
@@ -151,6 +152,15 @@ DIGESTS = [
         42,
         "e3cc62a3ba073773df2d536a8e35a598a5c6634e5c9c1396d5a820cea70eab2c",
         "",
+    ),
+    # S's catalog generators at 7/14, appended last so that the cases above
+    # keep their ids: Bell(0) + ... + Bell(7) words
+    (
+        ("closure", "--gen", SINGLETON, "--gen", FOUR_BLOCK, "--gen", CROSSING)
+        + ("--budget", "7", "--ibudget", "14"),
+        1156,
+        "cf28f4ca3522f8b416928988b931c9b1887026889acccf24da7acff692ff8b32",
+        "# elements=1156 saturated=True\n",
     ),
 ]
 

@@ -32,6 +32,7 @@ from partcat.closure import Containment, generate_closure
 from partcat.errors import BadParamError, BudgetError
 from partcat.ops import enumerate_all, iter_words, tensor
 from partcat.partition import (
+    canonical_text,
     glue,
     is_noncrossing,
     normalize_word,
@@ -164,6 +165,15 @@ def test_dump_lines_sorted():
     assert "P(0,2): l1,l2" in lines
     c = generate_closure([singleton()], 6, 12)
     assert c.dump_lines() == sorted(str(p) for n in range(7) for p in c.members(0, n))
+
+
+def test_dump_lines_are_the_texts_of_the_stored_words():
+    # on every catalog closure at the hull's budgets, the texts of the
+    # one-row partitions that the stored words make
+    for name in RULED_NAMES:
+        c = generate_closure(catalog_entry(name).generators, 7, 14)
+        want = sorted(canonical_text(partition_from_word(w)) for w in c.words)
+        assert c.dump_lines() == want, name
 
 
 def test_negative_fusion_cap_is_refused():
