@@ -114,7 +114,11 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     )
     for line in closure.dump_lines():
         print(line)
-    print(f"# elements={len(closure.words)} saturated={closure.saturated}", file=sys.stderr)
+    print(
+        f"# elements={len(closure.words)} saturated={closure.saturated}"
+        f" stop_reason={closure.stop_reason}",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -42,6 +42,11 @@ point budget: every stored word is honestly derivable from the generators,
 but absence only means "not found within budget".  ``stop_reason`` says
 why the engine stopped: it reached a fixed point of its move set
 (``saturated``), found every ``stop_when`` target, or hit the fusion cap.
+
+The stored words are normalized one-row forms, so
+:meth:`ClosureSet.dump_lines` renders their texts straight from the words
+(``one_row_texts`` from :mod:`partcat.partition`), with no
+:class:`Partition` built.
 """
 
 from __future__ import annotations
@@ -58,10 +63,9 @@ from .ops import bell_number, catalan_number
 from .partition import (
     Partition,
     Word,
-    canonical_text,
     glue_rows,
     normalize_word,
-    partition_from_word,
+    one_row_texts,
     sorted_partitions,
     word_noncrossing,
 )
@@ -256,8 +260,9 @@ class ClosureSet:
 
     def dump_lines(self) -> list[str]:
         """The texts of the one-row forms of the stored elements within the
-        point budget, sorted; the oversized words are not listed."""
-        return sorted(canonical_text(partition_from_word(w)) for w in self.words)
+        point budget, sorted; the oversized words are not listed.  The
+        stored words are normalized, so each is rendered as it stands."""
+        return sorted(one_row_texts(self.words))
 
 
 def check_fusion_cap(max_fusion_ops: int | None) -> None:

@@ -97,15 +97,22 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
 GLUE_CHUNK_CELLS = 1 << 14  # point cells per chunk of :func:`glue_rows`
 
 
-def _first_kept(words: np.ndarray, start: int, stop: int, shift: int, spare: int) -> np.ndarray:
-    """Per word and point: ``shift + (j - start)`` for the first position
-    ``start <= j < stop`` that holds the point's label, else the unique
-    ``spare + label``, as ``intp``: a key may not fit the words' dtype."""
+def _first_kept(
+    words: np.ndarray, start: int, stop: int, shift: int, spare: int, dtype: np.dtype
+) -> np.ndarray:
+    """The keys of a stack of words, points-major: at ``[j, r]``, for point j
+    of word r, ``shift + (i - start)`` for the first position
+    ``start <= i < stop`` that holds the point's label, else the unique
+    ``spare + label``.  Computed in ``intp``, since a key may not fit the
+    words' dtype, and returned as a C-ordered ``(points, words)`` array of
+    ``dtype``."""
     labels = words.astype(np.intp)
     if start == stop:
-        return spare + labels
-    hits = words[:, :, None] == words[:, None, start:stop]
-    return np.where(hits.any(axis=2), shift + hits.argmax(axis=2), spare + labels)
+        keys = spare + labels
+    else:
+        hits = words[:, :, None] == words[:, None, start:stop]
+        keys = np.where(hits.any(axis=2), shift + hits.argmax(axis=2), spare + labels)
+    return keys.T.astype(dtype, order="C")
 
 
 def glue_rows(firsts: np.ndarray, seconds: np.ndarray, c: int) -> np.ndarray:
@@ -118,10 +125,13 @@ def glue_rows(firsts: np.ndarray, seconds: np.ndarray, c: int) -> np.ndarray:
     most ``GLUE_CHUNK_CELLS`` point cells (one chunk holds at least one row).
 
     Every point carries the key of its block, the result position of the
-    block's first surviving point; each pair is one row of keys, a's points
-    followed by b's.  A seam pair gives both blocks the lesser key, so the
-    key of each surviving point says at once whether it opens a block of the
-    result.
+    block's first surviving point.  A chunk holds its keys points-major: one
+    row per point, a's points followed by b's, and one column per pair, so
+    every step below reads whole contiguous rows.  A seam pair gives both
+    blocks the lesser key, so the key of each surviving point says at once
+    whether it opens a block of the result; a cumulative count of the
+    openers down each column numbers the blocks, and one flat gather reads
+    each point's block number at its key's row.
     """
     (r_count, m), (s_count, n) = firsts.shape, seconds.shape
     size, k = m + n, m + n - 2 * c
@@ -131,23 +141,27 @@ def glue_rows(firsts: np.ndarray, seconds: np.ndarray, c: int) -> np.ndarray:
     # a key is a position of the result or, for a block that loses all its
     # points, a spare value from k upwards
     dtype = np.min_scalar_type(k + size)
-    key_a = _first_kept(firsts, 0, m - c, 0, k).astype(dtype)
-    key_b = _first_kept(seconds, c, n, m - c, k + m).astype(dtype)
-    positions = np.arange(k)
+    key_a = _first_kept(firsts, 0, m - c, 0, k, dtype)
+    key_b = _first_kept(seconds, c, n, m - c, k + m, dtype)
+    positions = np.arange(k)[:, None]
     step = max(1, GLUE_CHUNK_CELLS // (r_count * size))
     for s0 in range(0, s_count, step):
-        b = key_b[s0 : s0 + step]
-        keys = np.empty((len(b), r_count, size), dtype)
-        keys[:, :, :m] = key_a
-        keys[:, :, m:] = b[:, None, :]
-        keys = keys.reshape(-1, size)
+        b = key_b[:, s0 : s0 + step]
+        pairs = b.shape[1] * r_count
+        keys = np.empty((size, b.shape[1], r_count), dtype)
+        keys[:m] = key_a[:, None, :]
+        keys[m:] = b[:, :, None]
+        keys = keys.reshape(size, pairs)
         for i in range(c):
-            x, y = keys[:, m - 1 - i], keys[:, m + i]
-            low, high = np.minimum(x, y)[:, None], np.maximum(x, y)[:, None]
+            x, y = keys[m - 1 - i], keys[m + i]
+            low, high = np.minimum(x, y), np.maximum(x, y)
             keys -= (keys == high) * (high - low)
-        kept = np.concatenate((keys[:, : m - c], keys[:, m + c :]), axis=1)
-        rank = np.cumsum(kept == positions, axis=1, dtype=dtype) - dtype.type(1)
-        out[s0 * r_count : s0 * r_count + len(keys)] = np.take_along_axis(rank, kept, axis=1)
+        kept = np.concatenate((keys[: m - c], keys[m + c :]))
+        rank = np.cumsum(kept == positions, axis=0, dtype=dtype) - dtype.type(1)
+        # the flat index of cell (key, pair) reaches k * pairs, past the
+        # keys' dtype, so it is formed in intp
+        index = kept.astype(np.intp) * pairs + np.arange(pairs)
+        out[s0 * r_count : s0 * r_count + pairs] = rank.take(index).T
     return out
 
 
@@ -307,6 +321,20 @@ def sorted_partitions(upper_count: int, lower_count: int, words: Iterable[Word])
         out.append(p)
     out.sort(key=attrgetter("_canonical_text"))
     return out
+
+
+def one_row_texts(words: Iterable[Word]) -> list[str]:
+    """The canonical texts of the one-row partitions P(0, n) with the given
+    normalized words, in the order given.  No :class:`Partition` is built:
+    each word is walked once, with the point codes built once per length."""
+    codes: dict[int, list[str]] = {}
+    texts = []
+    for w in words:
+        n = len(w)
+        if n not in codes:
+            codes[n] = _codes(0, n)
+        texts.append(_text(0, n, w, codes[n]))
+    return texts
 
 
 def word_noncrossing(word: Word) -> bool:

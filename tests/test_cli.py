@@ -100,7 +100,7 @@ def test_closure_stops_at_the_fusion_cap(capsys, monkeypatch):
         code, out, err = run(capsys, "closure", *gens, "--budget", budget, "--ibudget", ibudget)
         assert code == 0
         assert out and out == sorted(out)
-        assert err.endswith(" saturated=False\n"), budget
+        assert err.endswith(" saturated=False stop_reason=fusion_cap\n"), budget
 
 
 def test_closure_budget_error_exit_code(capsys):

@@ -120,7 +120,7 @@ DIGESTS = [
         ("closure", "--gen", "P(0,1): l1", "--budget", "6", "--ibudget", "12"),
         89,
         "9c2e77984711080ae364f0a2ba7659f3a8f1820c0ed966d9a208ebc5ffa275ea",
-        "# elements=89 saturated=True\n",
+        "# elements=89 saturated=True stop_reason=saturated\n",
     ),
     (
         ("enumerate", "--category", "B'+", "--points", "6"),
@@ -156,11 +156,13 @@ DIGESTS = [
     # S's catalog generators at 7/14, appended last so that the cases above
     # keep their ids: Bell(0) + ... + Bell(7) words
     (
-        ("closure", "--gen", SINGLETON, "--gen", FOUR_BLOCK, "--gen", CROSSING)
-        + ("--budget", "7", "--ibudget", "14"),
+        (
+            "closure", "--gen", SINGLETON, "--gen", FOUR_BLOCK, "--gen", CROSSING,
+            "--budget", "7", "--ibudget", "14",
+        ),
         1156,
         "cf28f4ca3522f8b416928988b931c9b1887026889acccf24da7acff692ff8b32",
-        "# elements=1156 saturated=True\n",
+        "# elements=1156 saturated=True stop_reason=saturated\n",
     ),
 ]
 
