@@ -137,13 +137,16 @@ def test_check_functor_argument_errors(pairs_upto_4_4):
 
 
 def test_dimension_one_takes_any_number_of_points():
-    # every T-matrix at n = 1 is [[1]], past numpy's 64 axes too
-    p = block(70)
-    t = lm.t_matrix(p, 1)
-    assert t.dtype == np.int64 and t.tolist() == [[1]]
-    assert lm.check_functor(p, involute(p), 1)
+    # every T-matrix at n = 1 is [[1]], past numpy's 64 axes too (32 on
+    # numpy 1.x): 70 legs in one block, and 70 blocks of one leg each
+    singletons = tuple(range(70))
+    for p in (block(70), partition_from_word(singletons), partition_from_word(singletons, 35, 35)):
+        t = lm.t_matrix(p, 1)
+        assert t.dtype == np.int64 and t.tolist() == [[1]]
+        assert lm.check_functor(p, involute(p), 1)
+    assert lm.check_functor(p, p, 1)
     with pytest.raises(ArityMismatchError):
-        lm.check_functor(p, p, 1)
+        lm.check_functor(block(70), block(70), 1)
 
 
 def test_check_functor_random_pairs():
