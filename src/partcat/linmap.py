@@ -9,20 +9,24 @@ sum (t_a - 1) * n^(k - a).
 ``t_matrix``, ``intertwiner_table`` and ``check_functor`` all start from
 xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary word w (legs
 u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant along every
-block, built by one function.  ``t_matrix`` builds xi of the word read in
-matrix order (l_1 .. l_l, then u_1 .. u_k), whose reshape is the int64
-matrix itself.  By Frobenius reciprocity, for orthogonal u,
+block, built by one function, ``_xi``, with the value of those entries and
+the dtype as parameters.  ``t_matrix`` builds xi of the word read in matrix
+order (l_1 .. l_l, then u_1 .. u_k), whose reshape is the int64 matrix
+itself.  By Frobenius reciprocity, for orthogonal u,
 T_p u^{tensor k} = u^{tensor l} T_p exactly when u^{tensor m} xi_w = xi_w
 (Banica-Speicher, arXiv:0808.2628): one test per word, shared by every
 rotation of p, with u applied to one leg at a time.
 
 ``check_functor`` tests the functor law p -> T_p with no T-matrix built.
 Each matrix identity becomes a vector identity by one fixed bijection of
-legs applied to both sides: composition is one contraction of xi_p with
-xi_q (q's upper legs reversed) over the middle legs, the tensor product is
-one outer product (the walk of p (x) q is q's upper legs, all of p, q's
-lower legs), and involution reverses all legs of xi_p and of xi_q.  The
-dense check on T-matrices and ``np.kron`` is kept in
+legs applied to both sides, and the bijection is applied to the words
+before any xi is built, so no array is transposed: composition is one
+contraction of xi_p with xi of q's word with its upper legs reversed, over
+the middle legs; the tensor product's word, put in the order of p's legs,
+then q's, has as xi the outer product of those two; and the word of each
+involution, read backwards, has xi_p (or q's) as xi.  The three 0/1
+identities are compared in one-byte vectors, the contraction in int64.
+The dense check on T-matrices and ``np.kron`` is kept in
 ``tests/block_reference.py`` as the reference its verdicts are tested
 against.
 
@@ -86,20 +90,28 @@ def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     return 1
 
 
-def _xi(word: tuple[int, ...], n: int) -> np.ndarray:
-    """xi_w as an int64 0/1 vector of n^len(w) entries, legs in word order,
-    big-endian.
+def _xi(word: tuple[int, ...], n: int, value: int = 1, dtype: type = np.int64) -> np.ndarray:
+    """xi_w times ``value``: the vector of n^len(w) entries, legs in word
+    order, big-endian, that is ``value`` where the indices are constant along
+    every block of w and 0 elsewhere.
 
-    The 1 entries are the generalized diagonal of the legs: the view of xi
-    with one axis per block, each leg on its block's axis.  Callers bound the
-    legs with ``check_tensor_cap`` (at most 26 for n >= 2), well inside the
-    52 subscripts of ``np.einsum``.
+    Those entries are the generalized diagonal of the legs, set through a
+    strided view of xi with one axis per block label 0 .. max(w) (the blocks
+    of a normalized word, or of any reordering of one), whose stride is the
+    sum of its legs' strides.  Callers bound the legs with
+    ``check_tensor_cap`` (at most 26 for n >= 2), within numpy's 32 axes; at
+    n = 1 the one entry is set directly, for any number of blocks.
     """
     if n == 1 or not word:
-        return np.ones(1, dtype=np.int64)
-    xi = np.zeros((n,) * len(word), dtype=np.int64)
-    np.einsum(xi, list(word), list(range(max(word) + 1)))[...] = 1
-    return xi.ravel()
+        return np.full(1, value, dtype=dtype)
+    xi = np.zeros(n ** len(word), dtype=dtype)
+    strides = [0] * (max(word) + 1)
+    step = xi.itemsize
+    for x in reversed(word):
+        strides[x] += step
+        step *= n
+    np.ndarray((n,) * len(strides), dtype, xi, 0, strides)[...] = value
+    return xi
 
 
 def t_matrix(p: Partition, n: int) -> np.ndarray:
@@ -112,36 +124,32 @@ def t_matrix(p: Partition, n: int) -> np.ndarray:
     return _xi(p.word[k:] + p.word[:k][::-1], n).reshape(n**l, n**k)
 
 
-def _matches(
-    r: Partition, shape: tuple[int, int], n: int, expected: np.ndarray, scale: int = 1
-) -> bool:
-    """Whether r has the (upper, lower) ``shape`` and ``scale * xi_r``
-    equals ``expected`` entry by entry."""
-    if (r.upper_count, r.lower_count) != shape:
-        return False
-    return bool((scale * _xi(r.word, n) == expected.ravel()).all())
-
-
 def check_functor(p: Partition, q: Partition, n: int) -> bool:
     """Check the diagram-to-matrix identities on a composable pair.
 
     Composition picks up one factor n per removed loop; tensor product maps
     to the Kronecker product; turning a diagram upside down transposes.  Each
     identity is checked on xi vectors: both sides of the matrix identity go
-    through one fixed bijection of legs, so every verdict is that of the
+    through one fixed bijection of legs, applied to the words before any xi
+    is built, so no array is transposed and every verdict is that of the
     dense check on T-matrices (kept in ``tests/block_reference.py``).  With
-    X_w the matrix of xi_w with rows u_k .. u_1 and columns l_1 .. l_l:
+    xp = xi_p, legs u_k .. u_1 then l_1 .. l_l, and yq = xi of q's word
+    with its upper legs reversed, u_1 .. u_k then l_1 .. l_l:
 
-    * ``T_q T_p = n^loops T_qp`` is ``X_p Y_q = n^loops X_qp``, where Y_q is
-      X_q with its upper legs reversed, so that both sides of the
-      contraction list the middle legs in the same order;
+    * ``T_q T_p = n^loops T_qp``: xp contracted with yq over the middle legs,
+      listed in the same order on both sides, is n^loops xi_qp;
     * ``T_{p (x) q} = T_p (x) T_q``: the walk of p (x) q is q's upper legs,
-      all of p's legs, then q's lower legs, so xi_{p (x) q} is the outer
-      product of xi_q, split after its upper legs, with xi_p in the middle;
-    * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi_{p*} is
-      xi_p with all its legs reversed, and likewise for q.
+      all of p's legs, then q's lower legs.  Its word put in the order of
+      p's legs, then q's legs as in yq, has as xi the outer product of xp
+      and yq;
+    * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi of the
+      word of p* read backwards is xp; likewise for q, with its upper legs
+      reversed as in yq.
 
-    The shape of each operation's result is compared first.
+    The shapes of all four results are compared before any vector.  The
+    three 0/1 identities are compared in one-byte vectors; the contraction
+    counts loops, so it and xi_qp, built already scaled by n^loops, are
+    int64.  Each identity is one comparison of two vectors' bytes.
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
@@ -152,16 +160,27 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     check_tensor_cap(n, kp + lp + kq + lq)
     if n == 1:
         return True  # every T-matrix at n = 1 is [[1]]
-    xp, xq = _xi(p.word, n), _xi(q.word, n)
-    yq = xq.reshape((n,) * kq + (n**lq,)).transpose(*reversed(range(kq)), kq)
-    product = xp.reshape(n**kp, n**lp) @ yq.reshape(n**kq, n**lq)
-    outer = xq.reshape(n**kq, 1, n**lq) * xp.reshape(1, -1, 1)
-    comp = compose(p, q)
+    comp, tens, p_star, q_star = compose(p, q), tensor(p, q), involute(p), involute(q)
+    shapes = [(r.upper_count, r.lower_count) for r in (comp.result, tens, p_star, q_star)]
+    if shapes != [(kp, lq), (kp + kq, lp + lq), (lp, kp), (lq, kq)]:
+        return False
+    byte = np.bool_
+    xp = _xi(p.word, n, dtype=byte)
+    yq = _xi(q.word[:kq][::-1] + q.word[kq:], n, dtype=byte)
+    product = np.matmul(xp.reshape(n**kp, n**lp), yq.reshape(n**kq, n**lq), dtype=np.int64)
+    # the walk of p (x) q is q's upper legs, p's legs, q's lower legs
+    t, end = tens.word, kq + kp + lp
+    p_then_q = t[kq:end] + t[:kq][::-1] + t[end:]
+    # the walk of q* is q's lower legs backwards, then its upper legs: q_back
+    # lists q's legs as yq does
+    q_back = q_star.word[lq:] + q_star.word[:lq][::-1]
+    # both sides of an identity have one dtype and one length: equal bytes
+    # are equal entries
     return (
-        _matches(comp.result, (kp, lq), n, product, n**comp.removed_loops)
-        and _matches(tensor(p, q), (kp + kq, lp + lq), n, outer)
-        and _matches(involute(p), (lp, kp), n, xp.reshape((n,) * (kp + lp)).T)
-        and _matches(involute(q), (lq, kq), n, xq.reshape((n,) * (kq + lq)).T)
+        _xi(comp.result.word, n, n**comp.removed_loops).tobytes() == product.tobytes()
+        and _xi(p_then_q, n, dtype=byte).tobytes() == (xp[:, None] * yq).tobytes()
+        and _xi(p_star.word[::-1], n, dtype=byte).tobytes() == xp.tobytes()
+        and _xi(q_back, n, dtype=byte).tobytes() == yq.tobytes()
     )
 
 

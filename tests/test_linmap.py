@@ -177,9 +177,9 @@ def test_check_functor_catches_a_broken_operation(monkeypatch, name, broken, fai
 
 @pytest.mark.parametrize("name,broken,dims", [
     (None, None, (1, 2, 3)),
-    ("compose", _one_extra_loop, (1, 2)),
-    ("tensor", lambda p, q: ops.tensor(q, p), (1, 2)),
-    ("involute", lambda p: p, (1, 2)),
+    ("compose", _one_extra_loop, (1, 2, 3)),
+    ("tensor", lambda p, q: ops.tensor(q, p), (1, 2, 3)),
+    ("involute", lambda p: p, (1, 2, 3)),
 ], ids=["unpatched", "compose", "tensor", "involute"])
 def test_check_functor_matches_the_dense_check(monkeypatch, pairs_upto_4_4, name, broken, dims):
     # the same operation is broken for both checks
@@ -192,21 +192,30 @@ def test_check_functor_matches_the_dense_check(monkeypatch, pairs_upto_4_4, name
 
 
 @st.composite
-def composable_pairs(draw):
-    """p and q of 5 or 6 points each, with as many upper points on q as lower on p."""
-    m = draw(st.integers(min_value=5, max_value=6))
+def composable_pairs(draw, fewest: int, most: int):
+    """p and q of ``fewest`` to ``most`` points each, with as many upper
+    points on q as lower on p."""
+    m = draw(st.integers(min_value=fewest, max_value=most))
     k = draw(st.integers(min_value=0, max_value=m))
     p = partition_from_word(draw(words(m)), k, m - k)
     mid = m - k
-    mq = draw(st.integers(min_value=max(5, mid), max_value=6))
+    mq = draw(st.integers(min_value=max(fewest, mid), max_value=most))
     return p, partition_from_word(draw(words(mq)), mid, mq - mid)
 
 
 @settings(max_examples=200, deadline=None)
-@given(composable_pairs())
+@given(composable_pairs(5, 6))
 def test_check_functor_matches_the_dense_check_on_larger_pairs(pair):
     p, q = pair
     assert lm.check_functor(p, q, 2) == ref.check_functor(p, q, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_pairs(3, 5))
+def test_check_functor_matches_the_dense_check_on_larger_pairs_at_n_3(pair):
+    # n = 3 is the dimension of the intertwine benchmark and of criterion 10
+    p, q = pair
+    assert lm.check_functor(p, q, 3) == ref.check_functor(p, q, 3)
 
 
 # ---------------------------------------------------------------------------
