@@ -42,7 +42,14 @@ from typing import Callable, Iterator
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from .ops import ENUMERATION_CAP, LISTING_CAP, check_enumeration_cap, iter_words
-from .partition import Partition, Word, partition_from_word, sorted_partitions, word_noncrossing
+from .partition import (
+    Partition,
+    Word,
+    _quote,
+    partition_from_word,
+    sorted_partitions,
+    word_noncrossing,
+)
 
 # ---------------------------------------------------------------------------
 # named partitions
@@ -437,7 +444,7 @@ def catalog_entry(name: str) -> CatalogEntry:
     else:
         if name == f"H^({s})":
             return series_entry(s)
-    raise BadParamError(f"unknown category {name!r}")
+    raise BadParamError(f"unknown category {_quote(name)}")
 
 
 def enumerate_category(name: str, total_points: int) -> list[Partition]:

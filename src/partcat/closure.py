@@ -19,9 +19,13 @@ The worklist of :func:`generate_closure` keeps three invariants:
   contractions of that result, and gluing in the other order gives a cyclic
   shift of a glue already made.
 
-The pairings of one representative run as one batch (``glue_rows`` from
-:mod:`partcat.partition`, one call per second-operand length), and the
-batch gives the same run, glue for glue, as a loop of single glues.  Its
+The pairings of one representative run as one batch: one ``glue_rows``
+call from :mod:`partcat.partition` over every second operand, whatever its
+length, read off in one pass that turns only the distinct glued rows into
+words.  The second operands are the rows of two buffers in queue order,
+padded to one width (the rotations of each representative and each whole
+orbit), so a row's place in the loop below is a running count.  The batch
+gives the same run, glue for glue, as a loop of single glues.  Its
 operands are fixed when the representative w is dequeued: the second
 operands come from the orbits queued up to w, and new orbits only join the
 queue after it.  The stored set only grows, so a result already stored when
@@ -51,13 +55,13 @@ The stored words are normalized one-row forms, so
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from . import partition
 from .errors import BadParamError, BudgetError
 from .ops import bell_number, catalan_number
 from .partition import (
@@ -106,107 +110,112 @@ def _contract(w: Word, i: int) -> Word:
     return normalize_word(rest)
 
 
-class _Rows:
-    """Words of one length as the rows of one growing small-int buffer, added
-    in groups; group g is ``buffer[ends[g]:ends[g + 1]]``."""
+def _grown(array: np.ndarray, rows: int, used: int, fill: int) -> np.ndarray:
+    """A copy of ``array`` with ``rows`` rows: its first ``used`` rows, then ``fill``."""
+    grown = np.full((rows, *array.shape[1:]), fill, array.dtype)
+    grown[:used] = array[:used]
+    return grown
 
-    def __init__(self, length: int) -> None:
-        self.buffer = np.empty((8, length), np.min_scalar_type(max(length - 1, 0)))
+
+class _Rows:
+    """Words of any length up to ``width``, in queue order, as the rows of one
+    growing small-int buffer, each padded past its length with the label
+    ``width``, which no word uses; ``lengths`` holds the length of each row.
+    The words come in groups, one per queued orbit: group g is rows
+    ``ends[g]:ends[g + 1]``."""
+
+    def __init__(self, width: int) -> None:
+        dtype = np.min_scalar_type(width)
+        self.buffer = np.full((8, width), width, dtype)
+        self.lengths = np.empty(8, dtype)
         self.ends = [0]
 
+    def __len__(self) -> int:
+        """The number of groups."""
+        return len(self.ends) - 1
+
     def add_group(self, words: list[Word]) -> None:
+        """Add one group of words of one length."""
         size, end = self.ends[-1], self.ends[-1] + len(words)
         if end > len(self.buffer):
-            grown = np.empty((max(end, 2 * size), self.buffer.shape[1]), self.buffer.dtype)
-            grown[:size] = self.buffer[:size]
-            self.buffer = grown
-        self.buffer[size:end] = words
+            rows = max(end, 2 * size)
+            self.buffer = _grown(self.buffer, rows, size, self.buffer.shape[1])
+            self.lengths = _grown(self.lengths, rows, size, 0)
+        n = len(words[0])
+        self.buffer[size:end, :n] = words
+        self.lengths[size:end] = n
         self.ends.append(end)
 
-    def group(self, g: int) -> np.ndarray:
-        return self.buffer[self.ends[g] : self.ends[g + 1]]
 
-
-class _Orbits:
-    """The queued orbits of one word length, in queue order: the queue index
-    of each, the rotations of its representative and its whole orbit."""
-
-    def __init__(self, length: int) -> None:
-        self.queue_index: list[int] = []
-        self.turns, self.orbits = _Rows(length), _Rows(length)
-
-    def push(self, queue_index: int, turns: list[Word], orbit: list[Word]) -> int:
-        """Record one orbit; return its slot."""
-        self.queue_index.append(queue_index)
-        self.turns.add_group(turns)
-        self.orbits.add_group(orbit)
-        return len(self.queue_index) - 1
-
-
-def _new_rows(rows: np.ndarray, stored: set[Word]) -> list[tuple[int, Word]]:
-    """The first occurrence of each row that is not a stored word, as (row
-    index, word).  Rows are told apart by their bytes; only one row per
-    distinct value becomes a tuple."""
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of the first occurrence of each distinct row, in no
+    particular order.  Rows are told apart by their bytes, in chunks of at
+    most ``GLUE_CHUNK_CELLS`` cells, with one dict of the rows seen across
+    the chunks."""
     width = rows.itemsize * rows.shape[1]
-    keys = rows.view((np.void, width)).ravel().tolist() if width else [b""] * len(rows)
-    # the last write of a key wins, so walk backwards to keep the least index
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    index = list(first.values())
-    words = map(tuple, rows[index].tolist())
-    return [(i, w) for i, w in zip(index, words) if w not in stored]
+    step = max(1, partition.GLUE_CHUNK_CELLS // max(1, rows.shape[1]))
+    first: dict[bytes, int] = {}
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        keys = chunk.view((np.void, width)).ravel().tolist() if width else [b""] * len(chunk)
+        # the last write of a key wins, so walk backwards to keep the least index
+        found = dict(zip(reversed(keys), range(lo + len(keys) - 1, lo - 1, -1)))
+        if first:  # the rows of earlier chunks come first
+            first.update((key, i) for key, i in found.items() if key not in first)
+        else:
+            first = found
+    return np.array(list(first.values()), np.intp)
 
 
 def _pair_batch(
-    queue: list[tuple[int, int]],
-    by_length: dict[int, _Orbits],
+    turns: _Rows,
+    orbits: _Rows,
     qi: int,
     point_budget: int,
     stored: set[Word],
-    complete: set[int],
+    complete: np.ndarray,
+    count_only: bool,
 ) -> tuple[int, list[tuple[int, Word]]]:
-    """All glues of representative w = ``queue[qi]`` at once.
+    """All glues of representative w, queued orbit ``qi``, in one kernel call.
 
-    Glue j is the j-th of the loop: v over ``queue[:qi + 1]``, then the
-    second operand b over v's orbit (over the rotations of v's
+    Glue j is the j-th of the loop: v over the orbits queued up to w, then
+    the second operand b over v's orbit (over the rotations of v's
     representative when w is its own mirror image), then the first operand
     a over the rotations of w's representative, at the width c fixed by the
-    two lengths.  Returns the number of glues and, sorted by j, (j, word)
-    for the first glue of each word that is not in ``stored``.  The glues
-    whose results have a length in ``complete``, all of whose words are
-    stored, are counted but not computed.
+    two lengths.  The rows of ``turns`` and ``orbits`` run in the order of
+    v and b, so b's place in the loop is the number of fitting second
+    operands before it.  Returns the number of glues and, sorted by j,
+    (j, word) for the first glue of each word that is not in ``stored``.
+    The glues whose results have a length k with ``complete[k]``, all of
+    whose words are stored, are counted but not computed; with
+    ``count_only`` no glue is computed.
     """
-    m, slot = queue[qi]
-    firsts = by_length[m].turns.group(slot)
-    symmetric = len(firsts) == len(by_length[m].orbits.group(slot))
-    r_count = len(firsts)
-    # per length with a fitting width: its second operands up to queue[qi]
-    parts = []
-    for n, group in by_length.items():
-        c = max(0, (m + n - point_budget + 1) // 2)
-        count = bisect_right(group.queue_index, qi)
-        if c <= min(m, n) and count:
-            rows = group.turns if symmetric else group.orbits
-            parts.append((group, rows, rows.buffer[: rows.ends[count]], c))
-
-    def position(group: _Orbits, rows: _Rows, s: int) -> int:
-        """The place of second operand ``rows.buffer[s]`` in the loop over b."""
-        g = bisect_right(rows.ends, s) - 1
-        v = group.queue_index[g]
-        # the second operands of every orbit queued before v come first
-        earlier = sum(
-            other_rows.ends[bisect_left(other.queue_index, v)] for other, other_rows, _, _ in parts
-        )
-        return earlier + s - rows.ends[g]
-
-    total = 0
+    start, stop = turns.ends[qi], turns.ends[qi + 1]
+    m, r_count = int(turns.lengths[start]), stop - start
+    firsts = turns.buffer[start:stop, :m]
+    symmetric = r_count == orbits.ends[qi + 1] - orbits.ends[qi]
+    rows = turns if symmetric else orbits
+    n = rows.lengths[: rows.ends[qi + 1]].astype(np.intp)
+    c = np.maximum(0, (m + n - point_budget + 1) // 2)
+    fit = c <= np.minimum(m, n)
+    total = r_count * int(np.count_nonzero(fit))
+    k = m + n - 2 * c  # at most point_budget
+    seconds = np.flatnonzero(fit & ~complete[k])
+    if count_only or not len(seconds):
+        return total, []
+    position = (np.cumsum(fit) - 1)[seconds]
+    glued = glue_rows(firsts, rows.buffer[seconds], n[seconds], c[seconds])
+    index = _distinct_rows(glued)
+    s, r = np.divmod(index, r_count)
+    glue_order = r_count * position[s] + r
+    lengths = k[seconds][s]
     candidates = []
-    for group, rows, seconds, c in parts:
-        total += r_count * len(seconds)
-        if m + seconds.shape[1] - 2 * c in complete:
-            continue
-        for i, word in _new_rows(glue_rows(firsts, seconds, c), stored):
-            s, r = divmod(i, r_count)
-            candidates.append((r_count * position(group, rows, s) + r, word))
+    # one tuple per distinct row, cut to its length
+    for length in set(lengths.tolist()):
+        rows_of_length = lengths == length
+        words = map(tuple, glued[index[rows_of_length], :length].tolist())
+        glues = zip(glue_order[rows_of_length].tolist(), words)
+        candidates += [(j, word) for j, word in glues if word not in stored]
     candidates.sort()
     return total, candidates
 
@@ -339,10 +348,11 @@ def generate_closure(
     # lengths with none left
     noncrossing = all(word_noncrossing(g.word) for g in gens)
     missing: dict[int, int] = {}
-    complete: set[int] = set()
-    # the queue holds (length, slot in the length's _Orbits) per orbit
-    queue: list[tuple[int, int]] = []
-    by_length: dict[int, _Orbits] = {}
+    complete = np.zeros(pb + 1, bool)
+    # the queue: per queued orbit, the rotations of its representative and
+    # the whole orbit; every queued word is a generator or has at most pb points
+    width = max([pb, *(g.n_points for g in gens)])
+    turns, orbits = _Rows(width), _Rows(width)
 
     targets: set[Word] = set()
     if stop_when is not None:
@@ -362,7 +372,7 @@ def generate_closure(
             pool = stored if len(w) <= pb else big
             if w in pool:
                 continue
-            turns, orbit = _orbit(w)
+            rotations, orbit = _orbit(w)
             pool.update(orbit)
             if pool is stored:
                 n = len(w)
@@ -370,12 +380,10 @@ def generate_closure(
                     missing[n] = _universe(n, noncrossing)
                 missing[n] -= len(orbit)
                 if not missing[n]:
-                    complete.add(n)
+                    complete[n] = True
             found.update(targets.intersection(orbit))
-            group = by_length.get(len(w))
-            if group is None:
-                group = by_length[len(w)] = _Orbits(len(w))
-            queue.append((len(w), group.push(len(queue), turns, orbit)))
+            turns.add_group(rotations)
+            orbits.add_group(orbit)
             rep = orbit[0]
             if len(rep) >= 2:
                 pending.extend(_contract(rep, i) for i in range(len(rep)))
@@ -387,8 +395,10 @@ def generate_closure(
     fusion_ops = 0
     stop_reason: StopReason = "saturated"
     qi = 0
-    while qi < len(queue):  # the queue grows meanwhile
-        total, candidates = _pair_batch(queue, by_length, qi, pb, stored, complete)
+    while qi < len(turns):  # the queue grows meanwhile
+        # once the cap is reached or every target found, no glue is replayed
+        stopped = fusion_ops == max_fusion_ops or (bool(targets) and targets <= found)
+        total, candidates = _pair_batch(turns, orbits, qi, pb, stored, complete, stopped)
         qi += 1
         # replay the batch in glue order: stop before glue j once the cap is
         # reached or every target has been found

@@ -94,74 +94,138 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
     return tuple(out), max(a, default=-1) + max(b, default=-1) + 2 - merges - len(first)
 
 
-GLUE_CHUNK_CELLS = 1 << 14  # point cells per chunk of :func:`glue_rows`
+GLUE_CHUNK_CELLS = 1 << 16  # cells per chunk of :func:`glue_rows` and of the closure's row pass
 
 
 def _first_kept(
-    words: np.ndarray, start: int, stop: int, shift: int, spare: int, dtype: np.dtype
+    words: np.ndarray,
+    lengths: np.ndarray,
+    starts: np.ndarray,
+    shifts: np.ndarray,
+    spare: int,
+    dtype: np.dtype,
 ) -> np.ndarray:
-    """The keys of a stack of words, points-major: at ``[j, r]``, for point j
-    of word r, ``shift + (i - start)`` for the first position
-    ``start <= i < stop`` that holds the point's label, else the unique
-    ``spare + label``.  Computed in ``intp``, since a key may not fit the
-    words' dtype, and returned as a C-ordered ``(points, words)`` array of
-    ``dtype``."""
-    labels = words.astype(np.intp)
-    if start == stop:
-        keys = spare + labels
-    else:
-        hits = words[:, :, None] == words[:, None, start:stop]
-        keys = np.where(hits.any(axis=2), shift + hits.argmax(axis=2), spare + labels)
-    return keys.T.astype(dtype, order="C")
+    """The keys of a stack of words, points-major: at ``[j, s]``, for point
+    j of word s, ``shifts[s] + i`` for the first position
+    ``starts[s] <= i < lengths[s]`` that holds the point's label, else the
+    unique ``spare + label``.  Built in ``intp``, in chunks of words of at
+    most ``GLUE_CHUNK_CELLS`` comparisons, each chunk against its positions
+    from just before its least start to its greatest length, into a
+    C-ordered ``(points, words)`` array of ``dtype``.  A point past its
+    word's length holds a label that no word uses; it is keyed by itself,
+    or left unset past the longest word of its chunk."""
+    count, w = words.shape
+    keys = np.empty((w, count), dtype)
+    step = max(1, GLUE_CHUNK_CELLS // max(w * w, 1))
+    for s0 in range(0, count, step):
+        start = starts[s0 : s0 + step, None]
+        stop = int(lengths[s0 : s0 + step].max())
+        if not stop:
+            continue
+        # from one position before the least start, which nothing matches, so
+        # argmax puts a point with no match before its start
+        lo = max(0, int(start.min()) - 1)
+        labels = words[s0 : s0 + step, :stop].astype(np.intp)
+        # the points before their word's start match nothing
+        seen = np.where(np.arange(lo, stop) < start, -1, labels[:, lo:])
+        first = lo + (labels[:, :, None] == seen[:, None, :]).argmax(axis=2)
+        found = first >= start
+        keys[:stop, s0 : s0 + step] = np.where(
+            found, first + shifts[s0 : s0 + step, None], spare + labels
+        ).T
+    return keys
 
 
-def glue_rows(firsts: np.ndarray, seconds: np.ndarray, c: int) -> np.ndarray:
-    """``glue(a, b, c)[0]`` for every row a of ``firsts`` and b of ``seconds``.
+def glue_rows(
+    firsts: np.ndarray, seconds: np.ndarray, lengths: np.ndarray, widths: np.ndarray
+) -> np.ndarray:
+    """``glue(a, b[:n], c)[0]`` for every row a of ``firsts`` and every
+    second operand: row b of ``seconds``, with its length n from ``lengths``
+    and its seam width c from ``widths``.
 
-    Both stacks hold normalized words as rows, all of one length per stack.
-    Returns the glued words as the rows of one array, of width
-    ``|a| + |b| - 2c``: row ``s * len(firsts) + r`` glues ``firsts[r]`` to
-    ``seconds[s]``.  The work runs in chunks of whole ``seconds`` rows of at
-    most ``GLUE_CHUNK_CELLS`` point cells (one chunk holds at least one row).
+    ``firsts`` holds normalized words of one length m as rows.  ``seconds``
+    holds normalized words of any lengths, each padded past its length with
+    a label that no word of the stack uses, and each width is at most
+    ``min(m, n)``.  Returns the glued words as the rows of one array whose
+    width K is the greatest ``k = m + n - 2c``: row ``s * len(firsts) + r``
+    glues ``firsts[r]`` to second operand s, padded with the value K past
+    its k points.  The keys of both stacks and the glued rows are built in
+    chunks of at most ``GLUE_CHUNK_CELLS`` cells; a chunk of pairs holds
+    whole ``seconds`` rows, at least one.
 
     Every point carries the key of its block, the result position of the
-    block's first surviving point.  A chunk holds its keys points-major: one
-    row per point, a's points followed by b's, and one column per pair, so
-    every step below reads whole contiguous rows.  A seam pair gives both
-    blocks the lesser key, so the key of each surviving point says at once
-    whether it opens a block of the result; a cumulative count of the
-    openers down each column numbers the blocks, and one flat gather reads
-    each point's block number at its key's row.
+    block's first surviving point.  The kept part of a is a prefix, so a
+    block of a is keyed by its first point, if that point is kept; a block
+    of b by its first point at or after c, before n.  A chunk holds its keys
+    points-major, one column per pair, so every step below reads whole
+    contiguous rows: first the K result positions (a's points below
+    ``m - c``, then b's points from c, then the padding key K), then the
+    seam, one pair of rows (a's point ``m - 1 - i``, b's point i) per seam
+    step i up to the greatest width of the chunk, the last step first.  A
+    seam step gives both blocks the lesser key, in the result rows and the
+    steps still to come, and a column takes part while i < c.  Then the key
+    of each result point says at once whether it opens a block of the
+    result; a cumulative count of the openers down each column numbers the
+    blocks, and one flat gather reads each point's block number at its
+    key's row.
     """
-    (r_count, m), (s_count, n) = firsts.shape, seconds.shape
-    size, k = m + n, m + n - 2 * c
-    out = np.empty((s_count * r_count, k), np.min_scalar_type(max(k - 1, 0)))
+    r_count, m = firsts.shape
+    n, c = np.asarray(lengths, np.intp), np.asarray(widths, np.intp)
+    k = m + n - 2 * c
+    width = int(k.max(initial=0))
+    out = np.empty((len(seconds) * r_count, width), np.min_scalar_type(width))
     if not out.size:
         return out
+    w = int(n.max())
     # a key is a position of the result or, for a block that loses all its
-    # points, a spare value from k upwards
-    dtype = np.min_scalar_type(k + size)
-    key_a = _first_kept(firsts, 0, m - c, 0, k, dtype)
-    key_b = _first_kept(seconds, c, n, m - c, k + m, dtype)
-    positions = np.arange(k)[:, None]
-    step = max(1, GLUE_CHUNK_CELLS // (r_count * size))
-    for s0 in range(0, s_count, step):
-        b = key_b[:, s0 : s0 + step]
-        pairs = b.shape[1] * r_count
-        keys = np.empty((size, b.shape[1], r_count), dtype)
-        keys[:m] = key_a[:, None, :]
-        keys[m:] = b[:, :, None]
-        keys = keys.reshape(size, pairs)
-        for i in range(c):
-            x, y = keys[m - 1 - i], keys[m + i]
+    # points, a spare value above the width; the width itself keys padding
+    dtype = np.min_scalar_type(width + m + w)
+    spare = width + 1
+    zeros = np.zeros(r_count, np.intp)
+    key_a = _first_kept(firsts, zeros + m, zeros, zeros, 0, dtype)[:, :, None]
+    key_b = _first_kept(seconds[:, :w], n, c, m - 2 * c, spare + m, dtype)
+    # per second operand, in result order: whether a position is a's, and
+    # else the key of b's point there, or the padding key past k
+    positions = np.arange(width)[:, None]
+    kept_a = m - c
+    from_a = positions < kept_a
+    from_b = np.where(positions < k, np.maximum(positions - kept_a + c, 0), w)
+    key_b_at = np.concatenate((key_b, np.full((1, len(seconds)), width, dtype)))
+    result_b = np.take_along_axis(key_b_at, from_b, axis=0)
+    result_a = np.zeros((width, r_count, 1), dtype)
+    result_a[:m] = key_a[:width]
+    active = np.arange(int(c.max()))[:, None] < c
+    step = max(1, GLUE_CHUNK_CELLS // (r_count * (width + 1 + 2 * len(active))))
+    columns = np.arange(r_count * min(step, len(seconds)))
+    for s0 in range(0, len(seconds), step):
+        chunk = slice(s0, s0 + step)
+        count = len(kept_a[chunk])
+        pairs = count * r_count
+        c_max = int(c[chunk].max())
+        keys = np.empty((width + 2 * c_max, r_count, count), dtype)
+        keys[:width] = np.where(from_a[:, None, chunk], result_a, result_b[:, None, chunk])
+        seam = keys[width:].reshape(c_max, 2, r_count, count)
+        # a block of a whose first point is glued loses all its points
+        glued_a = key_a[m - c_max : m]
+        seam[:, 0] = glued_a + (glued_a >= kept_a[chunk]) * dtype.type(spare)
+        seam[:, 1] = key_b[:c_max][::-1, None, chunk]
+        for t in range(c_max - 1, -1, -1):
+            x, y = seam[t]
             low, high = np.minimum(x, y), np.maximum(x, y)
-            keys -= (keys == high) * (high - low)
-        kept = np.concatenate((keys[: m - c], keys[m + c :]))
-        rank = np.cumsum(kept == positions, axis=0, dtype=dtype) - dtype.type(1)
-        # the flat index of cell (key, pair) reaches k * pairs, past the
-        # keys' dtype, so it is formed in intp
-        index = kept.astype(np.intp) * pairs + np.arange(pairs)
-        out[s0 * r_count : s0 * r_count + pairs] = rank.take(index).T
+            live = keys[: width + 2 * t]
+            live -= (live == high) * ((high - low) * active[c_max - 1 - t, chunk])
+        kept = keys[:width]
+        rank = np.empty((width + 1, r_count, count), dtype)
+        np.cumsum(kept == positions[:, None], axis=0, dtype=dtype, out=rank[:width])
+        rank[:width] -= 1
+        rank[width] = width
+        # flat indices reach (width + 1) * pairs, past the keys' dtype, so
+        # they are formed in intp
+        index = kept.astype(np.intp)
+        index *= pairs
+        index += columns[:pairs].reshape(r_count, count)
+        glued = rank.take(index)
+        out[s0 * r_count : s0 * r_count + pairs].reshape(count, r_count, width)[...] = glued.T
     return out
 
 

@@ -61,6 +61,17 @@ def test_parse_error_for_a_long_literal_is_short(capsys):
     assert len(err) < 128
 
 
+@pytest.mark.parametrize("argv", [("count", "--kmax", "3"), ("enumerate", "--points", "2")])
+def test_unknown_category_error_for_a_long_name_is_short(capsys, argv):
+    # the name is quoted as parse errors quote their input: at most 40
+    # characters and the length
+    code, out, err = run(capsys, *argv, "--category", "x" * 100_000)
+    assert (code, out) == (2, [])
+    assert err.startswith("error: unknown category 'xxxx")
+    assert err.endswith("... (100000 characters)\n")
+    assert len(err) < 128
+
+
 def test_op_compose_prints_result_and_loops(capsys):
     code, out, _ = run(capsys, "op", "compose", "P(0,2): l1,l2", "P(2,0): u1,u2")
     assert code == 0

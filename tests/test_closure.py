@@ -266,51 +266,60 @@ def test_glue_is_iterated_seam_contraction():
                 assert glue(a, b, c)[0] == expected, (a, b, c)
 
 
+def _check_glue_rows(firsts, seconds, dtype=np.uint8):
+    """Glue every word of ``firsts`` (one length) to every (word, width) of
+    ``seconds`` (any lengths) in one ``glue_rows`` call, the second
+    operands padded with a label no word uses, and check each row, padding
+    included, against ``glue``."""
+    pad = max((len(b) for b, _ in seconds), default=0)
+    stack = np.full((len(seconds), pad), pad, dtype)
+    for row, (b, _) in zip(stack, seconds):
+        row[: len(b)] = b
+    lengths = [len(b) for b, _ in seconds]
+    widths = [c for _, c in seconds]
+    m = len(firsts[0])
+    first_rows = np.array(firsts, dtype).reshape(len(firsts), m)
+    rows = partition.glue_rows(first_rows, stack, lengths, widths)
+    width = max((m + n - 2 * c for n, c in zip(lengths, widths)), default=0)
+    assert rows.shape == (len(firsts) * len(seconds), width)
+    got = [tuple(row) for row in rows.tolist()]
+    want = []
+    for b, c in seconds:
+        for a in firsts:
+            glued = glue(a, b, c)[0]
+            want.append(glued + (width,) * (width - len(glued)))
+    assert got == want, (m, seconds)
+
+
 @pytest.mark.parametrize("chunk_cells", [1, 64, None])
 def test_glue_rows_matches_glue(monkeypatch, chunk_cells):
-    # every pair of words of up to 5 points, the empty word included, at
-    # every width; one cell per chunk puts each second operand in a chunk
-    # of its own, 64 cells split the larger stacks unevenly
-    import numpy as np
-
-    from partcat import closure, partition
-
+    # per first length m, one stack of every word of up to 5 points, the
+    # empty word included, at every width; one cell per chunk puts each
+    # second operand in a chunk of its own, 64 cells split the larger
+    # stacks unevenly
     if chunk_cells is not None:
         monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", chunk_cells)
     words = {n: list(iter_words(n)) for n in range(6)}
-    stacks = {n: np.array(ws, dtype=np.uint8).reshape(len(ws), n) for n, ws in words.items()}
     for m, firsts in words.items():
-        for n, seconds in words.items():
-            for c in range(min(m, n) + 1):
-                rows = partition.glue_rows(stacks[m], stacks[n], c)
-                assert rows.shape == (len(firsts) * len(seconds), m + n - 2 * c)
-                got = [tuple(row) for row in rows.tolist()]
-                want = [glue(a, b, c)[0] for b in seconds for a in firsts]
-                assert got == want, (m, n, c)
+        seconds = [(b, c) for n, ws in words.items() for c in range(min(m, n) + 1) for b in ws]
+        _check_glue_rows(firsts, seconds)
     # words too long for one-byte labels
-    import random
-
     rng = random.Random(7)
     long = [normalize_word(rng.randrange(40) for _ in range(n)) for n in (130, 140, 140)]
-    for c in (0, 5, 130):
-        rows = partition.glue_rows(np.array(long[:1]), np.array(long[1:]), c)
-        assert [tuple(row) for row in rows.tolist()] == [glue(long[0], b, c)[0] for b in long[1:]]
+    _check_glue_rows(long[:1], [(b, c) for c in (0, 5, 130) for b in long[1:]], np.intp)
 
 
 def test_glue_rows_on_one_byte_stacks_of_long_words():
-    # the labels fit in one byte, the keys (up to k + |a| + |b|) do not
+    # the labels and the pad fit in one byte, the keys (up to k + |a| + |b|) do not
     rng = random.Random(7)
     long = [normalize_word(rng.randrange(40) for _ in range(n)) for n in (130, 140, 140)]
-    firsts, seconds = np.array(long[:1], np.uint8), np.array(long[1:], np.uint8)
-    for c in (0, 5, 130):
-        rows = partition.glue_rows(firsts, seconds, c)
-        assert [tuple(row) for row in rows.tolist()] == [glue(long[0], b, c)[0] for b in long[1:]]
+    _check_glue_rows(long[:1], [(b, c) for c in (0, 5, 130) for b in long[1:]])
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 64, None])
 def test_glue_rows_matches_glue_on_random_stacks(monkeypatch, chunk_cells):
-    # seeded one-byte stacks of 6-12-point words, every pair of lengths at
-    # every width, row by row
+    # seeded one-byte stacks of 6-12-point words: per first length, one
+    # stack of every second length at every width, row by row
     if chunk_cells is not None:
         monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", chunk_cells)
     rng = random.Random(3)
@@ -321,13 +330,12 @@ def test_glue_rows_matches_glue_on_random_stacks(monkeypatch, chunk_cells):
         return [normalize_word(rng.randrange(blocks) for _ in range(n)) for _ in range(rows)]
 
     for m in range(6, 13):
+        seconds = []
         for n in range(6, 13):
-            firsts, seconds = stack(m), stack(n)
-            one_byte = np.array(firsts, np.uint8), np.array(seconds, np.uint8)
-            for c in range(min(m, n) + 1):
-                rows = partition.glue_rows(*one_byte, c)
-                want = [glue(a, b, c)[0] for b in seconds for a in firsts]
-                assert [tuple(row) for row in rows.tolist()] == want, (m, n, c)
+            words = stack(n)
+            seconds += [(b, c) for c in range(min(m, n) + 1) for b in words]
+        rng.shuffle(seconds)
+        _check_glue_rows(stack(m), seconds)
 
 
 def test_glue_in_either_order_agrees_up_to_shift():
@@ -586,6 +594,17 @@ def test_engine_matches_sequential_reference_on_catalog_sets():
         _assert_same_run(gens, 6, 12)
 
 
+def test_engine_matches_sequential_reference_in_small_chunks(monkeypatch):
+    # 16 cells per chunk split a batch into many chunks of the kernel and of
+    # the new-row pass, so a word glued in two chunks must keep its first
+    # glue; the caps stop the replay inside a batch
+    monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", 16)
+    for gens in _catalog_generator_sets():
+        _assert_same_run(gens, 6, 12)
+    for cap in range(0, 400, 7):
+        _assert_same_run([singleton()], 6, 12, max_fusion_ops=cap)
+
+
 def test_engine_matches_sequential_reference_under_every_small_cap():
     # a saturated run takes 3661 glues; caps up to 400 stop it at many
     # different places inside one representative's pairings
@@ -627,14 +646,15 @@ def test_universe_counts_every_word_of_each_length():
 
 
 def _count_glued_pairs(monkeypatch) -> list[int]:
-    """Make ``closure.glue_rows`` add the number of pairs it is handed to
-    the one-item list returned."""
-    glued = [0]
+    """Make ``closure.glue_rows`` add the number of pairs it is handed and
+    its number of calls to the two-item list returned."""
+    glued = [0, 0]
     glue_rows = closure.glue_rows
 
-    def counting(firsts, seconds, c):
+    def counting(firsts, seconds, lengths, widths):
         glued[0] += len(firsts) * len(seconds)
-        return glue_rows(firsts, seconds, c)
+        glued[1] += 1
+        return glue_rows(firsts, seconds, lengths, widths)
 
     monkeypatch.setattr(closure, "glue_rows", counting)
     return glued
@@ -647,6 +667,7 @@ def test_glues_of_complete_lengths_are_counted_not_computed(monkeypatch, name):
     c = generate_closure(catalog_entry(name).generators, 6, 12)
     assert c.saturated
     assert 0 < glued[0] < c.fusion_ops / 4, (glued[0], c.fusion_ops)
+    assert (glued[0], c.fusion_ops) == {"S": (3816, 30878), "S+": (850, 15738)}[name]
 
 
 def test_glues_are_computed_while_their_length_is_incomplete(monkeypatch):
@@ -657,6 +678,34 @@ def test_glues_are_computed_while_their_length_is_incomplete(monkeypatch):
     c = generate_closure([half_lib(), four_block(), h_series(3)], 8, 16)
     assert c.saturated
     assert glued[0] == c.fusion_ops - 1
+
+
+def test_no_glue_is_computed_once_no_glue_can_be_made(monkeypatch):
+    # a target that is a generator is found before the first glue, and a
+    # cap of 0 is reached before it: the first batch is counted, none of
+    # its glues is computed, and the run stops there
+    glued = _count_glued_pairs(monkeypatch)
+    gens = [half_lib(), four_block()]
+    c = generate_closure(gens, 8, 16, stop_when=[four_block()])
+    assert (c.stop_reason, c.fusion_ops) == ("targets_found", 0)
+    c = generate_closure(gens, 8, 16, max_fusion_ops=0)
+    assert (c.stop_reason, c.fusion_ops) == ("fusion_cap", 0)
+    assert glued == [0, 0]
+
+
+def test_one_kernel_call_per_representative(monkeypatch):
+    # the 16 catalog closures at 7/14 under a 500k fusion cap: all the glues
+    # of one representative, whatever the lengths of their second operands,
+    # go to glue_rows in one call, and representatives with nothing to
+    # compute make none
+    glued = _count_glued_pairs(monkeypatch)
+    representatives = 0
+    for gens in _catalog_generator_sets():
+        c = generate_closure(gens, 7, 14, max_fusion_ops=500_000)
+        queued = {closure._orbit(w)[1][0] for w in c.words | c.oversized_words}
+        representatives += len(queued)
+    assert glued[0] == 127_850
+    assert glued[1] <= representatives, (glued[1], representatives)
 
 
 @pytest.mark.parametrize("name,complete_from", [("S", 5969), ("S+", 1106)])
