@@ -29,7 +29,7 @@ from partcat.errors import (
     MemoryCapError,
 )
 from partcat.ops import ComposeResult, Rotation, enumerate_all, enumerate_upto, involute, rotate
-from partcat.partition import parse_partition, partition_from_word
+from partcat.partition import Partition, parse_partition, partition_from_word
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +99,28 @@ def test_rotation_is_a_reshaping():
 # functor identities
 
 
+def test_xi_separates_normalized_words_and_multiplies_over_concatenation():
+    # the two facts that let check_functor decide its 0/1 identities on words
+    for n in (2, 3):
+        for m in range(7):
+            words_m = list(ops.iter_words(m))
+            assert len({lm._xi(w, n).tobytes() for w in words_m}) == ops.bell_number(m) == len(words_m)
+            for w in words_m:
+                xi = lm._xi(w, n).tobytes()
+                assert lm._xi(tuple(x + 3 for x in w), n).tobytes() == xi
+                assert lm._xi(tuple(m - 1 - x for x in w), n).tobytes() == xi
+        for ma in range(7):
+            for mb in range(7 - ma):
+                for a in ops.iter_words(ma):
+                    xa = lm._xi(a, n)
+                    for b in ops.iter_words(mb):
+                        glued = lm._xi(a + tuple(x + ma for x in b), n)
+                        assert np.array_equal(np.outer(xa, lm._xi(b, n)).ravel(), glued)
+    # at n = 1 every word has the one vector [1]: injectivity needs n >= 2
+    for m in range(7):
+        assert all(lm._xi(w, 1).tolist() == [1] for w in ops.iter_words(m))
+
+
 def test_check_functor_examples():
     pair = pair_partition()
     # closed circle: T_{pair*} T_pair = n = n^1 * T_empty
@@ -160,33 +182,68 @@ def _one_extra_loop(p, q):
     return ComposeResult(res.result, res.removed_loops + 1)
 
 
-@pytest.mark.parametrize("name,broken,fails_everywhere", [
-    ("compose", _one_extra_loop, True),
-    ("tensor", lambda p, q: ops.tensor(q, p), False),
-    ("involute", lambda p: p, False),
-], ids=["compose", "tensor", "involute"])
-def test_check_functor_catches_a_broken_operation(monkeypatch, name, broken, fails_everywhere):
-    upto4 = enumerate_upto(4)
-    pairs = [(p, q) for p in upto4 for q in upto4 if q.upper_count == p.lower_count]
+def _unshifted_tensor(p, q):
+    # q's labels are not shifted past p's, so blocks with one label merge
+    k = q.upper_count
+    return partition_from_word(
+        q.word[:k] + p.word + q.word[k:], p.upper_count + k, p.lower_count + q.lower_count
+    )
+
+
+def _reversed_result(p, q):
+    res = ops.compose(p, q)
+    r = res.result
+    return ComposeResult(partition_from_word(r.word[::-1], r.upper_count, r.lower_count), res.removed_loops)
+
+
+def _offset(p):
+    """p with its block labels offset by 7: the same partition, not normalized."""
+    return Partition(p.upper_count, p.lower_count, tuple(x + 7 for x in p.word))
+
+
+def _offset_compose(p, q):
+    res = ops.compose(p, q)
+    return ComposeResult(_offset(res.result), res.removed_loops)
+
+
+# (patched name, replacement, on which pairs the functor law then fails)
+PATCHED_OPERATIONS = {
+    "compose": ("compose", _one_extra_loop, "all"),
+    "tensor": ("tensor", lambda p, q: ops.tensor(q, p), "some"),
+    "involute": ("involute", lambda p: p, "some"),
+    "tensor-unshifted": ("tensor", _unshifted_tensor, "some"),
+    "involute-unreversed": (
+        "involute", lambda p: partition_from_word(p.word, p.lower_count, p.upper_count), "some"
+    ),
+    "compose-reversed": ("compose", _reversed_result, "some"),
+    # correct results whose labels are offset: the law holds on every pair
+    "compose-offset": ("compose", _offset_compose, "none"),
+    "tensor-offset": ("tensor", lambda p, q: _offset(ops.tensor(p, q)), "none"),
+    "involute-offset": ("involute", lambda p: _offset(ops.involute(p)), "none"),
+}
+
+
+@pytest.mark.parametrize("patch", PATCHED_OPERATIONS)
+def test_check_functor_catches_a_broken_operation(monkeypatch, pairs_upto_4_4, patch):
+    name, broken, fails = PATCHED_OPERATIONS[patch]
     monkeypatch.setattr(lm, name, broken)
-    failing = [(p, q) for p, q in pairs if not lm.check_functor(p, q, 2)]
-    assert failing
-    if fails_everywhere:
-        assert len(failing) == len(pairs)
+    failing = [(p, q) for p, q in pairs_upto_4_4 if not lm.check_functor(p, q, 2)]
+    if fails == "all":
+        assert len(failing) == len(pairs_upto_4_4)
+    elif fails == "none":
+        assert not failing
+    else:
+        assert failing
 
 
-@pytest.mark.parametrize("name,broken,dims", [
-    (None, None, (1, 2, 3)),
-    ("compose", _one_extra_loop, (1, 2, 3)),
-    ("tensor", lambda p, q: ops.tensor(q, p), (1, 2, 3)),
-    ("involute", lambda p: p, (1, 2, 3)),
-], ids=["unpatched", "compose", "tensor", "involute"])
-def test_check_functor_matches_the_dense_check(monkeypatch, pairs_upto_4_4, name, broken, dims):
+@pytest.mark.parametrize("patch", [pytest.param(None, id="unpatched"), *PATCHED_OPERATIONS])
+def test_check_functor_matches_the_dense_check(monkeypatch, pairs_upto_4_4, patch):
     # the same operation is broken for both checks
-    if name is not None:
+    if patch is not None:
+        name, broken, _ = PATCHED_OPERATIONS[patch]
         monkeypatch.setattr(lm, name, broken)
         monkeypatch.setattr(ref, name, broken)
-    for n in dims:
+    for n in (1, 2, 3):
         for p, q in pairs_upto_4_4:
             assert lm.check_functor(p, q, n) == ref.check_functor(p, q, n), (n, str(p), str(q))
 
