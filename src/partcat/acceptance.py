@@ -40,7 +40,7 @@ def _result(
     number: int, title: str, t0: float, failures: list[str], budget_s: int | None = None
 ) -> CriterionResult:
     """The criterion's result; running past ``budget_s`` seconds is a failure."""
-    seconds = time.time() - t0
+    seconds = time.perf_counter() - t0
     if budget_s is not None and seconds > budget_s:
         failures.append(f"runtime {seconds:.1f}s exceeds the {budget_s}s budget")
     return CriterionResult(number, title, not failures, seconds, failures)
@@ -69,7 +69,7 @@ def _world_closures(
 
 def criterion_1() -> CriterionResult:
     """Closure of the stated generators equals the predicate set, 7 free categories."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, failures = _world_closures(cat.FREE_NAMES, 8, 16)
     return _result(1, "seven-category closure/predicate equivalence", t0, failures, budget_s=60)
 
@@ -107,7 +107,7 @@ def _fingerprint_name(has_s: bool, has_ss: bool, has_fb: bool, has_pos: bool) ->
 
 def criterion_2() -> CriterionResult:
     """Lattice classification of all 16 generator subsets, fingerprint-checked."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     probes = {
         "s": cat.singleton(),
         "ss": cat.double_singleton(),
@@ -138,14 +138,14 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Closure/predicate equivalence for the six classical categories, k <= 6."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     _, failures = _world_closures(cat.CLASSICAL_NAMES, 6, 12)
     return _result(3, "classical six closure/predicate equivalence", t0, failures, budget_s=120)
 
 
 def criterion_4() -> CriterionResult:
     """Half-liberated categories: closure equality, crossing excluded, half-lib inside."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     closures, failures = _world_closures(cat.HALF_LIBERATED_NAMES, 6, 12)
     for name, closure in closures.items():
         if cat.category_predicate(name)(cat.crossing()):
@@ -169,7 +169,7 @@ _THIRTEEN = (
 
 def criterion_5() -> CriterionResult:
     """classify_easy names each of the 13 nonhyperoctahedral categories; series gcd."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for name in _THIRTEEN:
         res = classify_easy(cat.catalog_entry(name).generators)
@@ -212,7 +212,7 @@ def _expected_counts(name: str) -> list[int]:
 
 def criterion_6() -> CriterionResult:
     """Character-law moment counts match their closed forms, k <= 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for name in ("O+", "S+", "B+", "B#+", "O", "B", "S", "O*"):
         got = list(mo.count_moments(name, 8))
@@ -224,7 +224,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     """Squared Fuss-Catalan generating series reproduces the b_k sequence."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     squared = mo.poly_square(mo.fuss_catalan_series(6))[:7]
     want = tuple(mo.closed_form(mo.B_FORMULA, k) for k in range(7))
@@ -235,7 +235,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Count sequences equal the matching moment-cumulant sums, k <= 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     b_plus = mo.count_moments("B+", 8)
     checks = [
@@ -285,7 +285,7 @@ def criterion_9() -> CriterionResult:
     Positive direction at n=3 for p up to 6 points; negative direction at
     n=4 for p up to 4 points; all four groups both ways.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     listings = {points: enumerate_upto(points) for points in (6, 4)}
     for name, kind, n, points, members in _DICTIONARY:
@@ -302,7 +302,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     """T_q T_p = n^loops T_{composite} for all composable pairs up to 4 points each."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     upto4 = enumerate_upto(4)
     by_upper: dict[int, list[Partition]] = {}

@@ -9,8 +9,8 @@ sum (t_a - 1) * n^(k - a).
 ``t_matrix``, ``intertwiner_table`` and ``check_functor`` all start from
 xi_w, the 0/1 vector in (C^n)^{tensor m} of the boundary word w (legs
 u_k .. u_1, l_1 .. l_l) that is 1 where the indices are constant along every
-block, built by one function, ``_xi``, with the value of those entries and
-the dtype as parameters.  ``t_matrix`` builds xi of the word read in matrix
+block, built in int64 by one function, ``_xi``, with the value of those
+entries as a parameter.  ``t_matrix`` builds xi of the word read in matrix
 order (l_1 .. l_l, then u_1 .. u_k), whose reshape is the int64 matrix
 itself.  By Frobenius reciprocity, for orthogonal u,
 T_p u^{tensor k} = u^{tensor l} T_p exactly when u^{tensor m} xi_w = xi_w
@@ -19,16 +19,28 @@ rotation of p, with u applied to one leg at a time.
 
 ``check_functor`` tests the functor law p -> T_p with no T-matrix built.
 Each matrix identity becomes a vector identity by one fixed bijection of
-legs applied to both sides, and the bijection is applied to the words
-before any xi is built, so no array is transposed: composition is one
-contraction of xi_p with xi of q's word with its upper legs reversed, over
-the middle legs; the tensor product's word, put in the order of p's legs,
-then q's, has as xi the outer product of those two; and the word of each
-involution, read backwards, has xi_p (or q's) as xi.  The three 0/1
-identities are compared in one-byte vectors, the contraction in int64.
-The dense check on T-matrices and ``np.kron`` is kept in
-``tests/block_reference.py`` as the reference its verdicts are tested
-against.
+legs applied to both sides, and the bijection is applied to the words, so
+no array is transposed.  Two facts about xi let words alone decide the
+three 0/1 identities:
+
+* Injectivity.  For n >= 2, words v and w of one length have xi_v = xi_w
+  exactly when ``normalize_word(v) == normalize_word(w)``.  Equal
+  normalized words have the same blocks, so the same xi.  Otherwise some
+  legs a and b share a block of one word, say w, but not of v; the index
+  tuple that is 2 on a's block of v and 1 elsewhere is in the support of
+  xi_v and not in that of xi_w.  At n = 1 every xi is [1].
+* Outer product.  xi_a (x) xi_b is xi of a followed by b's labels shifted
+  past a's: an index tuple on the legs of a and then b is constant along
+  every block of that word exactly when its two halves are constant along
+  the blocks of a and of b.
+
+So the tensor product's word, put in the order of p's legs, then q's, must
+have the normalized word of p's word followed by q's shifted, and the word
+of each involution, read backwards, the normalized word of p (or q's).
+Only composition builds vectors: one int64 contraction of xi_p with xi of
+q's word with its upper legs reversed, over the middle legs.  The dense
+check on T-matrices and ``np.kron`` is kept in ``tests/block_reference.py``
+as the reference its verdicts are tested against.
 
 Four concrete orthogonal groups exercise the partition <-> relation
 dictionary: the permutation matrices S_n, the signed permutation matrices
@@ -53,7 +65,7 @@ from .errors import (
     MemoryCapError,
 )
 from .ops import bell_number, check_listing_size, compose, involute, tensor
-from .partition import Partition
+from .partition import Partition, normalize_word
 
 # bytes of one xi_w or T_p (8 * n^points), of one chunk of xi_w's, of one family of matrices
 T_BYTES_CAP = 1 << 26
@@ -77,6 +89,8 @@ def check_tensor_cap(n: int, points: int) -> None:
 
 def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     """1 iff the indices agree along every block of p, else 0."""
+    if n < 1:
+        raise IndexRangeError(f"dimension must be >= 1, got {n}")
     if len(i) != p.upper_count or len(j) != p.lower_count:
         raise IndexRangeError("index tuple lengths must match the partition shape")
     for t in (*i, *j):
@@ -90,8 +104,8 @@ def delta(p: Partition, i: tuple[int, ...], j: tuple[int, ...], n: int) -> int:
     return 1
 
 
-def _xi(word: tuple[int, ...], n: int, value: int = 1, dtype: type = np.int64) -> np.ndarray:
-    """xi_w times ``value``: the vector of n^len(w) entries, legs in word
+def _xi(word: tuple[int, ...], n: int, value: int = 1) -> np.ndarray:
+    """xi_w times ``value``: the int64 vector of n^len(w) entries, legs in word
     order, big-endian, that is ``value`` where the indices are constant along
     every block of w and 0 elsewhere.
 
@@ -103,14 +117,14 @@ def _xi(word: tuple[int, ...], n: int, value: int = 1, dtype: type = np.int64) -
     n = 1 the one entry is set directly, for any number of blocks.
     """
     if n == 1 or not word:
-        return np.full(1, value, dtype=dtype)
-    xi = np.zeros(n ** len(word), dtype=dtype)
+        return np.full(1, value, dtype=np.int64)
+    xi = np.zeros(n ** len(word), dtype=np.int64)
     strides = [0] * (max(word) + 1)
     step = xi.itemsize
     for x in reversed(word):
         strides[x] += step
         step *= n
-    np.ndarray((n,) * len(strides), dtype, xi, 0, strides)[...] = value
+    np.ndarray((n,) * len(strides), np.int64, xi, 0, strides)[...] = value
     return xi
 
 
@@ -130,33 +144,37 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     Composition picks up one factor n per removed loop; tensor product maps
     to the Kronecker product; turning a diagram upside down transposes.  Each
     identity is checked on xi vectors: both sides of the matrix identity go
-    through one fixed bijection of legs, applied to the words before any xi
-    is built, so no array is transposed and every verdict is that of the
-    dense check on T-matrices (kept in ``tests/block_reference.py``).  With
-    xp = xi_p, legs u_k .. u_1 then l_1 .. l_l, and yq = xi of q's word
-    with its upper legs reversed, u_1 .. u_k then l_1 .. l_l:
+    through one fixed bijection of legs, applied to the words, so every
+    verdict is that of the dense check on T-matrices (kept in
+    ``tests/block_reference.py``).  With xp = xi_p, legs u_k .. u_1 then
+    l_1 .. l_l, and yq = xi of q's word with its upper legs reversed,
+    u_1 .. u_k then l_1 .. l_l:
 
     * ``T_q T_p = n^loops T_qp``: xp contracted with yq over the middle legs,
-      listed in the same order on both sides, is n^loops xi_qp;
+      listed in the same order on both sides, is n^loops xi_qp.  This is the
+      one identity checked on vectors, in int64, as it counts loops;
     * ``T_{p (x) q} = T_p (x) T_q``: the walk of p (x) q is q's upper legs,
       all of p's legs, then q's lower legs.  Its word put in the order of
-      p's legs, then q's legs as in yq, has as xi the outer product of xp
-      and yq;
+      p's legs, then q's legs as in yq, must have as xi the outer product of
+      xp and yq, which is xi of p's word followed by yq's word with its
+      labels shifted past p's;
     * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi of the
-      word of p* read backwards is xp; likewise for q, with its upper legs
-      reversed as in yq.
+      word of p* read backwards must be xp; likewise for q, with its upper
+      legs reversed as in yq.
 
-    The shapes of all four results are compared before any vector.  The
-    three 0/1 identities are compared in one-byte vectors; the contraction
-    counts loops, so it and xi_qp, built already scaled by n^loops, are
-    int64.  Each identity is one comparison of two vectors' bytes.
+    The shapes of all four results are compared first.  For n >= 2, two
+    words of one length have one xi exactly when their normalized words are
+    equal (see the module docstring), so the last two identities compare
+    normalized words, which also gives a result of any labeling the verdict
+    of its xi.  At n = 1 that fact fails, and every identity holds.
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
     if n < 1:
         raise IndexRangeError(f"dimension must be >= 1, got {n}")
     kp, lp, kq, lq = p.upper_count, p.lower_count, q.upper_count, q.lower_count
-    # the tensor product has every point of p and q: the largest vector here
+    # the pair is bounded by its largest T-matrix, that of the tensor product,
+    # though no vector of that size is built
     check_tensor_cap(n, kp + lp + kq + lq)
     if n == 1:
         return True  # every T-matrix at n = 1 is [[1]]
@@ -164,23 +182,19 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     shapes = [(r.upper_count, r.lower_count) for r in (comp.result, tens, p_star, q_star)]
     if shapes != [(kp, lq), (kp + kq, lp + lq), (lp, kp), (lq, kq)]:
         return False
-    byte = np.bool_
-    xp = _xi(p.word, n, dtype=byte)
-    yq = _xi(q.word[:kq][::-1] + q.word[kq:], n, dtype=byte)
-    product = np.matmul(xp.reshape(n**kp, n**lp), yq.reshape(n**kq, n**lq), dtype=np.int64)
+    yq_word = q.word[:kq][::-1] + q.word[kq:]
     # the walk of p (x) q is q's upper legs, p's legs, q's lower legs
     t, end = tens.word, kq + kp + lp
     p_then_q = t[kq:end] + t[:kq][::-1] + t[end:]
     # the walk of q* is q's lower legs backwards, then its upper legs: q_back
-    # lists q's legs as yq does
+    # lists q's legs as yq_word does
     q_back = q_star.word[lq:] + q_star.word[:lq][::-1]
-    # both sides of an identity have one dtype and one length: equal bytes
-    # are equal entries
     return (
-        _xi(comp.result.word, n, n**comp.removed_loops).tobytes() == product.tobytes()
-        and _xi(p_then_q, n, dtype=byte).tobytes() == (xp[:, None] * yq).tobytes()
-        and _xi(p_star.word[::-1], n, dtype=byte).tobytes() == xp.tobytes()
-        and _xi(q_back, n, dtype=byte).tobytes() == yq.tobytes()
+        normalize_word(p_then_q) == normalize_word(p.word + tuple(x + len(p.word) for x in yq_word))
+        and normalize_word(p_star.word[::-1]) == normalize_word(p.word)
+        and normalize_word(q_back) == normalize_word(yq_word)
+        and (_xi(p.word, n).reshape(-1, n**lp) @ _xi(yq_word, n).reshape(n**kq, -1)).tobytes()
+        == _xi(comp.result.word, n, n**comp.removed_loops).tobytes()
     )
 
 

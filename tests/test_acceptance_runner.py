@@ -8,8 +8,9 @@ from partcat import acceptance
 
 
 def _clock(*readings):
-    """A stand-in for the time module whose clock gives the readings in turn."""
-    return types.SimpleNamespace(time=iter(readings).__next__)
+    """A stand-in for the time module whose monotonic clock gives the readings
+    in turn; it has no wall clock, so a criterion timed by one fails."""
+    return types.SimpleNamespace(perf_counter=iter(readings).__next__)
 
 
 def test_a_criterion_over_its_budget_fails(monkeypatch):

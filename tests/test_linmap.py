@@ -50,6 +50,10 @@ def test_delta_errors():
         lm.delta(pair_partition(), (), (1, 3), 2)
     with pytest.raises(IndexRangeError):
         lm.delta(pair_partition(), (1,), (1, 1), 2)
+    # n is checked first, as t_matrix and check_functor check it
+    for p in (Partition(0, 0, ()), pair_partition()):
+        with pytest.raises(IndexRangeError, match="dimension must be >= 1, got 0"):
+            lm.delta(p, (), (), 0)
 
 
 def test_t_matrix_examples():
@@ -104,7 +108,8 @@ def test_xi_separates_normalized_words_and_multiplies_over_concatenation():
     for n in (2, 3):
         for m in range(7):
             words_m = list(ops.iter_words(m))
-            assert len({lm._xi(w, n).tobytes() for w in words_m}) == ops.bell_number(m) == len(words_m)
+            assert len(words_m) == ops.bell_number(m)
+            assert len({lm._xi(w, n).tobytes() for w in words_m}) == len(words_m)
             for w in words_m:
                 xi = lm._xi(w, n).tobytes()
                 assert lm._xi(tuple(x + 3 for x in w), n).tobytes() == xi
@@ -193,7 +198,8 @@ def _unshifted_tensor(p, q):
 def _reversed_result(p, q):
     res = ops.compose(p, q)
     r = res.result
-    return ComposeResult(partition_from_word(r.word[::-1], r.upper_count, r.lower_count), res.removed_loops)
+    reversed_word = partition_from_word(r.word[::-1], r.upper_count, r.lower_count)
+    return ComposeResult(reversed_word, res.removed_loops)
 
 
 def _offset(p):
