@@ -157,13 +157,13 @@ def criterion_4() -> CriterionResult:
     return _result(4, "half-liberated closure/predicate equivalence and separations", t0, failures)
 
 
-_THIRTEEN = (
-    "O", "O*", "O+",
-    "S", "S+",
-    "B", "B+",
-    "S'", "S'+",
-    "B'", "B'+",
-    "B#*", "B#+",
+# a ruled name is hyperoctahedral when its rule admits the four-block but
+# not the double singleton
+_THIRTEEN = tuple(
+    name
+    for name in cat.RULED_NAMES
+    if not cat.category_predicate(name)(cat.four_block())
+    or cat.category_predicate(name)(cat.double_singleton())
 )
 
 

@@ -176,11 +176,17 @@ def _singleton_or_balanced_pair(plus: int, minus: int) -> bool:
     return plus + minus == 1 or plus == minus == 1
 
 
-def block_marks(w: Word) -> tuple[Iterator[int], Iterator[int]]:
+def block_marks(w: Word) -> tuple[list[int], list[int]]:
     """Each block's count of plus marks and each block's count of minus marks
-    in ``w``, block by block: plus at even walk positions, minus at odd ones."""
-    plus, minus, labels = w[::2], w[1::2], range(max(w, default=-1) + 1)
-    return map(plus.count, labels), map(minus.count, labels)
+    in ``w``, per label 0 .. max(w), in one pass over the word: plus at even
+    walk positions, minus at odd ones; an unused label counts (0, 0)."""
+    size = max(w, default=-1) + 1
+    plus, minus = [0] * size, [0] * size
+    for x in w[::2]:
+        plus[x] += 1
+    for x in w[1::2]:
+        minus[x] += 1
+    return plus, minus
 
 
 @dataclass(frozen=True, slots=True)

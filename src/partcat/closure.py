@@ -174,7 +174,6 @@ def _pair_batch(
     point_budget: int,
     stored: set[Word],
     complete: np.ndarray,
-    count_only: bool,
 ) -> tuple[int, list[tuple[int, Word]]]:
     """All glues of representative w, queued orbit ``qi``, in one kernel call.
 
@@ -187,8 +186,7 @@ def _pair_batch(
     operands before it.  Returns the number of glues and, sorted by j,
     (j, word) for the first glue of each word that is not in ``stored``.
     The glues whose results have a length k with ``complete[k]``, all of
-    whose words are stored, are counted but not computed; with
-    ``count_only`` no glue is computed.
+    whose words are stored, are counted but not computed.
     """
     start, stop = turns.ends[qi], turns.ends[qi + 1]
     m, r_count = int(turns.lengths[start]), stop - start
@@ -201,7 +199,7 @@ def _pair_batch(
     total = r_count * int(np.count_nonzero(fit))
     k = m + n - 2 * c  # at most point_budget
     seconds = np.flatnonzero(fit & ~complete[k])
-    if count_only or not len(seconds):
+    if not len(seconds):
         return total, []
     position = (np.cumsum(fit) - 1)[seconds]
     glued = glue_rows(firsts, rows.buffer[seconds], n[seconds], c[seconds])
@@ -396,9 +394,10 @@ def generate_closure(
     stop_reason: StopReason = "saturated"
     qi = 0
     while qi < len(turns):  # the queue grows meanwhile
-        # once the cap is reached or every target found, no glue is replayed
+        # once the cap is reached or every target found, no glue is replayed,
+        # so every length counts as complete and no glue is computed
         stopped = fusion_ops == max_fusion_ops or (bool(targets) and targets <= found)
-        total, candidates = _pair_batch(turns, orbits, qi, pb, stored, complete, stopped)
+        total, candidates = _pair_batch(turns, orbits, qi, pb, stored, complete | stopped)
         qi += 1
         # replay the batch in glue order: stop before glue j once the cap is
         # reached or every target has been found

@@ -18,10 +18,7 @@ T_p u^{tensor k} = u^{tensor l} T_p exactly when u^{tensor m} xi_w = xi_w
 rotation of p, with u applied to one leg at a time.
 
 ``check_functor`` tests the functor law p -> T_p with no T-matrix built.
-Each matrix identity becomes a vector identity by one fixed bijection of
-legs applied to both sides, and the bijection is applied to the words, so
-no array is transposed.  Two facts about xi let words alone decide the
-three 0/1 identities:
+Two facts about xi let words alone decide its 0/1 identities:
 
 * Injectivity.  For n >= 2, words v and w of one length have xi_v = xi_w
   exactly when ``normalize_word(v) == normalize_word(w)``.  Equal
@@ -34,11 +31,7 @@ three 0/1 identities:
   every block of that word exactly when its two halves are constant along
   the blocks of a and of b.
 
-So the tensor product's word, put in the order of p's legs, then q's, must
-have the normalized word of p's word followed by q's shifted, and the word
-of each involution, read backwards, the normalized word of p (or q's).
-Only composition builds vectors: one int64 contraction of xi_p with xi of
-q's word with its upper legs reversed, over the middle legs.  The dense
+Only composition builds vectors, one int64 contraction per pair.  The dense
 check on T-matrices and ``np.kron`` is kept in ``tests/block_reference.py``
 as the reference its verdicts are tested against.
 
@@ -142,31 +135,27 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     """Check the diagram-to-matrix identities on a composable pair.
 
     Composition picks up one factor n per removed loop; tensor product maps
-    to the Kronecker product; turning a diagram upside down transposes.  Each
-    identity is checked on xi vectors: both sides of the matrix identity go
-    through one fixed bijection of legs, applied to the words, so every
-    verdict is that of the dense check on T-matrices (kept in
-    ``tests/block_reference.py``).  With xp = xi_p, legs u_k .. u_1 then
-    l_1 .. l_l, and yq = xi of q's word with its upper legs reversed,
-    u_1 .. u_k then l_1 .. l_l:
+    to the Kronecker product; turning a diagram upside down transposes.
+    With xp = xi_p, legs u_k .. u_1 then l_1 .. l_l, and yq = xi of q's word
+    with its upper legs reversed, u_1 .. u_k then l_1 .. l_l:
 
-    * ``T_q T_p = n^loops T_qp``: xp contracted with yq over the middle legs,
-      listed in the same order on both sides, is n^loops xi_qp.  This is the
-      one identity checked on vectors, in int64, as it counts loops;
+    * ``T_q T_p = n^loops T_qp``: xp contracted with yq over the middle legs
+      is n^loops xi_qp, checked on int64 vectors, as it counts loops;
     * ``T_{p (x) q} = T_p (x) T_q``: the walk of p (x) q is q's upper legs,
-      all of p's legs, then q's lower legs.  Its word put in the order of
-      p's legs, then q's legs as in yq, must have as xi the outer product of
-      xp and yq, which is xi of p's word followed by yq's word with its
-      labels shifted past p's;
-    * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so xi of the
-      word of p* read backwards must be xp; likewise for q, with its upper
-      legs reversed as in yq.
+      all of p's legs, then q's lower legs, so its word must have the blocks
+      of q's upper word, p's word and q's lower word, q's labels shifted
+      past p's;
+    * ``T_{p*} = T_p^T``: the walk of p* is p's walk reversed, so the word
+      of p* read backwards must have the blocks of p's word; likewise for q.
 
-    The shapes of all four results are compared first.  For n >= 2, two
-    words of one length have one xi exactly when their normalized words are
-    equal (see the module docstring), so the last two identities compare
-    normalized words, which also gives a result of any labeling the verdict
-    of its xi.  At n = 1 that fact fails, and every identity holds.
+    Each identity is compared in its result's own walk order: both sides go
+    through one fixed bijection of positions, which does not change whether
+    two words have the same blocks.  For n >= 2, two words of one length
+    have one xi exactly when their normalized words are equal (see the
+    module docstring), so every verdict is that of the dense check on
+    T-matrices, for results of any labeling.  The shapes of all four
+    results are compared first.  At n = 1 that fact fails, and every
+    identity holds.
     """
     if p.lower_count != q.upper_count:
         raise ArityMismatchError("check_functor needs composable partitions")
@@ -183,16 +172,11 @@ def check_functor(p: Partition, q: Partition, n: int) -> bool:
     if shapes != [(kp, lq), (kp + kq, lp + lq), (lp, kp), (lq, kq)]:
         return False
     yq_word = q.word[:kq][::-1] + q.word[kq:]
-    # the walk of p (x) q is q's upper legs, p's legs, q's lower legs
-    t, end = tens.word, kq + kp + lp
-    p_then_q = t[kq:end] + t[:kq][::-1] + t[end:]
-    # the walk of q* is q's lower legs backwards, then its upper legs: q_back
-    # lists q's legs as yq_word does
-    q_back = q_star.word[lq:] + q_star.word[:lq][::-1]
+    shifted = tuple(x + len(p.word) for x in q.word)
     return (
-        normalize_word(p_then_q) == normalize_word(p.word + tuple(x + len(p.word) for x in yq_word))
+        normalize_word(tens.word) == normalize_word(shifted[:kq] + p.word + shifted[kq:])
         and normalize_word(p_star.word[::-1]) == normalize_word(p.word)
-        and normalize_word(q_back) == normalize_word(yq_word)
+        and normalize_word(q_star.word[::-1]) == normalize_word(q.word)
         and (_xi(p.word, n).reshape(-1, n**lp) @ _xi(yq_word, n).reshape(n**kq, -1)).tobytes()
         == _xi(comp.result.word, n, n**comp.removed_loops).tobytes()
     )

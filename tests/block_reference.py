@@ -302,7 +302,27 @@ PREDICATES = {
 # intertwiner matrix
 
 
+# dense T-matrices by (upper count, lower count, word as given, n); the
+# label-offset words of patched operations get their own entries
+_T_MATRICES: dict[tuple[int, int, tuple[int, ...], int], np.ndarray] = {}
+
+
+def clear_t_matrices() -> None:
+    _T_MATRICES.clear()
+
+
 def t_matrix(p: Partition, n: int) -> np.ndarray:
+    """The dense 0/1 matrix of p at dimension n, memoized and read-only;
+    ``clear_t_matrices`` empties the memo."""
+    key = (p.upper_count, p.lower_count, p.word, n)
+    mat = _T_MATRICES.get(key)
+    if mat is None:
+        mat = _T_MATRICES[key] = _dense_t_matrix(p, n)
+        mat.flags.writeable = False
+    return mat
+
+
+def _dense_t_matrix(p: Partition, n: int) -> np.ndarray:
     k, l = p.upper_count, p.lower_count
     mat = np.zeros((n**l, n**k), dtype=np.int64)
     upper_weight = [n ** (k - a - 1) for a in range(k)]

@@ -2,6 +2,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
+import block_reference
+
 from partcat.ops import enumerate_upto
 from partcat.partition import Partition, partition_from_word
 
@@ -33,3 +35,11 @@ def partitions(draw, max_points: int = 8) -> Partition:
 def all_upto_6() -> list[Partition]:
     """Every partition of every shape with at most 6 points."""
     return enumerate_upto(6)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_t_matrices():
+    """Empty the reference's memo of dense T-matrices after every test, so
+    its memory stays bounded by one test's matrices."""
+    yield
+    block_reference.clear_t_matrices()

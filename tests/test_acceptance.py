@@ -34,6 +34,12 @@ def test_criterion_05_thirteen_nonhyperoctahedral():
     _check(acceptance.criterion_5())
 
 
+def test_thirteen_are_the_ruled_names_that_are_not_hyperoctahedral():
+    # hyperoctahedral: the rule admits the four-block but not the double singleton
+    thirteen = ["O", "O*", "O+", "S", "S+", "B", "B+", "S'", "S'+", "B'", "B'+", "B#*", "B#+"]
+    assert sorted(acceptance._THIRTEEN) == sorted(thirteen)
+
+
 def test_criterion_06_character_law_counts():
     _check(acceptance.criterion_6())
 

@@ -14,6 +14,7 @@ from partcat.catalog import (
     LISTING_CAP,
     RULED_NAMES,
     block,
+    block_marks,
     block_sum,
     catalog_entry,
     category_predicate,
@@ -194,6 +195,19 @@ def test_mark_rule_on_positioner():
     # rule but passes the plain size rule
     assert not category_predicate("B#+")(positioner())
     assert category_predicate("B'+")(positioner())
+
+
+def test_block_marks_match_a_count_per_label():
+    # every word of up to 10 points, against tuple.count once per label
+    def per_label(w):
+        labels = range(max(w, default=-1) + 1)
+        return [w[::2].count(x) for x in labels], [w[1::2].count(x) for x in labels]
+
+    for m in range(11):
+        for w in iter_words(m):
+            assert block_marks(w) == per_label(w), w
+    # an unused label counts (0, 0)
+    assert block_marks((2, 0, 2)) == ([0, 0, 2], [1, 0, 0]) == per_label((2, 0, 2))
 
 
 def test_block_size_rules():
