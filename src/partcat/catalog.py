@@ -32,7 +32,7 @@ closure engine instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -308,12 +308,14 @@ class CatalogEntry:
 
     Members are the partitions whose word passes ``rule`` and, when
     ``noncrossing`` is set, has no crossing.  ``rule`` is None for the
-    categories known only by their generators.
+    categories known only by their generators.  ``repr``, ``==`` and
+    ``hash`` do not read the generators, which a series entry builds only
+    when asked.
     """
 
     name: str
     world: str
-    generators: tuple[Partition, ...]
+    generators: tuple[Partition, ...] = field(repr=False, compare=False)
     noncrossing: bool = False
     rule: BlockRule | None = None
 

@@ -61,7 +61,6 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from . import partition
 from .errors import BadParamError, BudgetError
 from .ops import bell_number, catalan_number
 from .partition import (
@@ -148,23 +147,15 @@ class _Rows:
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The index of the first occurrence of each distinct row, in no
-    particular order.  Rows are told apart by their bytes, in chunks of at
-    most ``GLUE_CHUNK_CELLS`` cells, with one dict of the rows seen across
-    the chunks."""
+    """The index of the first occurrence of each distinct row, ascending.
+    Rows are told apart by their bytes, in one dict over the whole stack."""
     width = rows.itemsize * rows.shape[1]
-    step = max(1, partition.GLUE_CHUNK_CELLS // max(1, rows.shape[1]))
-    first: dict[bytes, int] = {}
-    for lo in range(0, len(rows), step):
-        chunk = rows[lo : lo + step]
-        keys = chunk.view((np.void, width)).ravel().tolist() if width else [b""] * len(chunk)
-        # the last write of a key wins, so walk backwards to keep the least index
-        found = dict(zip(reversed(keys), range(lo + len(keys) - 1, lo - 1, -1)))
-        if first:  # the rows of earlier chunks come first
-            first.update((key, i) for key, i in found.items() if key not in first)
-        else:
-            first = found
-    return np.array(list(first.values()), np.intp)
+    keys = rows.view((np.void, width)).ravel().tolist() if width else [b""] * len(rows)
+    # the last write of a key wins, so walk backwards to keep the least index
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    kept = np.zeros(len(rows), bool)
+    kept[list(first.values())] = True
+    return np.flatnonzero(kept)
 
 
 def _pair_batch(
@@ -183,10 +174,11 @@ def _pair_batch(
     a over the rotations of w's representative, at the width c fixed by the
     two lengths.  The rows of ``turns`` and ``orbits`` run in the order of
     v and b, so b's place in the loop is the number of fitting second
-    operands before it.  Returns the number of glues and, sorted by j,
-    (j, word) for the first glue of each word that is not in ``stored``.
-    The glues whose results have a length k with ``complete[k]``, all of
-    whose words are stored, are counted but not computed.
+    operands before it.  Returns the number of glues and, in ascending j,
+    (j, word) for the first glue of each word that is not in ``stored``:
+    each distinct glued row, cut to its length k, becomes one tuple.  The
+    glues whose results have a length k with ``complete[k]``, all of whose
+    words are stored, are counted but not computed.
     """
     start, stop = turns.ends[qi], turns.ends[qi + 1]
     m, r_count = int(turns.lengths[start]), stop - start
@@ -205,17 +197,12 @@ def _pair_batch(
     glued = glue_rows(firsts, rows.buffer[seconds], n[seconds], c[seconds])
     index = _distinct_rows(glued)
     s, r = np.divmod(index, r_count)
-    glue_order = r_count * position[s] + r
-    lengths = k[seconds][s]
-    candidates = []
-    # one tuple per distinct row, cut to its length
-    for length in set(lengths.tolist()):
-        rows_of_length = lengths == length
-        words = map(tuple, glued[index[rows_of_length], :length].tolist())
-        glues = zip(glue_order[rows_of_length].tolist(), words)
-        candidates += [(j, word) for j, word in glues if word not in stored]
-    candidates.sort()
-    return total, candidates
+    # position rises strictly with s, so the glue order j rises strictly with
+    # the row index s * r_count + r, and the ascending rows come in glue order
+    glue_order = (r_count * position[s] + r).tolist()
+    cut = zip(glued[index].tolist(), k[seconds][s].tolist())
+    words = (tuple(row[:length]) for row, length in cut)
+    return total, [(j, word) for j, word in zip(glue_order, words) if word not in stored]
 
 
 StopReason = Literal["saturated", "targets_found", "fusion_cap"]
@@ -230,7 +217,6 @@ class Containment(Enum):
 class ClosureSet:
     """Bounded hull of a generator set, stored as boundary words."""
 
-    generators: tuple[Partition, ...]
     point_budget: int
     intermediate_budget: int
     words: frozenset[Word]
@@ -417,7 +403,6 @@ def generate_closure(
             break
 
     return ClosureSet(
-        generators=gens,
         point_budget=pb,
         intermediate_budget=ib,
         words=frozenset(stored),

@@ -94,7 +94,7 @@ def glue(a: Word, b: Word, c: int) -> tuple[Word, int]:
     return tuple(out), max(a, default=-1) + max(b, default=-1) + 2 - merges - len(first)
 
 
-GLUE_CHUNK_CELLS = 1 << 16  # cells per chunk of :func:`glue_rows` and of the closure's row pass
+GLUE_CHUNK_CELLS = 1 << 16  # cells per chunk of :func:`glue_rows`'s keys and glued rows
 
 
 def _first_kept(

@@ -184,6 +184,8 @@ def test_named_partition_registry():
         named_partition("no-such-name")
     with pytest.raises(BadParamError):
         named_partition("h", 0)
+    with pytest.raises(BadParamError):
+        k_series(0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,19 @@ def test_series_names_resolve_without_building_the_generator(monkeypatch):
     gens = (half_lib(), four_block(), h_series(5))
     assert series_entry(5).generators == gens
     assert catalog_entry("H^(5)").generators == gens
+
+
+def test_series_entries_print_compare_and_hash_without_the_generator(monkeypatch):
+    # repr, == and hash read the name, world and rule only, so a huge series
+    # parameter costs no more than a small one
+    def no_h_series(s):
+        raise AssertionError(f"built h({s})")
+
+    monkeypatch.setattr(catalog, "h_series", no_h_series)
+    entry = catalog_entry("H^(7)")
+    assert "H^(7)" in repr(entry)
+    assert hash(entry) == hash(entry)
+    assert entry == entry
 
 
 @pytest.mark.parametrize("name", ["fatcross"])

@@ -90,6 +90,8 @@ def test_op_tensor_and_involute_and_rotate(capsys):
 def test_op_usage_errors(capsys):
     assert run(capsys, "op", "tensor", "P(0,1): l1")[0] == 2
     assert run(capsys, "op", "rotate", "P(0,1): l1", "sideways")[0] == 2
+    code, out, err = run(capsys, "op", "rotate", "P(0,2): l1,l2")
+    assert (code, out) == (2, []) and err.startswith("usage: op rotate")
     code, _, err = run(capsys, "op", "compose", "P(0,2): l1,l2", "P(1,1): u1,l1")
     assert code == 2 and "error:" in err
 

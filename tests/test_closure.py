@@ -103,6 +103,8 @@ def test_budget_validation():
         generate_closure([], 8, 6)
     with pytest.raises(BudgetError):
         generate_closure([h_series(5)], 4, 8)  # 10-point generator, budget 8
+    with pytest.raises(BudgetError, match="stop_when partition exceeds"):
+        generate_closure([], 4, 8, stop_when=[h_series(5)])
     c = generate_closure([], 4, 8)
     with pytest.raises(BudgetError):
         c.contains(h_series(5))
@@ -336,6 +338,21 @@ def test_glue_rows_matches_glue_on_random_stacks(monkeypatch, chunk_cells):
             seconds += [(b, c) for c in range(min(m, n) + 1) for b in words]
         rng.shuffle(seconds)
         _check_glue_rows(stack(m), seconds)
+
+
+def test_distinct_rows_gives_each_first_index_ascending():
+    rows = np.array([[1, 2], [0, 0], [1, 2], [3, 3], [0, 0]], np.uint8)
+    assert closure._distinct_rows(rows).tolist() == [0, 1, 3]
+    assert closure._distinct_rows(rows[:1]).tolist() == [0]
+    assert closure._distinct_rows(rows[:, :0]).tolist() == [0]
+    # seeded stacks of few distinct values, so most rows repeat an earlier one
+    rng = np.random.default_rng(5)
+    for count, width, values in [(1, 3, 4), (50, 2, 3), (400, 5, 2), (300, 1, 256)]:
+        stack = rng.integers(0, values, (count, width)).astype(np.uint8)
+        seen = {}
+        for i, row in enumerate(stack.tolist()):
+            seen.setdefault(tuple(row), i)
+        assert closure._distinct_rows(stack).tolist() == sorted(seen.values())
 
 
 def test_glue_in_either_order_agrees_up_to_shift():
@@ -595,9 +612,9 @@ def test_engine_matches_sequential_reference_on_catalog_sets():
 
 
 def test_engine_matches_sequential_reference_in_small_chunks(monkeypatch):
-    # 16 cells per chunk split a batch into many chunks of the kernel and of
-    # the new-row pass, so a word glued in two chunks must keep its first
-    # glue; the caps stop the replay inside a batch
+    # 16 cells per chunk split a batch's glue kernel into many chunks, so a
+    # word glued in two chunks must keep its first glue; the caps stop the
+    # replay inside a batch
     monkeypatch.setattr(partition, "GLUE_CHUNK_CELLS", 16)
     for gens in _catalog_generator_sets():
         _assert_same_run(gens, 6, 12)

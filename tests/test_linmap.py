@@ -54,6 +54,8 @@ def test_delta_errors():
     for p in (Partition(0, 0, ()), pair_partition()):
         with pytest.raises(IndexRangeError, match="dimension must be >= 1, got 0"):
             lm.delta(p, (), (), 0)
+        with pytest.raises(IndexRangeError, match="dimension must be >= 1, got 0"):
+            lm.t_matrix(p, 0)
 
 
 def test_t_matrix_examples():

@@ -274,6 +274,9 @@ def test_word_two_row_bijection(all_upto_6):
     # the boundary word plus the shape determines the partition and back
     for p in all_upto_6:
         assert partition_from_word(p.word, p.upper_count, p.lower_count) == p
+    # a shape of another number of points is refused
+    with pytest.raises(PointRangeError, match="word length does not match"):
+        partition_from_word((0, 1), 1, 2)
 
 
 def test_word_shift_matches_right_rotation(all_upto_6):
