@@ -41,7 +41,7 @@ from operator import sub
 from typing import Callable, Iterator
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
-from .ops import ENUMERATION_CAP, LISTING_CAP, check_enumeration_cap, iter_words
+from .ops import ENUMERATION_CAP, LISTING_CAP, check_enumeration_cap, iter_words, word_total
 from .partition import (
     Partition,
     Word,
@@ -460,11 +460,17 @@ def enumerate_category(name: str, total_points: int) -> list[Partition]:
 
     Checks the name, then the enumeration cap, then that total_points is
     nonnegative, then the number of members against ``LISTING_CAP``, all
-    before any word is built.
+    before any word is built.  The members are counted only where the
+    world's words, Bell(n) or Catalan(n), exceed the cap: only at 12 points,
+    outside the noncrossing world.
     """
     count = member_counter(name)
     check_enumeration_cap(total_points)
-    if total_points >= 0 and (lines := count(total_points)) > LISTING_CAP:
+    if (
+        total_points >= 0
+        and word_total(total_points, catalog_entry(name).noncrossing) > LISTING_CAP
+        and (lines := count(total_points)) > LISTING_CAP
+    ):
         raise CapExceededError(
             f"{lines} members of {name} on {total_points} points exceed the "
             f"listing cap Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"

@@ -62,7 +62,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import BadParamError, BudgetError
-from .ops import bell_number, catalan_number
+from .ops import word_total
 from .partition import (
     Partition,
     Word,
@@ -90,12 +90,6 @@ def _orbit(w: Word) -> tuple[list[Word], list[Word]]:
     turns, mirrored = _rotations(w), _rotations(w[::-1])
     orbit = sorted(set(turns) | set(mirrored))
     return (turns if turns[0] <= mirrored[0] else mirrored), orbit
-
-
-def _universe(length: int, noncrossing: bool) -> int:
-    """The number of words of the given length: the noncrossing ones,
-    Catalan(length), or all, Bell(length)."""
-    return catalan_number(length) if noncrossing else bell_number(length)
 
 
 def _contract(w: Word, i: int) -> Word:
@@ -361,7 +355,7 @@ def generate_closure(
             if pool is stored:
                 n = len(w)
                 if n not in missing:
-                    missing[n] = _universe(n, noncrossing)
+                    missing[n] = word_total(n, noncrossing)
                 missing[n] -= len(orbit)
                 if not missing[n]:
                     complete[n] = True

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import comb
 from typing import Iterator
 
@@ -153,6 +154,11 @@ def catalan_number(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
+def word_total(n_points: int, noncrossing_only: bool = False) -> int:
+    """The number of words ``iter_words`` lists: Bell(n), or Catalan(n)."""
+    return catalan_number(n_points) if noncrossing_only else bell_number(n_points)
+
+
 # the most partitions one listing may hold: Bell(11) = 678,570
 LISTING_CAP = bell_number(ENUMERATION_CAP - 1)
 
@@ -175,27 +181,29 @@ def iter_words(n_points: int, noncrossing_only: bool = False) -> Iterator[Word]:
     """All partition words of n_points points (restricted growth strings), in
     lexicographic order; with ``noncrossing_only`` the noncrossing ones only.
 
-    One recursion labels the points left to right: each joins one of the
-    joinable blocks, in opening order, and then opens a new block, which
-    gives lexicographic order.  The classical world keeps every block
-    joinable; the noncrossing world cuts them back to the joined block.
+    One recursion labels the first n_points - 1 points left to right: each
+    joins one of the joinable blocks, in opening order, and then opens a new
+    block, which gives lexicographic order.  The classical world keeps every
+    block joinable; the noncrossing world cuts them back to the joined block.
+    For each prefix the recursion yields one chunk, the prefix's completions
+    by the last point in the same order, so a word climbs no generator frame
+    of its own and at most n_points words are held at a time.
     """
     # raised on first use, so sorted_partitions checks the row sizes first
     if n_points < 0:
         raise PointRangeError(f"point total must be nonnegative, got {n_points}")
-    labels = [0] * n_points
+    last = n_points - 1
 
-    def rec(i: int, joinable: tuple[int, ...], used: int) -> Iterator[Word]:
-        if i == n_points:
-            yield tuple(labels)
+    def rec(prefix: Word, joinable: tuple[int, ...], used: int) -> Iterator[list[Word]]:
+        if len(prefix) == last:
+            yield [prefix + (v,) for v in joinable] + [prefix + (used,)]
             return
         for depth, v in enumerate(joinable):
-            labels[i] = v
-            yield from rec(i + 1, joinable[: depth + 1] if noncrossing_only else joinable, used)
-        labels[i] = used
-        yield from rec(i + 1, joinable + (used,), used + 1)
+            yield from rec(prefix + (v,), joinable[: depth + 1] if noncrossing_only else joinable, used)
+        yield from rec(prefix + (used,), joinable + (used,), used + 1)
 
-    yield from rec(0, (), 0)
+    # 0 points have no last point to complete: their one word is ()
+    yield from chain.from_iterable(rec((), (), 0) if n_points else [[()]])
 
 
 def enumerate_all(
@@ -203,10 +211,17 @@ def enumerate_all(
 ) -> list[Partition]:
     """Every partition of P(upper_count, lower_count), duplicate-free, sorted.
 
-    The point total must stay within ``ENUMERATION_CAP`` (12).
+    The point total must stay within ``ENUMERATION_CAP`` (12), and the
+    listing, Bell(n) or with ``noncrossing_only`` Catalan(n) partitions,
+    within ``LISTING_CAP``; both are checked before any word is built.
     """
     n = upper_count + lower_count
     check_enumeration_cap(n)
+    if n >= 0 and (size := word_total(n, noncrossing_only)) > LISTING_CAP:
+        raise CapExceededError(
+            f"the {size} partitions of P({upper_count},{lower_count}) exceed the listing cap "
+            f"Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
+        )
     return sorted_partitions(upper_count, lower_count, iter_words(n, noncrossing_only))
 
 

@@ -414,6 +414,36 @@ def test_enumerate_category_refuses_a_long_listing_before_building_a_word(monkey
             enumerate_category(name, 12)
 
 
+def test_enumerate_category_counts_members_only_where_the_words_exceed_the_cap(monkeypatch):
+    # Bell(n) <= LISTING_CAP for n <= 11, so no count is needed there
+    counted = []
+    real_counter = catalog.member_counter
+
+    def recording_counter(name):
+        count = real_counter(name)
+
+        def recorded(n_points):
+            counted.append((name, n_points))
+            if n_points <= 11:
+                raise AssertionError(f"counted {name} on {n_points} points")
+            return count(n_points)
+
+        return recorded
+
+    monkeypatch.setattr(catalog, "member_counter", recording_counter)
+    monkeypatch.setattr(catalog, "member_words", lambda name, n_points: iter(()))
+    for name in RULED_NAMES + ("H^(3)",):
+        for n in range(12):
+            assert enumerate_category(name, n) == [], (name, n)
+    assert counted == []
+    # Catalan(12) = 208,012: a noncrossing world is not counted at 12 points either
+    assert enumerate_category("S+", 12) == []
+    assert counted == []
+    with pytest.raises(CapExceededError, match="^4213597 members of S on 12 points"):
+        enumerate_category("S", 12)
+    assert counted == [("S", 12)]
+
+
 def test_member_counter_refuses_a_negative_point_total():
     with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
         member_counter("S")(-1)

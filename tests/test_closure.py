@@ -30,7 +30,7 @@ from partcat.catalog import (
 from partcat.classify import _stop_targets, _upper_bound, classify_easy
 from partcat.closure import Containment, generate_closure
 from partcat.errors import BadParamError, BudgetError
-from partcat.ops import enumerate_all, iter_words, tensor
+from partcat.ops import enumerate_all, iter_words, tensor, word_total
 from partcat.partition import (
     canonical_text,
     glue,
@@ -658,8 +658,8 @@ def test_engine_matches_sequential_reference_above_twenty_points():
 
 def test_universe_counts_every_word_of_each_length():
     for k in range(11):
-        assert closure._universe(k, False) == sum(1 for _ in iter_words(k)), k
-        assert closure._universe(k, True) == sum(1 for _ in iter_words(k, noncrossing_only=True)), k
+        assert word_total(k) == sum(1 for _ in iter_words(k)), k
+        assert word_total(k, True) == sum(1 for _ in iter_words(k, noncrossing_only=True)), k
 
 
 def _count_glued_pairs(monkeypatch) -> list[int]:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -273,10 +274,48 @@ def test_noncrossing_words_are_the_filtered_words_in_order():
         assert list(iter_words(n, noncrossing_only=True)) == want, n
 
 
+# Bell(n) and Catalan(n) for n = 0..11, pinned
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570)
+CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786)
+
+
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_words_up_to_eleven_points_are_all_restricted_growth_strings_ascending(noncrossing):
+    # a strictly ascending stream of valid words, as many as there are, is all of them;
+    # a word is valid when its labels open in the order 0, 1, 2, ...
+    opened = [tuple(range(b)) for b in range(12)]
+    for n, total in enumerate(CATALAN if noncrossing else BELL):
+        count, previous = 0, None
+        for w in iter_words(n, noncrossing_only=noncrossing):
+            firsts = tuple(dict.fromkeys(w))
+            assert len(w) == n and firsts == opened[len(firsts)], w
+            assert previous is None or previous < w, (previous, w)
+            count, previous = count + 1, w
+        assert count == total, n
+
+
+def test_iter_words_refuses_a_negative_point_total_on_first_use():
+    words = iter_words(-1)
+    with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
+        next(words)
+
+
+def test_iter_words_is_lazy():
+    # Bell(12) = 4,213,597 words: the first one is read without listing the rest
+    tracemalloc.start()
+    try:
+        assert next(iter_words(12)) == (0,) * 12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_enumerate_refuses_negative_rows():
-    for k, l in ((-1, 1), (3, -1)):
-        with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
-            enumerate_all(k, l)
+    for k, l in ((-1, 1), (3, -1), (-3, 1)):
+        for noncrossing in (False, True):
+            with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
+                enumerate_all(k, l, noncrossing_only=noncrossing)
     with pytest.raises(PointRangeError, match="row sizes must be nonnegative"):
         enumerate_category("S", -1)
 
@@ -291,6 +330,25 @@ def test_iter_words_refuses_a_negative_point_total():
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
         enumerate_all(0, 13)
+
+
+def test_enumerate_all_checks_its_listing_size_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumerated partitions before checking the size")
+
+    monkeypatch.setattr(ops, "iter_words", no_enumeration)
+    # Bell(12) = 4,213,597 partitions of 12 points; Bell(11) = 678,570 is the listing cap
+    for k, l in ((0, 12), (5, 7), (12, 0)):
+        message = (
+            rf"^the 4213597 partitions of P\({k},{l}\) exceed the listing cap "
+            r"Bell\(11\) = 678570$"
+        )
+        with pytest.raises(CapExceededError, match=message):
+            enumerate_all(k, l)
+    # Catalan(12) = 208,012 noncrossing partitions and Bell(11) itself pass the check
+    monkeypatch.setattr(ops, "iter_words", lambda n, noncrossing_only: iter(()))
+    assert enumerate_all(0, 12, noncrossing_only=True) == []
+    assert enumerate_all(4, 7) == []
 
 
 def test_enumerate_upto_checks_its_size_before_enumerating(monkeypatch):
