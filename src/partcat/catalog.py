@@ -28,6 +28,13 @@ s >= 3 spelled as the series prints it; every other name is a BadParamError.
 Only ``fatcross`` has no block rule, so only it raises NoPredicateError when
 asked for a predicate or words; its membership questions go through the
 closure engine instead.
+
+A rule answers on two paths.  Called on one word it is the predicate that
+``category_predicate``, ``classify`` and ``included`` read.  Its ``select``
+tests a stream of words of one length a chunk at a time, in numpy: one
+count of every block's plus marks and one of its minus marks per chunk, and
+one lookup of each count pair in a table of the block test.
+``member_words`` and ``enumerate_category`` list through ``select``.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
+from itertools import chain, compress, islice, product
 from math import comb, prod
 from operator import sub
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import BadParamError, CapExceededError, NoPredicateError, PointRangeError
 from .ops import ENUMERATION_CAP, LISTING_CAP, check_enumeration_cap, iter_words, word_total
@@ -189,11 +198,21 @@ def block_marks(w: Word) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+# the most cells, words times points, of one chunk of ``BlockRule.select``
+_SELECT_CHUNK_CELLS = 1 << 14
+
+
 @dataclass(frozen=True, slots=True)
 class BlockRule:
     """A word rule as data: every block's (plus, minus) marks pass ``block``
     (None passes every block), and the word has an even number of points if
-    ``even_points``.  Calling it tests one word."""
+    ``even_points``.
+
+    Two paths answer the same question.  Calling the rule tests one word:
+    the predicates, and through them ``classify`` and ``included``, use it.
+    ``select`` tests a stream of words of one length a chunk at a time:
+    ``member_words`` and ``enumerate_category`` list through it.
+    """
 
     block: BlockTest | None
     even_points: bool
@@ -205,6 +224,43 @@ class BlockRule:
         if block is None:
             return True
         return all(map(block, *block_marks(w)))
+
+    def select(self, words: Iterable[Word], n_points: int) -> Iterator[Word]:
+        """The words that pass the rule, in their order: ``filter(self,
+        words)`` for words of n_points points each.
+
+        An odd n_points of an ``even_points`` rule reads no word, a rule with
+        no block test passes every word, and 0 points (or a negative count,
+        which ``iter_words`` refuses on first use) take the one-word path.
+        Otherwise ``_select_chunks`` tests the words a chunk at a time.
+        """
+        # -1 % 2 == 1: a negative count must reach the words, which refuse it
+        if self.even_points and n_points % 2 and n_points > 0:
+            return iter(())
+        if self.block is None:
+            return iter(words)
+        if n_points <= 0:
+            return filter(self, words)
+        return self._select_chunks(words, n_points)
+
+    def _select_chunks(self, words: Iterable[Word], n: int) -> Iterator[Word]:
+        # passes[plus * (n + 1) + minus] is the block test on the marks of a
+        # block of at most n points; an unused label counts (0, 0), which passes
+        passes = np.array([self.block(p, m) for p in range(n + 1) for m in range(n + 1)], bool)
+        passes[0] = True
+        rows = max(1, _SELECT_CHUNK_CELLS // n)
+        # label b of row r is counted at r * n + b: the labels are below n
+        offsets = np.arange(rows * n, step=n)[:, None]
+        words = iter(words)
+        while chunk := list(islice(words, rows)):
+            size = len(chunk) * n
+            # the labels are below n <= ENUMERATION_CAP, so each fits a byte
+            labels = np.frombuffer(bytes(chain.from_iterable(chunk)), np.uint8).reshape(-1, n)
+            keys = labels + offsets[: len(chunk)]
+            plus = np.bincount(keys[:, ::2].ravel(), minlength=size)
+            minus = np.bincount(keys[:, 1::2].ravel(), minlength=size)
+            ok = passes[plus * (n + 1) + minus].reshape(-1, n).all(axis=1)
+            yield from compress(chunk, ok.tolist())
 
 
 # the most points a block sum takes: its memo grows as a power of the point total
@@ -383,12 +439,28 @@ def _ruled_entry(name: str) -> CatalogEntry:
     return entry
 
 
+def _words(entry: CatalogEntry, n_points: int) -> Iterator[Word]:
+    return entry.rule.select(iter_words(n_points, entry.noncrossing), n_points)
+
+
 def member_words(name: str, n_points: int) -> Iterator[Word]:
-    """The category's words on n_points points, read lazily; the name is
-    checked first, then n_points against the enumeration cap."""
+    """The category's words on n_points points, read lazily a chunk at a
+    time; the name is checked first, then n_points against the enumeration cap."""
     entry = _ruled_entry(name)
     check_enumeration_cap(n_points)
-    return filter(entry.rule, iter_words(n_points, entry.noncrossing))
+    return _words(entry, n_points)
+
+
+def _counter(entry: CatalogEntry) -> Callable[[int], int]:
+    rule = entry.rule
+    test = rule.block or (lambda plus, minus: True)
+    words = block_sum(("+", "-"), lambda block: int(test(*block)), entry.noncrossing)
+
+    def count(n_points: int) -> int:
+        _check_block_sum_points(n_points)
+        return 0 if rule.even_points and n_points % 2 else words(n_points)
+
+    return count
 
 
 def member_counter(name: str) -> Callable[[int], int]:
@@ -399,16 +471,7 @@ def member_counter(name: str) -> Callable[[int], int]:
     unit ("+", "-") with the block test as a 0/1 weight, so they build no
     word; an odd n of an ``even_points`` rule counts 0 without a sum.
     """
-    entry = _ruled_entry(name)
-    rule = entry.rule
-    test = rule.block or (lambda plus, minus: True)
-    words = block_sum(("+", "-"), lambda block: int(test(*block)), entry.noncrossing)
-
-    def count(n_points: int) -> int:
-        _check_block_sum_points(n_points)
-        return 0 if rule.even_points and n_points % 2 else words(n_points)
-
-    return count
+    return _counter(_ruled_entry(name))
 
 
 def category_predicate(name: str) -> Predicate:
@@ -464,18 +527,18 @@ def enumerate_category(name: str, total_points: int) -> list[Partition]:
     world's words, Bell(n) or Catalan(n), exceed the cap: only at 12 points,
     outside the noncrossing world.
     """
-    count = member_counter(name)
+    entry = _ruled_entry(name)
     check_enumeration_cap(total_points)
     if (
         total_points >= 0
-        and word_total(total_points, catalog_entry(name).noncrossing) > LISTING_CAP
-        and (lines := count(total_points)) > LISTING_CAP
+        and word_total(total_points, entry.noncrossing) > LISTING_CAP
+        and (lines := _counter(entry)(total_points)) > LISTING_CAP
     ):
         raise CapExceededError(
             f"{lines} members of {name} on {total_points} points exceed the "
             f"listing cap Bell({ENUMERATION_CAP - 1}) = {LISTING_CAP}"
         )
-    return sorted_partitions(0, total_points, member_words(name, total_points))
+    return sorted_partitions(0, total_points, _words(entry, total_points))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from math import factorial
 
 import pytest
@@ -362,6 +363,70 @@ def test_member_words_check_the_name_before_the_cap():
         member_words("S", 13)
 
 
+_SELECTED_NAMES = RULED_NAMES + tuple(f"H^({s})" for s in range(3, 7))
+
+
+@pytest.mark.parametrize("name", _SELECTED_NAMES)
+def test_member_words_chunks_list_what_the_one_word_rule_accepts(name, monkeypatch):
+    # the chunk path yields the words filter(rule, ...) yields, order
+    # included (on 0 points, () where the rule accepts it), and a chunk edge
+    # after every word or every 7 words moves none
+    entry = catalog_entry(name)
+    for n in range(11):
+        want = list(filter(entry.rule, iter_words(n, entry.noncrossing)))
+        assert list(member_words(name, n)) == want, (name, n)
+        for rows in (1, 7) if n <= 8 else ():
+            monkeypatch.setattr(catalog, "_SELECT_CHUNK_CELLS", rows * n)
+            assert list(member_words(name, n)) == want, (name, n, rows)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["B#+", "B", "S'", "S"])
+def test_member_words_refuse_a_negative_count_on_first_use(name):
+    # an even_points rule must not take -1 for an odd count: -1 % 2 == 1
+    words = member_words(name, -1)
+    with pytest.raises(PointRangeError, match="^point total must be nonnegative, got -1$"):
+        next(words)
+
+
+def test_member_words_of_an_odd_count_of_an_even_rule_build_no_word(monkeypatch):
+    def no_words(n_points, noncrossing_only=False):
+        raise AssertionError(f"built a word of {n_points} points")
+        yield
+
+    monkeypatch.setattr(catalog, "iter_words", no_words)
+    even = [name for name in _SELECTED_NAMES if catalog_entry(name).rule.even_points]
+    assert even == ["S'+", "B#+", "B'+", "S'", "B'", "B#*", "H^(3)", "H^(4)", "H^(5)", "H^(6)"]
+    for name in even:
+        for n in (1, 3, 11):
+            assert list(member_words(name, n)) == [], (name, n)
+
+
+def test_member_words_read_a_chunk_at_a_time():
+    # Bell(12) = 4,213,597 words: the first member is found a bounded chunk
+    # at a time, not by listing them all
+    tracemalloc.start()
+    try:
+        assert next(member_words("B", 12)) == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_enumerate_category_resolves_its_name_once(monkeypatch):
+    resolved = []
+
+    def recording_entry(name):
+        resolved.append(name)
+        return catalog_entry(name)
+
+    monkeypatch.setattr(catalog, "catalog_entry", recording_entry)
+    assert len(enumerate_category("H^(3)", 4)) == 3
+    assert len(enumerate_category("B", 8)) == 764
+    assert resolved == ["H^(3)", "B"]
+
+
 def test_enumerate_category_examples():
     assert [str(p) for p in enumerate_category("O+", 4)] == [
         "P(0,4): l1,l2; l3,l4",
@@ -404,7 +469,7 @@ def test_enumerate_category_refuses_a_long_listing_before_building_a_word(monkey
         raise AssertionError("built a word before the listing cap")
 
     monkeypatch.setattr(catalog, "iter_words", no_words)
-    monkeypatch.setattr(catalog, "member_words", no_words)
+    monkeypatch.setattr(catalog, "_words", no_words)
     for name in ("S", "S'"):
         message = (
             f"^4213597 members of {re.escape(name)} on 12 points exceed the listing cap "
@@ -417,21 +482,21 @@ def test_enumerate_category_refuses_a_long_listing_before_building_a_word(monkey
 def test_enumerate_category_counts_members_only_where_the_words_exceed_the_cap(monkeypatch):
     # Bell(n) <= LISTING_CAP for n <= 11, so no count is needed there
     counted = []
-    real_counter = catalog.member_counter
+    real_counter = catalog._counter
 
-    def recording_counter(name):
-        count = real_counter(name)
+    def recording_counter(entry):
+        count = real_counter(entry)
 
         def recorded(n_points):
-            counted.append((name, n_points))
+            counted.append((entry.name, n_points))
             if n_points <= 11:
-                raise AssertionError(f"counted {name} on {n_points} points")
+                raise AssertionError(f"counted {entry.name} on {n_points} points")
             return count(n_points)
 
         return recorded
 
-    monkeypatch.setattr(catalog, "member_counter", recording_counter)
-    monkeypatch.setattr(catalog, "member_words", lambda name, n_points: iter(()))
+    monkeypatch.setattr(catalog, "_counter", recording_counter)
+    monkeypatch.setattr(catalog, "_words", lambda entry, n_points: iter(()))
     for name in RULED_NAMES + ("H^(3)",):
         for n in range(12):
             assert enumerate_category(name, n) == [], (name, n)
